@@ -25,10 +25,9 @@ from .allocation import (
 )
 from .contracts import (
     GenerationDistribution,
-    TrainingWindow,
     critical_quantile,
+    error_spread,
     expected_separate_payoff,
-    fit_distribution,
     optimal_contract,
 )
 from .equilibrium import (
@@ -38,7 +37,6 @@ from .equilibrium import (
     ResponseInterval,
     best_response_set,
     optimal_redistribution,
-    production_value,
     solve_competitive_equilibrium,
     verify_game_equivalence,
 )
@@ -55,6 +53,7 @@ from .market import (
     partition_surplus_shortfall,
     separate_payoff,
     separate_payoffs,
+    settle,
 )
 from .simulator import (
     GenerationSeries,
@@ -85,10 +84,9 @@ __all__ = [
     "contract_mismatch_counterexample",
     "run_property_checks",
     "GenerationDistribution",
-    "TrainingWindow",
     "critical_quantile",
+    "error_spread",
     "expected_separate_payoff",
-    "fit_distribution",
     "optimal_contract",
     "CompetitiveEquilibrium",
     "ProductionFunction",
@@ -96,7 +94,6 @@ __all__ = [
     "ResponseInterval",
     "best_response_set",
     "optimal_redistribution",
-    "production_value",
     "solve_competitive_equilibrium",
     "verify_game_equivalence",
     "DEFAULT_TOLERANCE",
@@ -111,6 +108,7 @@ __all__ = [
     "partition_surplus_shortfall",
     "separate_payoff",
     "separate_payoffs",
+    "settle",
     "GenerationSeries",
     "HourlyRecord",
     "SimulationConfig",

@@ -28,6 +28,7 @@ from .market import (
     aggregator_payoff,
     approx_equal,
     separate_payoffs,
+    settle,
 )
 
 
@@ -82,6 +83,20 @@ class PamConfig:
                 f"[{prices.rt_sell}, {prices.rt_buy}]"
             )
         return value
+
+    def marginal_price(self, snapshot: ScenarioSnapshot) -> tuple[float, bool]:
+        """The price applied to every member's deviation, and whether the pool
+        counts as balanced.
+
+        rt_buy when the pool is short in total, rt_sell when it is long, and
+        the resolved balance price when the total deviation lies inside the
+        ``balance_tolerance`` band.
+        """
+        prices = snapshot.prices
+        total_dev = snapshot.total_realization - snapshot.total_contract
+        if abs(total_dev) <= self.balance_tolerance * max(1.0, snapshot.total_contract):
+            return self.resolve_balance_price(prices), True
+        return (prices.rt_buy if total_dev < 0.0 else prices.rt_sell), False
 
 
 @dataclass(frozen=True)
@@ -176,18 +191,9 @@ def allocate(snapshot: ScenarioSnapshot, config: PamConfig | None = None) -> Pay
     in total, rt_sell when it is long, and the configured in-band price when
     the totals match. The payoffs always sum to the pool's own settlement.
     """
-    config = config or PamConfig()
-    prices = snapshot.prices
+    marginal, _ = (config or PamConfig()).marginal_price(snapshot)
     c, x = snapshot.contracts, snapshot.realizations
-    total_dev = snapshot.total_realization - snapshot.total_contract
-    band = config.balance_tolerance * max(1.0, snapshot.total_contract)
-    if abs(total_dev) <= band:
-        marginal = config.resolve_balance_price(prices)
-    elif total_dev < 0.0:
-        marginal = prices.rt_buy
-    else:
-        marginal = prices.rt_sell
-    payoffs = prices.day_ahead * c + marginal * (x - c)
+    payoffs = snapshot.prices.day_ahead * c + marginal * (x - c)
     return PayoffAllocation(payoffs, aggregator_payoff(snapshot), marginal)
 
 
@@ -263,8 +269,13 @@ def check_no_exploitation(
     return True
 
 
+#: Largest pool the exhaustive core audit enumerates (2^20 - 1 coalitions);
+#: larger pools are screened by sampling.
+EXHAUSTIVE_LIMIT = 20
+
 # Mask matrices for subset enumeration get reused heavily by the brute-force
-# core check; cache them up to a size where the cache stays a few MB.
+# core check; cache them up to a size where the cache stays a few MB. Larger
+# enumerations and all sampled screens are scanned _CHUNK_ROWS rows at a time.
 _MASK_CACHE_MAX_N = 16
 _CHUNK_ROWS = 1 << 16
 
@@ -276,22 +287,33 @@ def _cached_masks(n: int) -> np.ndarray:
     return bits.astype(np.float64)
 
 
-def _iter_subset_masks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_bitmask, rows) covering bitmasks 1 .. 2^n - 1 in order."""
+def _iter_subset_masks(n: int) -> Iterator[np.ndarray]:
+    """Yield row blocks covering bitmasks 1 .. 2^n - 1 in order."""
     if n <= _MASK_CACHE_MAX_N:
-        yield 1, _cached_masks(n)
+        yield _cached_masks(n)
         return
     shifts = np.arange(n, dtype=np.uint64)
     start = 1
     while start < 2**n:
         stop = min(start + _CHUNK_ROWS, 2**n)
         ks = np.arange(start, stop, dtype=np.uint64)
-        yield start, ((ks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+        yield ((ks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
         start = stop
 
 
-def _bitmask_to_members(bitmask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(bitmask.bit_length()) if bitmask >> i & 1)
+def _iter_sampled_masks(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield seeded random nonempty coalitions, _CHUNK_ROWS rows at a time.
+
+    An empty draw gets one random member, so every row is a real coalition.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, samples - start)
+        masks = rng.integers(0, 2, size=(rows, n)).astype(np.float64)
+        empty = masks.sum(axis=1) == 0
+        if np.any(empty):
+            masks[empty, rng.integers(0, n, size=int(empty.sum()))] = 1.0
+        yield masks
 
 
 def _scan_coalitions(
@@ -301,14 +323,7 @@ def _scan_coalitions(
     tol: float,
 ) -> tuple[bool, float, int]:
     """Check one batch of coalition rows; return (all ok, max violation, argmax row)."""
-    p = snapshot.prices
-    c_t = masks @ snapshot.contracts
-    x_t = masks @ snapshot.realizations
-    v_t = (
-        p.day_ahead * c_t
-        - p.rt_buy * np.maximum(c_t - x_t, 0.0)
-        + p.rt_sell * np.maximum(x_t - c_t, 0.0)
-    )
+    v_t = settle(masks @ snapshot.contracts, masks @ snapshot.realizations, snapshot.prices)
     alloc_t = masks @ payoffs
     violation = v_t - alloc_t
     allowance = tol * np.maximum(1.0, np.maximum(np.abs(v_t), np.abs(alloc_t)))
@@ -322,7 +337,7 @@ def check_core_membership(
     tol: float = DEFAULT_TOLERANCE,
     *,
     method: str = "exhaustive",
-    exhaustive_limit: int = 20,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
     samples: int = 100_000,
     seed: int = 0,
 ) -> CoreResult:
@@ -334,7 +349,8 @@ def check_core_membership(
     producers it refuses and points to sampled mode, which screens a seeded
     random selection of coalitions instead; sampling can only ever certify
     "no violation found", which is what auditing a third-party allocation
-    on a large pool realistically gets.
+    on a large pool realistically gets. Both modes scan at most
+    ``_CHUNK_ROWS`` coalitions at a time, so memory stays bounded.
     """
     _require_matching(alloc, snapshot)
     n = snapshot.n
@@ -347,30 +363,26 @@ def check_core_membership(
                 f"{n} producers means {2**n - 1} coalitions; raise exhaustive_limit "
                 "or rerun with method='sampled'"
             )
-        ok_all = True
-        worst = -math.inf
-        worst_bitmask = 0
-        checked = 0
-        for first, masks in _iter_subset_masks(n):
-            ok, batch_worst, row = _scan_coalitions(masks, snapshot, alloc.payoffs, tol)
-            ok_all = ok_all and ok
-            checked += masks.shape[0]
-            if batch_worst > worst:
-                worst = batch_worst
-                worst_bitmask = first + row
-        return CoreResult(ok_all, worst, _bitmask_to_members(worst_bitmask), checked, True)
+        batches = _iter_subset_masks(n)
+    elif method == "sampled":
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+        batches = _iter_sampled_masks(n, samples, seed)
+    else:
+        raise ValueError(f"unknown core check method {method!r}")
 
-    if method == "sampled":
-        rng = np.random.default_rng(seed)
-        masks = rng.integers(0, 2, size=(samples, n)).astype(np.float64)
-        empty = masks.sum(axis=1) == 0
-        if np.any(empty):
-            masks[empty, rng.integers(0, n, size=int(empty.sum()))] = 1.0
-        ok, worst, row = _scan_coalitions(masks, snapshot, alloc.payoffs, tol)
-        members = tuple(int(i) for i in np.nonzero(masks[row])[0])
-        return CoreResult(ok, worst, members, samples, False)
-
-    raise ValueError(f"unknown core check method {method!r}")
+    ok_all = True
+    worst = -math.inf
+    witness: tuple[int, ...] | None = None
+    checked = 0
+    for masks in batches:
+        ok, batch_worst, row = _scan_coalitions(masks, snapshot, alloc.payoffs, tol)
+        ok_all = ok_all and ok
+        checked += masks.shape[0]
+        if batch_worst > worst:
+            worst = batch_worst
+            witness = tuple(np.flatnonzero(masks[row]).tolist())
+    return CoreResult(ok_all, worst, witness, checked, method == "exhaustive")
 
 
 def run_property_checks(
@@ -380,25 +392,19 @@ def run_property_checks(
     *,
     check_core: bool = True,
     core_method: str = "exhaustive",
-    exhaustive_limit: int = 20,
-    core_samples: int = 100_000,
     seed: int = 0,
 ) -> PropertyReport:
-    """Run the full five-property audit on one allocation."""
+    """Run the full five-property audit on one allocation.
+
+    The core audit uses ``check_core_membership``'s defaults for the
+    exhaustive limit and the sample count.
+    """
     budget = check_budget_balance(alloc, snapshot, tol)
     ir = check_individual_rationality(alloc, snapshot, tol)
     fairness = check_fairness(alloc, snapshot, tol)
     no_exploit = check_no_exploitation(alloc, snapshot, tol)
     if check_core:
-        core = check_core_membership(
-            alloc,
-            snapshot,
-            tol,
-            method=core_method,
-            exhaustive_limit=exhaustive_limit,
-            samples=core_samples,
-            seed=seed,
-        )
+        core = check_core_membership(alloc, snapshot, tol, method=core_method, seed=seed)
         in_core: bool | None = core.in_core
         core_violation: float | None = core.worst_violation
         core_coalition = core.worst_coalition

@@ -11,29 +11,21 @@ Exit codes: 0 success, 1 input error, 2 property violation detected,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import traceback
-from pathlib import Path
 
-import numpy as np
-
-from .allocation import (
-    PamConfig,
-    PayoffAllocation,
-    allocate,
-    check_core_membership,
-    run_property_checks,
-)
+from .allocation import PamConfig, allocate, run_property_checks
 from .contracts import GenerationDistribution, critical_quantile, optimal_contract
 from .equilibrium import solve_competitive_equilibrium
-from .market import ScenarioSnapshot, PriceTriple, approx_equal
+from .market import PriceTriple, approx_equal
 from .simulator import (
     SimulationConfig,
     TimeseriesFormatError,
     emit_report,
     load_contract_schedule,
+    load_payoffs,
     load_prices,
+    load_snapshot,
     load_timeseries,
     run_simulation,
 )
@@ -42,9 +34,6 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_INTERNAL = 3
-
-SNAPSHOT_HEADER = ["producer_id", "contract_mwh", "actual_mwh"]
-SNAPSHOT_HEADER_PRICED = SNAPSHOT_HEADER + ["p_f", "p_rb", "p_rs"]
 
 
 def _parse_pstar(text: str):
@@ -67,73 +56,6 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a half-open hour range like 0:744"
         ) from None
-
-
-def _load_snapshot(path: Path, cli_prices: PriceTriple | None) -> ScenarioSnapshot:
-    """Read a one-hour snapshot CSV; prices come from in-file columns or the CLI."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if header == SNAPSHOT_HEADER_PRICED:
-            priced = True
-        elif header == SNAPSHOT_HEADER:
-            priced = False
-            if cli_prices is None:
-                raise TimeseriesFormatError(
-                    f"{path}: no price columns; pass --pf/--prb/--prs"
-                )
-        else:
-            raise TimeseriesFormatError(
-                f"{path}:1: expected header {','.join(SNAPSHOT_HEADER)!r} "
-                f"(optionally with p_f,p_rb,p_rs), got {','.join(header)!r}"
-            )
-        ids, contracts, realizations = [], [], []
-        prices = cli_prices
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise TimeseriesFormatError(f"{path}:{line_no}: wrong field count")
-            ids.append(row[0].strip())
-            contracts.append(float(row[1]))
-            realizations.append(float(row[2]))
-            if priced:
-                row_prices = PriceTriple(float(row[3]), float(row[4]), float(row[5]))
-                if prices is None:
-                    prices = row_prices
-                elif row_prices != prices:
-                    raise TimeseriesFormatError(
-                        f"{path}:{line_no}: price columns differ between rows"
-                    )
-        if not ids:
-            raise TimeseriesFormatError(f"{path}: no data rows")
-    return ScenarioSnapshot(tuple(ids), np.array(contracts), np.array(realizations), prices)
-
-
-def _load_payoffs(path: Path, snapshot: ScenarioSnapshot) -> PayoffAllocation:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if header != ["producer_id", "payoff"]:
-            raise TimeseriesFormatError(
-                f"{path}:1: expected header 'producer_id,payoff', got {','.join(header)!r}"
-            )
-        by_id = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].strip() in by_id:
-                raise TimeseriesFormatError(f"{path}:{line_no}: duplicate producer")
-            by_id[row[0].strip()] = float(row[1])
-    try:
-        payoffs = np.array([by_id[p] for p in snapshot.producer_ids])
-    except KeyError as exc:
-        raise TimeseriesFormatError(
-            f"{path}: no payoff for producer {exc.args[0]!r}"
-        ) from None
-    from .market import aggregator_payoff
-
-    return PayoffAllocation(payoffs, aggregator_payoff(snapshot))
 
 
 def _cli_prices(args) -> PriceTriple | None:
@@ -193,7 +115,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    snapshot = _load_snapshot(Path(args.snapshot), _cli_prices(args))
+    snapshot = load_snapshot(args.snapshot, _cli_prices(args))
     alloc = allocate(snapshot, PamConfig(balance_price_rule=args.pstar))
     print("producer_id,payoff")
     for producer, payoff in zip(snapshot.producer_ids, alloc.payoffs):
@@ -204,8 +126,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_check_core(args) -> int:
-    snapshot = _load_snapshot(Path(args.snapshot), _cli_prices(args))
-    alloc = _load_payoffs(Path(args.payoffs), snapshot)
+    snapshot = load_snapshot(args.snapshot, _cli_prices(args))
+    alloc = load_payoffs(args.payoffs, snapshot)
     report = run_property_checks(alloc, snapshot, core_method=args.method, seed=args.seed)
     print(f"budget_balance        : {report.budget_balance} (residual {report.budget_residual!r})")
     print(f"individual_rationality: {report.individual_rationality} "
@@ -219,7 +141,7 @@ def _cmd_check_core(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    snapshot = _load_snapshot(Path(args.snapshot), _cli_prices(args))
+    snapshot = load_snapshot(args.snapshot, _cli_prices(args))
     config = PamConfig(balance_price_rule=args.pstar)
     ce = solve_competitive_equilibrium(snapshot, config)
     pam = allocate(snapshot, config)

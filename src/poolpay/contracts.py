@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .market import PriceTriple
+from .market import PriceTriple, settle
 
 
 @dataclass(frozen=True)
@@ -80,25 +80,6 @@ class GenerationDistribution:
         return self._frozen().rvs(size=count, random_state=rng)
 
 
-@dataclass(frozen=True)
-class TrainingWindow:
-    """Paired (forecast, actual) observations used to estimate error spread."""
-
-    observations: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        obs = tuple((float(f), float(a)) for f, a in self.observations)
-        if not obs:
-            raise ValueError("training window must be nonempty")
-        for f, a in obs:
-            if f < 0.0 or a < 0.0:
-                raise ValueError("forecasts and actuals must be >= 0")
-        object.__setattr__(self, "observations", obs)
-
-    def __len__(self) -> int:
-        return len(self.observations)
-
-
 def critical_quantile(prices: PriceTriple) -> float:
     """Quantile level of the expected-payoff-maximizing contract.
 
@@ -141,28 +122,22 @@ def optimal_contract(
     return max(0.0, dist.quantile(q))
 
 
-def fit_distribution(
-    forecast: float,
-    window: TrainingWindow,
-    lower_bound: float = 0.0,
-    upper_bound: float = math.inf,
-) -> GenerationDistribution:
-    """Generation model for one hour: the forecast is the mean, the spread
-    of past forecast errors is the standard deviation.
+def error_spread(forecasts, actuals) -> np.ndarray:
+    """Per-producer spread of past forecast errors over a training block.
 
-    Needs at least two observations for the sample standard deviation
-    (n - 1 denominator) to exist.
+    ``forecasts`` and ``actuals`` are (hours x producers); the result is the
+    sample standard deviation (n - 1 denominator) of ``actual - forecast``
+    down each column, which needs at least two hours to exist.
     """
-    if len(window) < 2:
-        raise ValueError("need at least 2 observations to estimate error spread")
-    errors = np.array([a - f for f, a in window.observations])
-    std = float(np.std(errors, ddof=1))
-    return GenerationDistribution(
-        mean=float(forecast),
-        std_dev=std,
-        lower_bound=lower_bound,
-        upper_bound=upper_bound,
-    )
+    forecasts = np.asarray(forecasts, dtype=float)
+    actuals = np.asarray(actuals, dtype=float)
+    if forecasts.ndim != 2 or forecasts.shape != actuals.shape:
+        raise ValueError("forecasts and actuals must be matching (hours x producers) arrays")
+    if forecasts.shape[0] < 2:
+        raise ValueError("need at least 2 training hours to estimate the error spread")
+    if np.any(forecasts < 0.0) or np.any(actuals < 0.0):
+        raise ValueError("forecasts and actuals must be >= 0")
+    return np.std(actuals - forecasts, axis=0, ddof=1)
 
 
 def expected_separate_payoff(
@@ -181,10 +156,4 @@ def expected_separate_payoff(
     if contract < 0.0:
         raise ValueError("contract must be >= 0")
     rng = np.random.default_rng(seed)
-    x = dist.sample(samples, rng)
-    payoffs = (
-        prices.day_ahead * contract
-        - prices.rt_buy * np.maximum(contract - x, 0.0)
-        + prices.rt_sell * np.maximum(x - contract, 0.0)
-    )
-    return float(payoffs.mean())
+    return float(settle(contract, dist.sample(samples, rng), prices).mean())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import PamConfig
+from .allocation import EXHAUSTIVE_LIMIT, PamConfig
 from .market import (
     DEFAULT_TOLERANCE,
     PriceTriple,
@@ -27,6 +27,7 @@ from .market import (
     approx_equal,
     coalition_value,
     separate_payoff,
+    settle,
 )
 
 
@@ -50,11 +51,6 @@ class ProductionFunction:
 
     def value(self, quantity: float) -> float:
         return separate_payoff(self.contract, quantity, self.prices)
-
-
-def production_value(f: ProductionFunction, quantity: float) -> float:
-    """Evaluate a production function; thin wrapper around ``f.value``."""
-    return f.value(quantity)
 
 
 @dataclass(frozen=True)
@@ -187,9 +183,7 @@ def optimal_redistribution(
     c = snapshot.contracts[idx]
     x = snapshot.realizations[idx]
     z = _greedy_reallocation(c, x)
-    value = float(
-        sum(separate_payoff(float(ci), float(zi), snapshot.prices) for ci, zi in zip(c, z))
-    )
+    value = float(sum(settle(c, z, snapshot.prices).tolist()))
     return Redistribution(tuple(int(i) for i in idx), z), value
 
 
@@ -215,26 +209,10 @@ def solve_competitive_equilibrium(
     of the net power it bought, and it coincides with the marginal-price
     allocation under the same config.
     """
-    config = config or PamConfig()
-    prices = snapshot.prices
+    price, balanced = (config or PamConfig()).marginal_price(snapshot)
     c, x = snapshot.contracts, snapshot.realizations
-    total_dev = snapshot.total_realization - snapshot.total_contract
-    band = config.balance_tolerance * max(1.0, snapshot.total_contract)
-    if abs(total_dev) <= band:
-        price = config.resolve_balance_price(prices)
-        z = c.astype(float).copy()
-    elif total_dev < 0.0:
-        price = prices.rt_buy
-        z = _greedy_reallocation(c, x)
-    else:
-        price = prices.rt_sell
-        z = _greedy_reallocation(c, x)
-    payoffs = np.array(
-        [
-            separate_payoff(float(ci), float(zi), prices) - price * (zi - xi)
-            for ci, zi, xi in zip(c, z, x)
-        ]
-    )
+    z = c.astype(float).copy() if balanced else _greedy_reallocation(c, x)
+    payoffs = settle(c, z, snapshot.prices) - price * (z - x)
     redistribution = Redistribution(tuple(range(snapshot.n)), z)
     return CompetitiveEquilibrium(price, redistribution, payoffs)
 
@@ -242,7 +220,7 @@ def solve_competitive_equilibrium(
 def verify_game_equivalence(
     snapshot: ScenarioSnapshot,
     tol: float = DEFAULT_TOLERANCE,
-    exhaustive_limit: int = 20,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> bool:
     """Does trading power internally earn exactly the joint settlement, for
     every nonempty coalition?"""

@@ -24,10 +24,6 @@ def approx_equal(a: float, b: float, tol: float = DEFAULT_TOLERANCE) -> bool:
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
 
 
-def _positive_part(v: float) -> float:
-    return v if v > 0.0 else 0.0
-
-
 @dataclass(frozen=True)
 class PriceTriple:
     """Prices for one settlement hour, all in currency per MWh.
@@ -170,31 +166,36 @@ class SurplusPartition:
     shortfall_total: float
 
 
-def separate_payoff(contract: float, realization: float, prices: PriceTriple) -> float:
-    """Settlement payoff of a single producer participating on its own.
+def settle(contract, realization, prices: PriceTriple):
+    """Two-settlement payoff of a contract against a realization.
 
     Forward revenue at the day-ahead price, minus the buy-back cost of any
-    shortfall, plus the sale value of any surplus.
+    shortfall, plus the sale value of any surplus. Written with operators
+    that act alike on Python floats and numpy arrays, so one expression
+    settles a single producer, a coalition, or a whole vector of either;
+    ``(s + abs(s)) * 0.5`` is the shortfall ``max(s, 0)`` exactly.
     """
+    s = contract - realization
+    shortfall = (s + abs(s)) * 0.5
+    return (
+        prices.day_ahead * contract
+        - prices.rt_buy * shortfall
+        + prices.rt_sell * (shortfall - s)
+    )
+
+
+def separate_payoff(contract: float, realization: float, prices: PriceTriple) -> float:
+    """Settlement payoff of a single producer participating on its own."""
     if contract < 0.0:
         raise ValueError(f"contract must be >= 0, got {contract}")
     if realization < 0.0:
         raise ValueError(f"realization must be >= 0, got {realization}")
-    return (
-        prices.day_ahead * contract
-        - prices.rt_buy * _positive_part(contract - realization)
-        + prices.rt_sell * _positive_part(realization - contract)
-    )
+    return float(settle(contract, realization, prices))
 
 
 def separate_payoffs(snapshot: ScenarioSnapshot) -> np.ndarray:
     """Vector of stand-alone payoffs, one per producer."""
-    c, x, p = snapshot.contracts, snapshot.realizations, snapshot.prices
-    return (
-        p.day_ahead * c
-        - p.rt_buy * np.maximum(c - x, 0.0)
-        + p.rt_sell * np.maximum(x - c, 0.0)
-    )
+    return settle(snapshot.contracts, snapshot.realizations, snapshot.prices)
 
 
 def coalition_value(snapshot: ScenarioSnapshot, coalition) -> float:
@@ -209,7 +210,7 @@ def coalition_value(snapshot: ScenarioSnapshot, coalition) -> float:
         return 0.0
     c_t = float(snapshot.contracts[idx].sum())
     x_t = float(snapshot.realizations[idx].sum())
-    return separate_payoff(c_t, x_t, snapshot.prices)
+    return settle(c_t, x_t, snapshot.prices)
 
 
 def aggregator_payoff(snapshot: ScenarioSnapshot) -> float:
@@ -219,7 +220,7 @@ def aggregator_payoff(snapshot: ScenarioSnapshot) -> float:
     anything else makes ex-post individual rationality unattainable (see
     ``allocation.contract_mismatch_counterexample``).
     """
-    return separate_payoff(snapshot.total_contract, snapshot.total_realization, snapshot.prices)
+    return settle(snapshot.total_contract, snapshot.total_realization, snapshot.prices)
 
 
 def partition_surplus_shortfall(snapshot: ScenarioSnapshot) -> SurplusPartition:

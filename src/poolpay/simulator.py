@@ -17,9 +17,22 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocation import PamConfig, PropertyReport, allocate, run_property_checks
-from .contracts import GenerationDistribution, optimal_contract
-from .market import PriceTriple, ScenarioSnapshot, excess_profit, separate_payoffs
+from .allocation import (
+    EXHAUSTIVE_LIMIT,
+    PamConfig,
+    PayoffAllocation,
+    PropertyReport,
+    allocate,
+    run_property_checks,
+)
+from .contracts import GenerationDistribution, error_spread, optimal_contract
+from .market import (
+    PriceTriple,
+    ScenarioSnapshot,
+    aggregator_payoff,
+    excess_profit,
+    separate_payoffs,
+)
 
 
 class TimeseriesFormatError(ValueError):
@@ -29,6 +42,9 @@ class TimeseriesFormatError(ValueError):
 GENERATION_HEADER = ["hour", "producer_id", "forecast_mwh", "actual_mwh"]
 PRICE_HEADER = ["hour", "p_f", "p_rb", "p_rs"]
 CONTRACT_HEADER = ["hour", "producer_id", "contract_mwh"]
+SNAPSHOT_HEADER = ["producer_id", "contract_mwh", "actual_mwh"]
+SNAPSHOT_HEADER_PRICED = SNAPSHOT_HEADER + ["p_f", "p_rb", "p_rs"]
+PAYOFF_HEADER = ["producer_id", "payoff"]
 
 
 def _parse_hour(text: str, where: str):
@@ -55,8 +71,12 @@ def _parse_float(text: str, column: str, where: str) -> float:
     return value
 
 
-def _read_rows(path, expected_header: list[str]):
-    """Yield (line_number, row) for each data row, after checking the header."""
+def _read_rows(path, *headers: list[str]):
+    """Yield (line_number, row) for each data row, after checking the header.
+
+    The header must equal one of ``headers``; every data row must then have
+    as many fields as the header it matched. Blank lines are skipped.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -64,19 +84,37 @@ def _read_rows(path, expected_header: list[str]):
             header = next(reader)
         except StopIteration:
             raise TimeseriesFormatError(f"{path}:1: empty file") from None
-        if [h.strip() for h in header] != expected_header:
+        if [h.strip() for h in header] not in headers:
+            expected = " or ".join(repr(",".join(h)) for h in headers)
             raise TimeseriesFormatError(
-                f"{path}:1: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
+                f"{path}:1: expected header {expected}, got {','.join(header)!r}"
             )
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != len(expected_header):
+            if len(row) != len(header):
                 raise TimeseriesFormatError(
-                    f"{path}:{line_no}: expected {len(expected_header)} fields, got {len(row)}"
+                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
                 )
             yield line_no, row
+
+
+def _parse_prices(fields, where: str) -> PriceTriple:
+    """An admissible (p_f, p_rb, p_rs) triple from three CSV fields."""
+    p_f, p_rb, p_rs = (_parse_float(v, name, where) for v, name in zip(fields, PRICE_HEADER[1:]))
+    try:
+        return PriceTriple(day_ahead=p_f, rt_buy=p_rb, rt_sell=p_rs)
+    except ValueError as exc:
+        raise TimeseriesFormatError(f"{where}: {exc}") from None
+
+
+def _parse_producer(text: str, seen, where: str) -> str:
+    producer = text.strip()
+    if not producer:
+        raise TimeseriesFormatError(f"{where}: empty producer_id")
+    if producer in seen:
+        raise TimeseriesFormatError(f"{where}: duplicate producer {producer!r}")
+    return producer
 
 
 @dataclass(frozen=True)
@@ -120,9 +158,7 @@ def load_timeseries(path) -> GenerationSeries:
                 f"{where}: hour type {type(hour).__name__} mixes with "
                 f"{hour_type.__name__} used earlier in the file"
             )
-        producer = row[1].strip()
-        if not producer:
-            raise TimeseriesFormatError(f"{where}: empty producer_id")
+        producer = _parse_producer(row[1], (), where)
         forecast = _parse_float(row[2], "forecast_mwh", where)
         actual = _parse_float(row[3], "actual_mwh", where)
         if forecast < 0.0 or actual < 0.0:
@@ -159,13 +195,7 @@ def load_prices(path) -> dict:
         hour = _parse_hour(row[0], where)
         if hour in prices:
             raise TimeseriesFormatError(f"{where}: duplicate hour {hour!r}")
-        p_f = _parse_float(row[1], "p_f", where)
-        p_rb = _parse_float(row[2], "p_rb", where)
-        p_rs = _parse_float(row[3], "p_rs", where)
-        try:
-            prices[hour] = PriceTriple(day_ahead=p_f, rt_buy=p_rb, rt_sell=p_rs)
-        except ValueError as exc:
-            raise TimeseriesFormatError(f"{where}: {exc}") from None
+        prices[hour] = _parse_prices(row[1:], where)
     if not prices:
         raise TimeseriesFormatError(f"{path}: no data rows")
     return prices
@@ -189,6 +219,60 @@ def load_contract_schedule(path) -> dict:
     return schedule
 
 
+def load_snapshot(path, prices: PriceTriple | None = None) -> ScenarioSnapshot:
+    """Load a one-hour snapshot CSV (producer_id, contract_mwh, actual_mwh).
+
+    Prices come from ``prices`` or from optional p_f, p_rb, p_rs columns,
+    which must then hold one admissible triple on every row (equal to
+    ``prices`` when both are given). Energies must be finite and >= 0, and
+    producer ids nonempty and unique.
+    """
+    path = Path(path)
+    cells: dict[str, tuple[float, float]] = {}
+    for line_no, row in _read_rows(path, SNAPSHOT_HEADER, SNAPSHOT_HEADER_PRICED):
+        where = f"{path}:{line_no}"
+        producer = _parse_producer(row[0], cells, where)
+        contract = _parse_float(row[1], "contract_mwh", where)
+        actual = _parse_float(row[2], "actual_mwh", where)
+        if contract < 0.0 or actual < 0.0:
+            raise TimeseriesFormatError(f"{where}: negative energy")
+        cells[producer] = (contract, actual)
+        if len(row) == len(SNAPSHOT_HEADER_PRICED):
+            row_prices = _parse_prices(row[3:], where)
+            if prices is None:
+                prices = row_prices
+            elif row_prices != prices:
+                raise TimeseriesFormatError(f"{where}: price columns differ between rows")
+    if not cells:
+        raise TimeseriesFormatError(f"{path}: no data rows")
+    if prices is None:
+        raise TimeseriesFormatError(f"{path}: no price columns; pass --pf/--prb/--prs")
+    contracts, actuals = np.array(list(cells.values())).T
+    return ScenarioSnapshot(tuple(cells), contracts, actuals, prices)
+
+
+def load_payoffs(path, snapshot: ScenarioSnapshot) -> PayoffAllocation:
+    """Load an external payoff vector (producer_id, payoff) for ``snapshot``.
+
+    Every snapshot producer needs exactly one finite payoff, and every row
+    must name a snapshot producer.
+    """
+    path = Path(path)
+    known = set(snapshot.producer_ids)
+    by_id: dict[str, float] = {}
+    for line_no, row in _read_rows(path, PAYOFF_HEADER):
+        where = f"{path}:{line_no}"
+        producer = _parse_producer(row[0], by_id, where)
+        if producer not in known:
+            raise TimeseriesFormatError(f"{where}: producer {producer!r} is not in the snapshot")
+        by_id[producer] = _parse_float(row[1], "payoff", where)
+    missing = [p for p in snapshot.producer_ids if p not in by_id]
+    if missing:
+        raise TimeseriesFormatError(f"{path}: no payoff for producer {missing[0]!r}")
+    payoffs = np.array([by_id[p] for p in snapshot.producer_ids])
+    return PayoffAllocation(payoffs, aggregator_payoff(snapshot))
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything run_simulation needs besides the generation data.
@@ -207,10 +291,7 @@ class SimulationConfig:
     fixed_contracts: Mapping[str, float] | None = None
     contract_schedule: Mapping | None = None  # (hour, producer_id) -> MWh
     exhaustive_core_check: bool = False
-    core_limit: int = 20
-    core_samples: int = 100_000
     rng_seed: int = 0
-    truncate_at_zero: bool = True
 
     def __post_init__(self) -> None:
         if self.contract_mode not in ("newsvendor", "fixed", "from_file"):
@@ -275,7 +356,7 @@ def _hourly_contracts(
     config: SimulationConfig,
     data: GenerationSeries,
     hour_index: int,
-    error_spread: np.ndarray,
+    spread: np.ndarray | None,
     prices: PriceTriple,
 ) -> np.ndarray:
     hour = data.hours[hour_index]
@@ -294,13 +375,10 @@ def _hourly_contracts(
                     f"contract schedule missing hour {hour!r} for producer {producer!r}"
                 ) from None
         return contracts
-    lower = 0.0 if config.truncate_at_zero else -math.inf
     contracts = np.empty(data.n_producers)
     for pi in range(data.n_producers):
         dist = GenerationDistribution(
-            mean=float(data.forecasts[hour_index, pi]),
-            std_dev=float(error_spread[pi]),
-            lower_bound=lower,
+            mean=float(data.forecasts[hour_index, pi]), std_dev=float(spread[pi])
         )
         contracts[pi] = optimal_contract(dist, prices)
     return contracts
@@ -315,11 +393,10 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
     enabled; enumeration switches to sampling above the exhaustive limit).
     """
     _check_ranges(config, data.n_hours)
-    t0, t1 = config.train_range
-    if config.contract_mode == "newsvendor" and t1 - t0 < 2:
-        raise ValueError("newsvendor mode needs at least 2 training hours")
-    errors = data.actuals[t0:t1] - data.forecasts[t0:t1]
-    error_spread = np.std(errors, axis=0, ddof=1) if t1 - t0 >= 2 else np.zeros(data.n_producers)
+    spread = None
+    if config.contract_mode == "newsvendor":
+        t0, t1 = config.train_range
+        spread = error_spread(data.forecasts[t0:t1], data.actuals[t0:t1])
 
     records: list[HourlyRecord] = []
     violation_counts = {
@@ -337,20 +414,17 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
     for hi in range(s0, s1):
         hour = data.hours[hi]
         prices = _prices_for_hour(config, hour)
-        contracts = _hourly_contracts(config, data, hi, error_spread, prices)
+        contracts = _hourly_contracts(config, data, hi, spread, prices)
         snapshot = ScenarioSnapshot(
             data.producer_ids, contracts, data.actuals[hi], prices
         )
         alloc = allocate(snapshot, config.pam)
         separate = separate_payoffs(snapshot)
-        core_method = "exhaustive" if snapshot.n <= config.core_limit else "sampled"
         report = run_property_checks(
             alloc,
             snapshot,
             check_core=config.exhaustive_core_check,
-            core_method=core_method,
-            exhaustive_limit=config.core_limit,
-            core_samples=config.core_samples,
+            core_method="exhaustive" if snapshot.n <= EXHAUSTIVE_LIMIT else "sampled",
             seed=config.rng_seed,
         )
         if not report.budget_balance:

@@ -25,6 +25,7 @@ from poolpay import (
     separate_payoffs,
 )
 
+from poolpay import allocation
 from conftest import random_snapshot, snapshots
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
@@ -45,6 +46,15 @@ class TestAllocate:
         np.testing.assert_allclose(alloc.payoffs, [700.0, 650.0, 350.0])
         assert alloc.total == 1700.0
         assert alloc.marginal_price_used == P.rt_buy
+
+    def test_marginal_price_names_the_branch(self):
+        config = PamConfig()
+        assert config.marginal_price(snap([100, 50], [80, 60])) == (P.rt_buy, False)
+        assert config.marginal_price(snap([100, 50], [110, 60])) == (P.rt_sell, False)
+        assert config.marginal_price(snap([100, 50], [90, 60])) == (10.0, True)
+        # inside the relative band around the total contract counts as balanced
+        assert config.marginal_price(snap([100, 50], [90, 60 + 1e-8]))[1]
+        assert not config.marginal_price(snap([100, 50], [90, 60 + 1e-6]))[1]
 
     def test_pool_long(self):
         alloc = allocate(snap([100, 50, 50], [110, 60, 50]))
@@ -212,6 +222,26 @@ class TestCoreMembership:
         s = snap([100, 0], [100, 0])
         result = check_core_membership(equal_split(s), s, method="sampled", samples=500)
         assert not result.in_core
+
+    def test_sampled_mode_scans_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(allocation, "_CHUNK_ROWS", 64)
+        s = snap([100, 0], [100, 0])
+        alloc = equal_split(s)
+        result = check_core_membership(alloc, s, method="sampled", samples=500)
+        assert not result.in_core
+        assert result.coalitions_checked == 500
+        members = list(result.worst_coalition)
+        assert result.worst_violation == coalition_value(s, members) - alloc.payoffs[members].sum()
+        # a one-producer pool draws the empty coalition half the time; each
+        # chunk repairs its own empty rows
+        chunks = list(allocation._iter_sampled_masks(1, 500, seed=0))
+        assert [len(m) for m in chunks] == [64] * 7 + [52]
+        assert all(m.sum(axis=1).min() == 1.0 for m in chunks)
+
+    def test_sampled_mode_needs_a_sample(self):
+        s = snap([100], [80])
+        with pytest.raises(ValueError, match="samples"):
+            check_core_membership(allocate(s), s, method="sampled", samples=0)
 
     def test_unknown_method(self):
         s = snap([100], [80])

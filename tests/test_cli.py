@@ -116,6 +116,78 @@ class TestCheckCoreCommand:
         assert "False" in capsys.readouterr().out
 
 
+    def test_payoff_row_for_unknown_producer_rejected(self, snapshot_file, tmp_path, capsys):
+        payoffs = write_csv(
+            tmp_path / "payoffs.csv",
+            ["producer_id", "payoff"],
+            [["a", 700.0], ["b", 650.0], ["c", 350.0], ["zz", 1e9]],
+        )
+        code = main(["check-core", "--snapshot", str(snapshot_file),
+                     "--payoffs", str(payoffs),
+                     "--pf", "10", "--prb", "15", "--prs", "5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert f"{payoffs}:5:" in err
+        assert "'zz'" in err
+
+
+GOOD_SNAPSHOT = [["a", "100.0", "80.0"], ["b", "50.0", "60.0"], ["c", "50.0", "40.0"]]
+GOOD_PAYOFFS = [["a", "700.0"], ["b", "650.0"], ["c", "350.0"]]
+ROW_PRICES = ["10.0", "15.0", "5.0"]
+
+
+@pytest.mark.parametrize(
+    "target, bad_row",
+    [
+        ("payoffs", ["b"]),
+        ("payoffs", ["b", "abc"]),
+        ("payoffs", ["b", "nan"]),
+        ("payoffs", ["a", "650.0"]),
+        ("snapshot", ["b", "50.0"]),
+        ("snapshot", ["b", "abc", "60.0"]),
+        ("snapshot", ["b", "50.0", "nan"]),
+        ("snapshot", ["b", "50.0", "inf"]),
+        ("snapshot", ["b", "-50.0", "60.0"]),
+        ("snapshot", ["a", "50.0", "60.0"]),
+        ("priced", ["b", "50.0", "60.0", "10.0", "5.0", "15.0"]),
+        ("priced", ["b", "50.0", "60.0", "10.0", "15.0", "nan"]),
+        ("priced", ["b", "50.0", "60.0", "10.0", "15.0"]),
+    ],
+    ids=[
+        "payoffs-short-row",
+        "payoffs-not-a-number",
+        "payoffs-non-finite",
+        "payoffs-duplicate-producer",
+        "snapshot-short-row",
+        "snapshot-not-a-number",
+        "snapshot-nan",
+        "snapshot-inf",
+        "snapshot-negative-energy",
+        "snapshot-duplicate-producer",
+        "priced-snapshot-inadmissible-prices",
+        "priced-snapshot-non-finite-price",
+        "priced-snapshot-short-row",
+    ],
+)
+def test_bad_input_row_names_file_and_line(tmp_path, capsys, target, bad_row):
+    priced = target == "priced"
+    snapshot_rows = [row + ROW_PRICES if priced else row for row in GOOD_SNAPSHOT]
+    payoff_rows = list(GOOD_PAYOFFS)
+    (payoff_rows if target == "payoffs" else snapshot_rows)[1] = bad_row
+    snapshot = write_csv(
+        tmp_path / "snap.csv",
+        ["producer_id", "contract_mwh", "actual_mwh"] + (["p_f", "p_rb", "p_rs"] if priced else []),
+        snapshot_rows,
+    )
+    payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"], payoff_rows)
+    price_flags = [] if priced else ["--pf", "10", "--prb", "15", "--prs", "5"]
+    code = main(["check-core", "--snapshot", str(snapshot), "--payoffs", str(payoffs),
+                 *price_flags])
+    bad_file = payoffs if target == "payoffs" else snapshot
+    assert code == EXIT_INPUT_ERROR
+    assert f"{bad_file}:3:" in capsys.readouterr().err
+
+
 class TestEquilibriumCommand:
     def test_matches_allocation(self, snapshot_file, capsys):
         code = main(["equilibrium", "--snapshot", str(snapshot_file),

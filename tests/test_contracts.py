@@ -6,10 +6,9 @@ import pytest
 from poolpay import (
     GenerationDistribution,
     PriceTriple,
-    TrainingWindow,
     critical_quantile,
+    error_spread,
     expected_separate_payoff,
-    fit_distribution,
     optimal_contract,
 )
 
@@ -166,28 +165,37 @@ class TestGenerationDistribution:
 
 
 class TestFitDistribution:
+    """One hour's generation model: the forecast is the mean and the spread of
+    past forecast errors, from ``error_spread``, is the standard deviation."""
+
     def test_error_spread(self):
-        window = TrainingWindow(((100.0, 90.0), (100.0, 100.0), (100.0, 110.0)))
-        dist = fit_distribution(100.0, window)
+        spread = error_spread([[100.0], [100.0], [100.0]], [[90.0], [100.0], [110.0]])
+        dist = GenerationDistribution(mean=100.0, std_dev=float(spread[0]))
         assert dist.mean == 100.0
         assert dist.std_dev == pytest.approx(10.0)
 
     def test_identical_pairs_give_zero_spread(self):
-        window = TrainingWindow(((50.0, 50.0),) * 5)
-        assert fit_distribution(50.0, window).std_dev == 0.0
+        assert error_spread([[50.0]] * 5, [[50.0]] * 5)[0] == 0.0
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            TrainingWindow(())
+            error_spread(np.empty((0, 1)), np.empty((0, 1)))
 
     def test_single_observation_rejected(self):
-        window = TrainingWindow(((100.0, 90.0),))
         with pytest.raises(ValueError, match="at least 2"):
-            fit_distribution(100.0, window)
+            error_spread([[100.0]], [[90.0]])
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
-            TrainingWindow(((100.0, -1.0),))
+            error_spread([[100.0], [100.0]], [[100.0], [-1.0]])
+
+    def test_one_spread_per_producer_column(self):
+        forecasts = np.array([[10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
+        actuals = np.array([[12.0, 1.0], [18.0, 2.0], [30.0, 6.0]])
+        spread = error_spread(forecasts, actuals)
+        for pi in range(2):
+            expect = np.std(actuals[:, pi] - forecasts[:, pi], ddof=1)
+            assert spread[pi] == pytest.approx(expect, rel=1e-15)
 
 
 class TestExpectedSeparatePayoff:

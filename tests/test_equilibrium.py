@@ -14,7 +14,6 @@ from poolpay import (
     check_core_membership,
     coalition_value,
     optimal_redistribution,
-    production_value,
     separate_payoff,
     solve_competitive_equilibrium,
     verify_game_equivalence,
@@ -42,9 +41,9 @@ def grid_best_pair_value(f1, f2, total, points=10_000):
 class TestProductionFunction:
     def test_matches_separate_payoff(self):
         f = ProductionFunction(contract=100.0, prices=P)
-        assert production_value(f, 100.0) == 1000.0
-        assert production_value(f, 60.0) == 400.0
-        assert production_value(f, 140.0) == 1200.0
+        assert f.value(100.0) == 1000.0
+        assert f.value(60.0) == 400.0
+        assert f.value(140.0) == 1200.0
         for z in (0.0, 37.5, 100.0, 251.0):
             assert f.value(z) == separate_payoff(100.0, z, P)
 

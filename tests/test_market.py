@@ -15,6 +15,7 @@ from poolpay import (
     partition_surplus_shortfall,
     separate_payoff,
     separate_payoffs,
+    settle,
 )
 
 from conftest import random_snapshot, snapshots
@@ -79,6 +80,25 @@ class TestSeparatePayoff:
         above = separate_payoff(100.0, 100.0 + h, P)
         assert below == pytest.approx(1000.0, abs=1e-6)
         assert above == pytest.approx(1000.0, abs=1e-6)
+
+
+class TestSettle:
+    def test_matches_two_sided_formula_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        c = np.round(rng.uniform(0.0, 100.0, 2000), 2)
+        x = np.round(rng.uniform(0.0, 100.0, 2000), 2)
+        x[:50] = c[:50]  # exact delivery
+        c[50:60] = x[50:60] = 0.0  # zero contract, zero output
+        for prices in (P, PriceTriple(-3.0, 6.0, -8.0), PriceTriple(11.0, 11.0, 11.0)):
+            reference = (
+                prices.day_ahead * c
+                - prices.rt_buy * np.maximum(c - x, 0.0)
+                + prices.rt_sell * np.maximum(x - c, 0.0)
+            )
+            vector = settle(c, x, prices)
+            scalars = np.array([settle(a, b, prices) for a, b in zip(c.tolist(), x.tolist())])
+            assert vector.tobytes() == reference.tobytes()
+            assert scalars.tobytes() == reference.tobytes()
 
 
 class TestCoalitionValue:

@@ -7,10 +7,9 @@ from poolpay import (
     PamConfig,
     PriceTriple,
     SimulationConfig,
+    GenerationDistribution,
     TimeseriesFormatError,
-    TrainingWindow,
     emit_report,
-    fit_distribution,
     load_prices,
     load_timeseries,
     run_simulation,
@@ -178,13 +177,8 @@ class TestRunSimulation:
         report = run_simulation(config, data)
         record = report.records[0]
         for pi, producer in enumerate(data.producer_ids):
-            window = TrainingWindow(
-                tuple(
-                    (float(data.forecasts[h, pi]), float(data.actuals[h, pi]))
-                    for h in range(0, 2)
-                )
-            )
-            dist = fit_distribution(float(data.forecasts[2, pi]), window)
+            spread = np.std(data.actuals[0:2, pi] - data.forecasts[0:2, pi], ddof=1)
+            dist = GenerationDistribution(float(data.forecasts[2, pi]), float(spread))
             # q = 0.5 at these prices: the contract is the truncated median
             assert record.contracts[pi] == pytest.approx(dist.quantile(0.5))
 

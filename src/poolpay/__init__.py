@@ -57,7 +57,6 @@ from .market import (
 )
 from .simulator import (
     GenerationSeries,
-    HourlyRecord,
     SimulationConfig,
     SimulationReport,
     TimeseriesFormatError,
@@ -110,7 +109,6 @@ __all__ = [
     "separate_payoffs",
     "settle",
     "GenerationSeries",
-    "HourlyRecord",
     "SimulationConfig",
     "SimulationReport",
     "TimeseriesFormatError",

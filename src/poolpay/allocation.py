@@ -93,9 +93,12 @@ class PamConfig:
         ``balance_tolerance`` band.
         """
         prices = snapshot.prices
+        # resolved on every hour, so an out-of-band explicit price fails
+        # whichever branch the pool lands in
+        balance_price = self.resolve_balance_price(prices)
         total_dev = snapshot.total_realization - snapshot.total_contract
         if abs(total_dev) <= self.balance_tolerance * max(1.0, snapshot.total_contract):
-            return self.resolve_balance_price(prices), True
+            return balance_price, True
         return (prices.rt_buy if total_dev < 0.0 else prices.rt_sell), False
 
 
@@ -349,7 +352,9 @@ def check_core_membership(
     producers it refuses and points to sampled mode, which screens a seeded
     random selection of coalitions instead; sampling can only ever certify
     "no violation found", which is what auditing a third-party allocation
-    on a large pool realistically gets. Both modes scan at most
+    on a large pool realistically gets. A pool with no more than ``samples``
+    nonempty coalitions is enumerated in sampled mode too, with the same
+    result as exhaustive mode. Both modes scan at most
     ``_CHUNK_ROWS`` coalitions at a time, so memory stays bounded.
     """
     _require_matching(alloc, snapshot)
@@ -363,13 +368,13 @@ def check_core_membership(
                 f"{n} producers means {2**n - 1} coalitions; raise exhaustive_limit "
                 "or rerun with method='sampled'"
             )
-        batches = _iter_subset_masks(n)
     elif method == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
-        batches = _iter_sampled_masks(n, samples, seed)
     else:
         raise ValueError(f"unknown core check method {method!r}")
+    exhaustive = method == "exhaustive" or 2**n - 1 <= samples
+    batches = _iter_subset_masks(n) if exhaustive else _iter_sampled_masks(n, samples, seed)
 
     ok_all = True
     worst = -math.inf
@@ -382,7 +387,7 @@ def check_core_membership(
         if batch_worst > worst:
             worst = batch_worst
             witness = tuple(np.flatnonzero(masks[row]).tolist())
-    return CoreResult(ok_all, worst, witness, checked, method == "exhaustive")
+    return CoreResult(ok_all, worst, witness, checked, exhaustive)
 
 
 def run_property_checks(

@@ -85,18 +85,14 @@ def _cmd_simulate(args) -> int:
         if constant is None:
             raise TimeseriesFormatError("either --prices or --pf/--prb/--prs is required")
         price_source = constant
-    contract_mode = "newsvendor"
-    schedule = None
-    if args.contracts is not None:
-        contract_mode = "from_file"
-        schedule = load_contract_schedule(args.contracts)
     config = SimulationConfig(
         price_source=price_source,
         train_range=args.train,
         sim_range=args.sim,
         pam=PamConfig(balance_price_rule=args.pstar),
-        contract_mode=contract_mode,
-        contract_schedule=schedule,
+        contract_schedule=(
+            None if args.contracts is None else load_contract_schedule(args.contracts)
+        ),
         exhaustive_core_check=args.check_core,
         rng_seed=args.seed,
     )

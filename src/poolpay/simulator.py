@@ -228,6 +228,7 @@ def load_snapshot(path, prices: PriceTriple | None = None) -> ScenarioSnapshot:
     producer ids nonempty and unique.
     """
     path = Path(path)
+    differ = "from --pf/--prb/--prs" if prices is not None else "between rows"
     cells: dict[str, tuple[float, float]] = {}
     for line_no, row in _read_rows(path, SNAPSHOT_HEADER, SNAPSHOT_HEADER_PRICED):
         where = f"{path}:{line_no}"
@@ -242,7 +243,7 @@ def load_snapshot(path, prices: PriceTriple | None = None) -> ScenarioSnapshot:
             if prices is None:
                 prices = row_prices
             elif row_prices != prices:
-                raise TimeseriesFormatError(f"{where}: price columns differ between rows")
+                raise TimeseriesFormatError(f"{where}: price columns differ {differ}")
     if not cells:
         raise TimeseriesFormatError(f"{path}: no data rows")
     if prices is None:
@@ -281,46 +282,41 @@ class SimulationConfig:
     sorted hour axis; the training range must end before the simulation
     range begins. ``price_source`` is either one constant PriceTriple or a
     mapping from hour to PriceTriple (as produced by ``load_prices``).
+    Contracts come from ``contract_schedule`` when it is given (as produced
+    by ``load_contract_schedule``), otherwise from news-vendor sizing on the
+    training window's error spread.
     """
 
     price_source: PriceTriple | Mapping
     train_range: tuple[int, int]
     sim_range: tuple[int, int]
     pam: PamConfig = field(default_factory=PamConfig)
-    contract_mode: str = "newsvendor"  # newsvendor | fixed | from_file
-    fixed_contracts: Mapping[str, float] | None = None
     contract_schedule: Mapping | None = None  # (hour, producer_id) -> MWh
     exhaustive_core_check: bool = False
     rng_seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.contract_mode not in ("newsvendor", "fixed", "from_file"):
-            raise ValueError(f"unknown contract_mode {self.contract_mode!r}")
-        if self.contract_mode == "fixed" and self.fixed_contracts is None:
-            raise ValueError("contract_mode='fixed' needs fixed_contracts")
-        if self.contract_mode == "from_file" and self.contract_schedule is None:
-            raise ValueError("contract_mode='from_file' needs contract_schedule")
-
 
 @dataclass(frozen=True)
-class HourlyRecord:
-    """One settled hour: quantities, both payoff vectors, and the audit flags."""
+class SimulationReport:
+    """A settled simulation window, held as columns.
 
-    hour: object
+    The (hours x producers) blocks ``contracts``, ``realizations``,
+    ``payoffs_pooled`` and ``payoffs_separate`` have one row per entry of
+    ``hours`` and one column per entry of ``producer_ids``;
+    ``aggregator_payoff``, ``excess_profit`` and ``properties`` have one
+    entry per hour. Per-producer totals are summed hour by hour, in order,
+    starting from zero.
+    """
+
     producer_ids: tuple[str, ...]
+    hours: tuple
     contracts: np.ndarray
     realizations: np.ndarray
     payoffs_pooled: np.ndarray
     payoffs_separate: np.ndarray
-    aggregator_payoff: float
-    excess_profit: float
-    properties: PropertyReport
-
-
-@dataclass(frozen=True)
-class SimulationReport:
-    producer_ids: tuple[str, ...]
-    records: tuple[HourlyRecord, ...]
+    aggregator_payoff: np.ndarray
+    excess_profit: np.ndarray
+    properties: tuple[PropertyReport, ...]
     totals_pooled: np.ndarray
     totals_separate: np.ndarray
     grand_total_pooled: float
@@ -330,7 +326,7 @@ class SimulationReport:
 
     @property
     def n_hours(self) -> int:
-        return len(self.records)
+        return len(self.hours)
 
 
 def _check_ranges(config: SimulationConfig, n_hours: int) -> None:
@@ -352,117 +348,108 @@ def _prices_for_hour(config: SimulationConfig, hour) -> PriceTriple:
         raise ValueError(f"no prices supplied for hour {hour!r}") from None
 
 
-def _hourly_contracts(
-    config: SimulationConfig,
-    data: GenerationSeries,
-    hour_index: int,
-    spread: np.ndarray | None,
-    prices: PriceTriple,
+def _contract_block(
+    config: SimulationConfig, data: GenerationSeries, prices: list[PriceTriple]
 ) -> np.ndarray:
-    hour = data.hours[hour_index]
-    if config.contract_mode == "fixed":
-        try:
-            return np.array([float(config.fixed_contracts[p]) for p in data.producer_ids])
-        except KeyError as exc:
-            raise ValueError(f"fixed_contracts missing producer {exc.args[0]!r}") from None
-    if config.contract_mode == "from_file":
-        contracts = np.empty(data.n_producers)
-        for pi, producer in enumerate(data.producer_ids):
-            try:
-                contracts[pi] = config.contract_schedule[(hour, producer)]
-            except KeyError:
-                raise ValueError(
-                    f"contract schedule missing hour {hour!r} for producer {producer!r}"
-                ) from None
-        return contracts
-    contracts = np.empty(data.n_producers)
-    for pi in range(data.n_producers):
-        dist = GenerationDistribution(
-            mean=float(data.forecasts[hour_index, pi]), std_dev=float(spread[pi])
-        )
-        contracts[pi] = optimal_contract(dist, prices)
-    return contracts
+    """(hours x producers) contracts for the simulation window.
+
+    Looked up in ``config.contract_schedule`` when one is given; otherwise
+    each cell is the news-vendor contract for that hour's forecast, the
+    producer's training error spread and that hour's prices.
+    """
+    s0, s1 = config.sim_range
+    block = np.empty((s1 - s0, data.n_producers))
+    schedule = config.contract_schedule
+    if schedule is not None:
+        for row, hour in enumerate(data.hours[s0:s1]):
+            for pi, producer in enumerate(data.producer_ids):
+                try:
+                    block[row, pi] = schedule[(hour, producer)]
+                except KeyError:
+                    raise ValueError(
+                        f"contract schedule missing hour {hour!r} for producer {producer!r}"
+                    ) from None
+        return block
+    t0, t1 = config.train_range
+    spread = error_spread(data.forecasts[t0:t1], data.actuals[t0:t1]).tolist()
+    for row, forecasts in enumerate(data.forecasts[s0:s1].tolist()):
+        for pi, (mean, std_dev) in enumerate(zip(forecasts, spread)):
+            dist = GenerationDistribution(mean=mean, std_dev=std_dev)
+            block[row, pi] = optimal_contract(dist, prices[row])
+    return block
 
 
 def run_simulation(config: SimulationConfig, data: GenerationSeries) -> SimulationReport:
     """Settle every hour of the simulation window and audit each allocation.
 
-    Per hour: size the contracts, assemble the snapshot, split the pool
-    payoff with the marginal-price mechanism, evaluate the separate
-    baseline, and run the property audit (core membership included when
-    enabled; enumeration switches to sampling above the exhaustive limit).
+    The contract block is built first, for the whole window. Then, per
+    hour: assemble the snapshot, split the pool payoff with the
+    marginal-price mechanism, evaluate the separate baseline, and run the
+    property audit (core membership included when enabled; enumeration
+    switches to sampling above the exhaustive limit).
     """
     _check_ranges(config, data.n_hours)
-    spread = None
-    if config.contract_mode == "newsvendor":
-        t0, t1 = config.train_range
-        spread = error_spread(data.forecasts[t0:t1], data.actuals[t0:t1])
-
-    records: list[HourlyRecord] = []
-    violation_counts = {
-        "budget_balance": 0,
-        "individual_rationality": 0,
-        "fairness": 0,
-        "no_exploitation": 0,
-        "core": 0,
-    }
+    s0, s1 = config.sim_range
+    hours = data.hours[s0:s1]
+    prices = [_prices_for_hour(config, hour) for hour in hours]
+    contracts = _contract_block(config, data, prices)
+    realizations = data.actuals[s0:s1].copy()
+    pooled = np.empty_like(contracts)
+    separate = np.empty_like(contracts)
+    aggregator = np.empty(len(hours))
+    excess = np.empty(len(hours))
+    properties: list[PropertyReport] = []
     totals_pooled = np.zeros(data.n_producers)
     totals_separate = np.zeros(data.n_producers)
     total_excess = 0.0
 
-    s0, s1 = config.sim_range
-    for hi in range(s0, s1):
-        hour = data.hours[hi]
-        prices = _prices_for_hour(config, hour)
-        contracts = _hourly_contracts(config, data, hi, spread, prices)
+    core_method = "exhaustive" if data.n_producers <= EXHAUSTIVE_LIMIT else "sampled"
+    for row, hour_prices in enumerate(prices):
         snapshot = ScenarioSnapshot(
-            data.producer_ids, contracts, data.actuals[hi], prices
+            data.producer_ids, contracts[row], realizations[row], hour_prices
         )
         alloc = allocate(snapshot, config.pam)
-        separate = separate_payoffs(snapshot)
-        report = run_property_checks(
-            alloc,
-            snapshot,
-            check_core=config.exhaustive_core_check,
-            core_method="exhaustive" if snapshot.n <= EXHAUSTIVE_LIMIT else "sampled",
-            seed=config.rng_seed,
-        )
-        if not report.budget_balance:
-            violation_counts["budget_balance"] += 1
-        if not report.individual_rationality:
-            violation_counts["individual_rationality"] += 1
-        if not report.fairness:
-            violation_counts["fairness"] += 1
-        if not report.no_exploitation:
-            violation_counts["no_exploitation"] += 1
-        if report.in_core is False:
-            violation_counts["core"] += 1
-        records.append(
-            HourlyRecord(
-                hour=hour,
-                producer_ids=data.producer_ids,
-                contracts=contracts,
-                realizations=np.array(data.actuals[hi]),
-                payoffs_pooled=alloc.payoffs,
-                payoffs_separate=separate,
-                aggregator_payoff=alloc.aggregator_total,
-                excess_profit=excess_profit(snapshot),
-                properties=report,
+        pooled[row] = alloc.payoffs
+        separate[row] = separate_payoffs(snapshot)
+        aggregator[row] = alloc.aggregator_total
+        excess[row] = excess_profit(snapshot)
+        properties.append(
+            run_property_checks(
+                alloc,
+                snapshot,
+                check_core=config.exhaustive_core_check,
+                core_method=core_method,
+                seed=config.rng_seed,
             )
         )
-        totals_pooled += alloc.payoffs
-        totals_separate += separate
-        total_excess += records[-1].excess_profit
+        # one row at a time from zero, never sum(axis=0): that sums a single
+        # column pairwise and would change the totals' last bits
+        totals_pooled += pooled[row]
+        totals_separate += separate[row]
+        total_excess += excess[row]
 
     return SimulationReport(
         producer_ids=data.producer_ids,
-        records=tuple(records),
+        hours=hours,
+        contracts=contracts,
+        realizations=realizations,
+        payoffs_pooled=pooled,
+        payoffs_separate=separate,
+        aggregator_payoff=aggregator,
+        excess_profit=excess,
+        properties=tuple(properties),
         totals_pooled=totals_pooled,
         totals_separate=totals_separate,
         grand_total_pooled=float(totals_pooled.sum()),
         grand_total_separate=float(totals_separate.sum()),
-        total_excess_profit=total_excess,
-        violation_counts=violation_counts,
+        total_excess_profit=float(total_excess),
+        violation_counts={
+            "budget_balance": sum(not p.budget_balance for p in properties),
+            "individual_rationality": sum(not p.individual_rationality for p in properties),
+            "fairness": sum(not p.fairness for p in properties),
+            "no_exploitation": sum(not p.no_exploitation for p in properties),
+            "core": sum(p.in_core is False for p in properties),
+        },
     )
 
 
@@ -472,6 +459,11 @@ def _format_hour(hour) -> str:
 
 def _safe_filename(producer_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", producer_id)
+
+
+def _repr_rows(block: np.ndarray) -> list[list[str]]:
+    """Each row of a 2-D float block as shortest round-trip strings."""
+    return [list(map(repr, row)) for row in block.tolist()]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -494,23 +486,25 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
+    labels = [_format_hour(hour) for hour in report.hours]
+    pooled = _repr_rows(report.payoffs_pooled)
+    separate = _repr_rows(report.payoffs_separate)
+
     hourly_path = out_dir / "hourly.csv"
-    hourly_rows = []
-    for record in report.records:
-        for pi, producer in enumerate(record.producer_ids):
-            hourly_rows.append(
-                [
-                    _format_hour(record.hour),
-                    producer,
-                    repr(float(record.contracts[pi])),
-                    repr(float(record.realizations[pi])),
-                    repr(float(record.payoffs_pooled[pi])),
-                    repr(float(record.payoffs_separate[pi])),
-                    repr(float(record.aggregator_payoff)),
-                    repr(float(record.excess_profit)),
-                    str(record.properties.all_pass),
-                ]
-            )
+    hourly_rows = [
+        [label, producer, c, x, pp, ps, aggregator, excess, passed]
+        for label, c_row, x_row, pp_row, ps_row, aggregator, excess, passed in zip(
+            labels,
+            _repr_rows(report.contracts),
+            _repr_rows(report.realizations),
+            pooled,
+            separate,
+            map(repr, report.aggregator_payoff.tolist()),
+            map(repr, report.excess_profit.tolist()),
+            (str(p.all_pass) for p in report.properties),
+        )
+        for producer, c, x, pp, ps in zip(report.producer_ids, c_row, x_row, pp_row, ps_row)
+    ]
     _write_csv(
         hourly_path,
         [
@@ -530,13 +524,10 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
 
     summary_path = out_dir / "summary.csv"
     summary_rows = [
-        [
-            producer,
-            repr(float(report.totals_pooled[pi])),
-            repr(float(report.totals_separate[pi])),
-            "",
-        ]
-        for pi, producer in enumerate(report.producer_ids)
+        [producer, repr(total_pooled), repr(total_separate), ""]
+        for producer, total_pooled, total_separate in zip(
+            report.producer_ids, report.totals_pooled.tolist(), report.totals_separate.tolist()
+        )
     ]
     if report.producer_ids:
         summary_rows.append(
@@ -557,12 +548,8 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
     for pi, producer in enumerate(report.producer_ids):
         trace_path = out_dir / f"trace_{_safe_filename(producer)}.csv"
         trace_rows = [
-            [
-                _format_hour(record.hour),
-                repr(float(record.payoffs_pooled[pi])),
-                repr(float(record.payoffs_separate[pi])),
-            ]
-            for record in report.records
+            [label, pp_row[pi], ps_row[pi]]
+            for label, pp_row, ps_row in zip(labels, pooled, separate)
         ]
         _write_csv(trace_path, ["hour", "payoff_pooled", "payoff_separate"], trace_rows)
         written.append(trace_path)

@@ -367,15 +367,16 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
     with (tmp_path / "run1" / "hourly.csv").open(newline="") as fh:
         rows = {(r["hour"], r["producer_id"]): r for r in csv.DictReader(fh)}
     round_trip_ok = True
-    for record in reference.records:
-        for pi, producer in enumerate(record.producer_ids):
-            row = rows[(str(record.hour), producer)]
+    for hi, hour in enumerate(reference.hours):
+        for pi, producer in enumerate(reference.producer_ids):
+            row = rows[(str(hour), producer)]
             if not approx_equal(
-                float(row["payoff_pooled"]), float(record.payoffs_pooled[pi]), RELATIVE_TOL
+                float(row["payoff_pooled"]), float(reference.payoffs_pooled[hi, pi]), RELATIVE_TOL
             ):
                 round_trip_ok = False
             if not approx_equal(
-                float(row["payoff_separate"]), float(record.payoffs_separate[pi]), RELATIVE_TOL
+                float(row["payoff_separate"]), float(reference.payoffs_separate[hi, pi]),
+                RELATIVE_TOL,
             ):
                 round_trip_ok = False
     ok = code1 == EXIT_OK and code2 == EXIT_OK and identical and round_trip_ok

@@ -219,13 +219,28 @@ class TestCoreMembership:
         assert result.coalitions_checked == 2000
 
     def test_sampled_mode_finds_planted_violation(self):
-        s = snap([100, 0], [100, 0])
-        result = check_core_membership(equal_split(s), s, method="sampled", samples=500)
-        assert not result.in_core
+        # pools with no more than `samples` coalitions are enumerated, with
+        # exhaustive mode's result; the 5-producer pool ties (0, 1) with
+        # (0, 1, 2), and the lowest bitmask wins
+        tied = snap([100, 50, 20, 30, 40], [100, 50, 20, 30, 40])
+        cases = [
+            (snap([100, 0], [100, 0]), None),
+            (tied, PayoffAllocation(np.array([900.0, 400.0, 200.0, 350.0, 450.0]), 2300.0)),
+        ]
+        for s, alloc in cases:
+            alloc = alloc or equal_split(s)
+            result = check_core_membership(alloc, s, method="sampled", samples=500)
+            assert not result.in_core
+            assert result == check_core_membership(alloc, s)
+            assert result.exhaustive
+            assert result.coalitions_checked == 2**s.n - 1
+        assert result.worst_coalition == (0, 1)
+        assert result.worst_violation == 200.0
 
     def test_sampled_mode_scans_in_chunks(self, monkeypatch):
         monkeypatch.setattr(allocation, "_CHUNK_ROWS", 64)
-        s = snap([100, 0], [100, 0])
+        # 9 producers have 511 coalitions, more than the 500 samples drawn
+        s = snap([100] + [0] * 8, [100] + [0] * 8)
         alloc = equal_split(s)
         result = check_core_membership(alloc, s, method="sampled", samples=500)
         assert not result.in_core

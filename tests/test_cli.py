@@ -88,6 +88,12 @@ class TestAllocateCommand:
                      "--pf", "10", "--prb", "15", "--prs", "5"])
         assert code == EXIT_INPUT_ERROR
 
+    def test_out_of_band_pstar_on_short_pool_is_input_error(self, snapshot_file, capsys):
+        code = main(["allocate", "--snapshot", str(snapshot_file), "--pstar", "100",
+                     "--pf", "10", "--prb", "15", "--prs", "5"])
+        assert code == EXIT_INPUT_ERROR
+        assert "band" in capsys.readouterr().err
+
 
 class TestCheckCoreCommand:
     def test_good_allocation_passes(self, snapshot_file, tmp_path, capsys):
@@ -188,6 +194,29 @@ def test_bad_input_row_names_file_and_line(tmp_path, capsys, target, bad_row):
     assert f"{bad_file}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, rows, message",
+    [
+        (["--pf", "10", "--prb", "16", "--prs", "5"], [["a", "100.0", "80.0", *ROW_PRICES]],
+         "differ from --pf/--prb/--prs"),
+        ([], [["a", "100.0", "80.0", *ROW_PRICES], ["b", "50.0", "60.0", "10.0", "16.0", "5.0"]],
+         "differ between rows"),
+    ],
+    ids=["differs-from-flags", "differs-between-rows"],
+)
+def test_price_column_mismatch_names_its_source(tmp_path, capsys, flags, rows, message):
+    snapshot = write_csv(
+        tmp_path / "snap.csv",
+        ["producer_id", "contract_mwh", "actual_mwh", "p_f", "p_rb", "p_rs"],
+        rows,
+    )
+    code = main(["allocate", "--snapshot", str(snapshot), *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert f"{snapshot}:{len(rows) + 1}:" in err
+    assert message in err
+
+
 class TestEquilibriumCommand:
     def test_matches_allocation(self, snapshot_file, capsys):
         code = main(["equilibrium", "--snapshot", str(snapshot_file),
@@ -219,6 +248,15 @@ class TestSimulateCommand:
         assert main(args(tmp_path / "out2")) == EXIT_OK
         for name in ("hourly.csv", "summary.csv", "trace_w1.csv", "trace_w2.csv"):
             assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+
+    def test_out_of_band_pstar_fails_before_any_output(self, generation_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--data", str(generation_file),
+                     "--pf", "10", "--prb", "15", "--prs", "5", "--pstar", "100",
+                     "--train", "0:4", "--sim", "4:10", "--out", str(out_dir)])
+        assert code == EXIT_INPUT_ERROR
+        assert "band" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_price_file_is_input_error(self, generation_file, tmp_path, capsys):
         prices = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"],

@@ -1,4 +1,6 @@
 import csv
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -141,15 +143,13 @@ class TestRunSimulation:
             price_source=P,
             train_range=(0, 1),
             sim_range=(1, 2),
-            contract_mode="fixed",
-            fixed_contracts={"w1": 100.0},
+            contract_schedule={(1, "w1"): 100.0},
             exhaustive_core_check=True,
         )
         report = run_simulation(config, data)
-        record = report.records[0]
-        assert record.payoffs_pooled[0] == 1000.0
-        assert record.payoffs_separate[0] == 1000.0
-        assert record.properties.all_pass
+        assert report.payoffs_pooled[0, 0] == 1000.0
+        assert report.payoffs_separate[0, 0] == 1000.0
+        assert report.properties[0].all_pass
         assert sum(report.violation_counts.values()) == 0
 
     def test_offsetting_deviations_capture_the_spread(self, tmp_path):
@@ -158,14 +158,12 @@ class TestRunSimulation:
             price_source=P,
             train_range=(0, 2),
             sim_range=(2, 3),
-            contract_mode="fixed",
-            fixed_contracts={"a": 100.0, "b": 50.0},
+            contract_schedule={(2, "a"): 100.0, (2, "b"): 50.0},
             exhaustive_core_check=True,
         )
         report = run_simulation(config, data)
-        record = report.records[0]
-        assert record.excess_profit == pytest.approx(200.0)
-        gap = record.payoffs_pooled.sum() - record.payoffs_separate.sum()
+        assert report.excess_profit[0] == pytest.approx(200.0)
+        gap = report.payoffs_pooled[0].sum() - report.payoffs_separate[0].sum()
         assert gap == pytest.approx(200.0)
         assert report.grand_total_pooled - report.grand_total_separate == pytest.approx(200.0)
 
@@ -175,12 +173,11 @@ class TestRunSimulation:
             price_source=P, train_range=(0, 2), sim_range=(2, 3)
         )
         report = run_simulation(config, data)
-        record = report.records[0]
         for pi, producer in enumerate(data.producer_ids):
             spread = np.std(data.actuals[0:2, pi] - data.forecasts[0:2, pi], ddof=1)
             dist = GenerationDistribution(float(data.forecasts[2, pi]), float(spread))
             # q = 0.5 at these prices: the contract is the truncated median
-            assert record.contracts[pi] == pytest.approx(dist.quantile(0.5))
+            assert report.contracts[0, pi] == pytest.approx(dist.quantile(0.5))
 
     def test_contract_schedule_mode(self, tmp_path):
         data = two_producer_data(tmp_path)
@@ -193,11 +190,10 @@ class TestRunSimulation:
             price_source=P,
             train_range=(0, 2),
             sim_range=(2, 3),
-            contract_mode="from_file",
             contract_schedule=load_contract_schedule(schedule_path),
         )
         report = run_simulation(config, data)
-        np.testing.assert_allclose(report.records[0].contracts, [90.0, 60.0])
+        np.testing.assert_allclose(report.contracts, [[90.0, 60.0]])
 
     def test_per_hour_prices(self, tmp_path):
         data = two_producer_data(tmp_path)
@@ -206,12 +202,11 @@ class TestRunSimulation:
             price_source=price_map,
             train_range=(0, 2),
             sim_range=(2, 3),
-            contract_mode="fixed",
-            fixed_contracts={"a": 100.0, "b": 50.0},
+            contract_schedule={(2, "a"): 100.0, (2, "b"): 50.0},
         )
         report = run_simulation(config, data)
         # same offsets, doubled spread
-        assert report.records[0].excess_profit == pytest.approx(400.0)
+        assert report.excess_profit[0] == pytest.approx(400.0)
 
     def test_missing_price_hour_aborts_with_reference(self, tmp_path):
         data = two_producer_data(tmp_path)
@@ -219,8 +214,7 @@ class TestRunSimulation:
             price_source={0: P},
             train_range=(0, 2),
             sim_range=(2, 3),
-            contract_mode="fixed",
-            fixed_contracts={"a": 100.0, "b": 50.0},
+            contract_schedule={(2, "a"): 100.0, (2, "b"): 50.0},
         )
         with pytest.raises(ValueError, match="hour 2"):
             run_simulation(config, data)
@@ -254,15 +248,16 @@ class TestRunSimulation:
 
         def run(sim_range):
             config = SimulationConfig(price_source=P, train_range=(0, 3), sim_range=sim_range)
-            return run_simulation(config, data).records
+            return run_simulation(config, data)
 
         whole = run((3, 8))
-        split = run((3, 5)) + run((5, 8))
-        assert len(whole) == len(split)
-        for r1, r2 in zip(whole, split):
-            assert r1.hour == r2.hour
-            np.testing.assert_array_equal(r1.payoffs_pooled, r2.payoffs_pooled)
-            np.testing.assert_array_equal(r1.contracts, r2.contracts)
+        first, second = run((3, 5)), run((5, 8))
+        assert whole.hours == first.hours + second.hours
+        for name in ("payoffs_pooled", "contracts"):
+            np.testing.assert_array_equal(
+                getattr(whole, name),
+                np.concatenate([getattr(first, name), getattr(second, name)]),
+            )
 
 
 class TestEmitReport:
@@ -292,36 +287,54 @@ class TestEmitReport:
         with (tmp_path / "out" / "hourly.csv").open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         by_key = {(r["hour"], r["producer_id"]): r for r in rows}
-        for record in report.records:
-            for pi, producer in enumerate(record.producer_ids):
-                row = by_key[(str(record.hour), producer)]
-                assert float(row["payoff_pooled"]) == record.payoffs_pooled[pi]
-                assert float(row["payoff_separate"]) == record.payoffs_separate[pi]
+        for hi, hour in enumerate(report.hours):
+            for pi, producer in enumerate(report.producer_ids):
+                row = by_key[(str(hour), producer)]
+                assert float(row["payoff_pooled"]) == report.payoffs_pooled[hi, pi]
+                assert float(row["payoff_separate"]) == report.payoffs_separate[hi, pi]
 
     def test_summary_matches_hourly_resummation(self, tmp_path):
         """Independent spreadsheet-style re-summation of hourly.csv must
-        reproduce summary.csv exactly (same accumulation order)."""
-        rows_src = []
-        rng = np.random.default_rng(41)
-        for hour in range(6):
-            for producer in ("a", "b"):
+        reproduce summary.csv exactly: each producer's total adds its hours
+        one at a time, in order, starting from zero.
+
+        ``sum()`` is no reference: from Python 3.12 on it compensates float
+        sums. With one producer, a pairwise column sum such as
+        ``sum(axis=0)`` gives other bits on this seed; the idle producer is
+        paid -0.0 every hour at these negative prices, so a total started
+        from the first hour would read -0.0, not 0.0.
+        """
+        prices = PriceTriple(day_ahead=-3.0, rt_buy=-1.0, rt_sell=-8.0)
+        for producers in (("a",), ("a", "idle")):
+            rows_src = []
+            rng = np.random.default_rng(43)
+            for hour in range(26):
                 fc = rng.uniform(20, 80)
-                rows_src.append([hour, producer, fc, max(0.0, fc + rng.normal(0, 15))])
-        data = load_timeseries(generation_file(tmp_path, rows_src, name="g2.csv"))
-        config = SimulationConfig(price_source=P, train_range=(0, 2), sim_range=(2, 6))
-        report = run_simulation(config, data)
-        emit_report(report, tmp_path / "out")
+                rows_src.append([hour, "a", fc, max(0.0, fc + rng.normal(0, 15))])
+                if "idle" in producers:
+                    rows_src.append([hour, "idle", 0.0, 0.0])
+            name = f"g{len(producers)}.csv"
+            data = load_timeseries(generation_file(tmp_path, rows_src, name=name))
+            config = SimulationConfig(price_source=prices, train_range=(0, 2), sim_range=(2, 26))
+            out_dir = tmp_path / f"out{len(producers)}"
+            emit_report(run_simulation(config, data), out_dir)
 
-        with (tmp_path / "out" / "hourly.csv").open(newline="") as fh:
-            hourly = list(csv.DictReader(fh))
-        with (tmp_path / "out" / "summary.csv").open(newline="") as fh:
-            summary = {r["producer_id"]: r for r in csv.DictReader(fh)}
+            with (out_dir / "hourly.csv").open(newline="") as fh:
+                hourly = list(csv.DictReader(fh))
+            with (out_dir / "summary.csv").open(newline="") as fh:
+                summary = {r["producer_id"]: r for r in csv.DictReader(fh)}
 
-        for producer in ("a", "b"):
-            total = sum(float(r["payoff_pooled"]) for r in hourly if r["producer_id"] == producer)
-            assert total == pytest.approx(float(summary[producer]["total_payoff_pooled"]), rel=1e-12)
-        grand = sum(float(r["payoff_pooled"]) for r in hourly)
-        assert grand == pytest.approx(float(summary["TOTAL"]["total_payoff_pooled"]), rel=1e-12)
+            assert len(hourly) == 24 * len(producers)
+            for producer in producers:
+                for column in ("payoff_pooled", "payoff_separate"):
+                    hours = [float(r[column]) for r in hourly if r["producer_id"] == producer]
+                    total = functools.reduce(operator.add, hours, 0.0)
+                    # compared as text, so the sign of a zero counts too
+                    assert summary[producer][f"total_{column}"] == repr(total)
+            grand = sum(float(r["payoff_pooled"]) for r in hourly)
+            assert grand == pytest.approx(
+                float(summary["TOTAL"]["total_payoff_pooled"]), rel=1e-12
+            )
 
     def test_exante_column_is_placeholder(self, tmp_path):
         report = self._report(tmp_path)
@@ -343,7 +356,14 @@ class TestEmitReport:
 
         empty = SimulationReport(
             producer_ids=(),
-            records=(),
+            hours=(),
+            contracts=np.zeros((0, 0)),
+            realizations=np.zeros((0, 0)),
+            payoffs_pooled=np.zeros((0, 0)),
+            payoffs_separate=np.zeros((0, 0)),
+            aggregator_payoff=np.zeros(0),
+            excess_profit=np.zeros(0),
+            properties=(),
             totals_pooled=np.zeros(0),
             totals_separate=np.zeros(0),
             grand_total_pooled=0.0,

@@ -42,7 +42,6 @@ from .equilibrium import (
 )
 from .market import (
     DEFAULT_TOLERANCE,
-    CoalitionMask,
     PriceTriple,
     ScenarioSnapshot,
     SurplusPartition,
@@ -96,7 +95,6 @@ __all__ = [
     "solve_competitive_equilibrium",
     "verify_game_equivalence",
     "DEFAULT_TOLERANCE",
-    "CoalitionMask",
     "PriceTriple",
     "ScenarioSnapshot",
     "SurplusPartition",

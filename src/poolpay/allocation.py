@@ -46,14 +46,13 @@ class PamConfig:
     band works equally well there; the band constraint is enforced when the
     rule is resolved against an actual price triple.
 
-    ``balance_tolerance`` is the relative band for deciding that the total
-    realization matches the total contract. The exact-balance branch is
+    The pool counts as balanced when its total deviation lies within the
+    relative band ``DEFAULT_TOLERANCE``. The exact-balance branch is
     payoff-discontinuous against the neighbouring branches unless the
     resolved price matches them, so the band is kept tiny.
     """
 
     balance_price_rule: str | float = "midpoint"
-    balance_tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         if isinstance(self.balance_price_rule, str):
@@ -64,8 +63,6 @@ class PamConfig:
                 )
         elif not math.isfinite(float(self.balance_price_rule)):
             raise ConfigurationError("explicit balance price must be finite")
-        if self.balance_tolerance < 0.0:
-            raise ConfigurationError("balance_tolerance must be >= 0")
 
     def resolve_balance_price(self, prices: PriceTriple) -> float:
         """The marginal price used in the exact-balance case."""
@@ -90,14 +87,14 @@ class PamConfig:
 
         rt_buy when the pool is short in total, rt_sell when it is long, and
         the resolved balance price when the total deviation lies inside the
-        ``balance_tolerance`` band.
+        ``DEFAULT_TOLERANCE`` band.
         """
         prices = snapshot.prices
         # resolved on every hour, so an out-of-band explicit price fails
         # whichever branch the pool lands in
         balance_price = self.resolve_balance_price(prices)
         total_dev = snapshot.total_realization - snapshot.total_contract
-        if abs(total_dev) <= self.balance_tolerance * max(1.0, snapshot.total_contract):
+        if abs(total_dev) <= DEFAULT_TOLERANCE * max(1.0, snapshot.total_contract):
             return balance_price, True
         return (prices.rt_buy if total_dev < 0.0 else prices.rt_sell), False
 
@@ -159,9 +156,8 @@ class CoreResult:
 class PropertyReport:
     """Outcome of the five-property audit for one allocation.
 
-    ``in_core`` is None when the core check was skipped (too many producers
-    for exhaustive enumeration with the check disabled); a skipped check
-    never counts as a violation.
+    ``in_core`` is None when the core check was skipped (``check_core=False``);
+    a skipped check never counts as a violation.
     """
 
     budget_balance: bool
@@ -272,9 +268,11 @@ def check_no_exploitation(
     return True
 
 
-#: Largest pool the exhaustive core audit enumerates (2^20 - 1 coalitions);
-#: larger pools are screened by sampling.
+#: Largest pool the core audit enumerates (2^20 - 1 coalitions); larger
+#: pools are screened with CORE_SAMPLES seeded coalitions.
 EXHAUSTIVE_LIMIT = 20
+#: Coalitions the core audit draws on a pool above EXHAUSTIVE_LIMIT.
+CORE_SAMPLES = 100_000
 
 # Mask matrices for subset enumeration get reused heavily by the brute-force
 # core check; cache them up to a size where the cache stays a few MB. Larger
@@ -339,42 +337,26 @@ def check_core_membership(
     snapshot: ScenarioSnapshot,
     tol: float = DEFAULT_TOLERANCE,
     *,
-    method: str = "exhaustive",
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    samples: int = 100_000,
     seed: int = 0,
 ) -> CoreResult:
     """Can any coalition beat its allocated share by seceding?
 
-    Exhaustive mode enumerates all 2^n - 1 nonempty coalitions and reports
-    the worst violation ``v(T) - allocated(T)`` with its coalition (ties
-    broken toward the lowest subset bitmask). Above ``exhaustive_limit``
-    producers it refuses and points to sampled mode, which screens a seeded
-    random selection of coalitions instead; sampling can only ever certify
-    "no violation found", which is what auditing a third-party allocation
-    on a large pool realistically gets. A pool with no more than ``samples``
-    nonempty coalitions is enumerated in sampled mode too, with the same
-    result as exhaustive mode. Both modes scan at most
-    ``_CHUNK_ROWS`` coalitions at a time, so memory stays bounded.
+    A pool of at most ``EXHAUSTIVE_LIMIT`` producers is audited exactly: all
+    2^n - 1 nonempty coalitions are enumerated, and the worst violation
+    ``v(T) - allocated(T)`` is reported with its coalition (ties broken
+    toward the lowest subset bitmask). A larger pool is screened with
+    ``CORE_SAMPLES`` random coalitions drawn from ``seed`` and reports
+    ``exhaustive=False``; sampling can only ever certify "no violation
+    found", which is what auditing a third-party allocation on a large pool
+    realistically gets. At most ``_CHUNK_ROWS`` coalitions are scanned at a
+    time, so memory stays bounded.
     """
     _require_matching(alloc, snapshot)
     n = snapshot.n
     if n == 0:
         return CoreResult(True, 0.0, None, 0, True)
-
-    if method == "exhaustive":
-        if n > exhaustive_limit:
-            raise ValueError(
-                f"{n} producers means {2**n - 1} coalitions; raise exhaustive_limit "
-                "or rerun with method='sampled'"
-            )
-    elif method == "sampled":
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-    else:
-        raise ValueError(f"unknown core check method {method!r}")
-    exhaustive = method == "exhaustive" or 2**n - 1 <= samples
-    batches = _iter_subset_masks(n) if exhaustive else _iter_sampled_masks(n, samples, seed)
+    exhaustive = n <= EXHAUSTIVE_LIMIT
+    batches = _iter_subset_masks(n) if exhaustive else _iter_sampled_masks(n, CORE_SAMPLES, seed)
 
     ok_all = True
     worst = -math.inf
@@ -396,20 +378,19 @@ def run_property_checks(
     tol: float = DEFAULT_TOLERANCE,
     *,
     check_core: bool = True,
-    core_method: str = "exhaustive",
     seed: int = 0,
 ) -> PropertyReport:
     """Run the full five-property audit on one allocation.
 
-    The core audit uses ``check_core_membership``'s defaults for the
-    exhaustive limit and the sample count.
+    The core audit enumerates or samples as ``check_core_membership``
+    decides from the pool size; ``seed`` seeds its sample.
     """
     budget = check_budget_balance(alloc, snapshot, tol)
     ir = check_individual_rationality(alloc, snapshot, tol)
     fairness = check_fairness(alloc, snapshot, tol)
     no_exploit = check_no_exploitation(alloc, snapshot, tol)
     if check_core:
-        core = check_core_membership(alloc, snapshot, tol, method=core_method, seed=seed)
+        core = check_core_membership(alloc, snapshot, tol, seed=seed)
         in_core: bool | None = core.in_core
         core_violation: float | None = core.worst_violation
         core_coalition = core.worst_coalition

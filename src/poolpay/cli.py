@@ -91,7 +91,8 @@ def _cmd_simulate(args) -> int:
         sim_range=args.sim,
         pam=PamConfig(balance_price_rule=args.pstar),
         contract_schedule=(
-            None if args.contracts is None else load_contract_schedule(args.contracts)
+            None if args.contracts is None
+            else load_contract_schedule(args.contracts, data.producer_ids)
         ),
         exhaustive_core_check=args.check_core,
         rng_seed=args.seed,
@@ -124,7 +125,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_check_core(args) -> int:
     snapshot = load_snapshot(args.snapshot, _cli_prices(args))
     alloc = load_payoffs(args.payoffs, snapshot)
-    report = run_property_checks(alloc, snapshot, core_method=args.method, seed=args.seed)
+    report = run_property_checks(alloc, snapshot, seed=args.seed)
     print(f"budget_balance        : {report.budget_balance} (residual {report.budget_residual!r})")
     print(f"individual_rationality: {report.individual_rationality} "
           f"(worst margin {report.ir_worst_margin!r})")
@@ -156,7 +157,7 @@ def _cmd_contract(args) -> int:
     prices = PriceTriple(day_ahead=args.pf, rt_buy=args.prb, rt_sell=args.prs)
     dist = GenerationDistribution(mean=args.mean, std_dev=args.std,
                                   upper_bound=args.cap if args.cap is not None else float("inf"))
-    contract = optimal_contract(dist, prices, cap=args.cap)
+    contract = optimal_contract(dist, prices)
     print(f"critical_quantile: {critical_quantile(prices)!r}")
     print(f"optimal_contract_mwh: {contract!r}")
     return EXIT_OK
@@ -200,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     core.add_argument("--snapshot", required=True)
     core.add_argument("--payoffs", required=True, help="CSV producer_id,payoff")
     _add_price_flags(core)
-    core.add_argument("--method", choices=("exhaustive", "sampled"), default="exhaustive")
-    core.add_argument("--seed", type=int, default=0)
+    core.add_argument("--seed", type=int, default=0,
+                      help="seed of the core audit's coalition sample on large pools")
     core.set_defaults(func=_cmd_check_core)
 
     eq = sub.add_parser("equilibrium", help="clearing price and payoffs for one snapshot")

@@ -96,27 +96,22 @@ def critical_quantile(prices: PriceTriple) -> float:
     return min(1.0, max(0.0, q))
 
 
-def optimal_contract(
-    dist: GenerationDistribution,
-    prices: PriceTriple,
-    cap: float | None = None,
-) -> float:
+def optimal_contract(dist: GenerationDistribution, prices: PriceTriple) -> float:
     """Expected-payoff-maximizing forward commitment for one producer.
 
     The critical quantile of the generation distribution, floored at zero
     so it is always a valid contract. At level 1 the commitment is the
-    distribution's upper bound; without one, ``cap`` must supply a finite
-    capacity because an unbounded contract is economically meaningless.
+    distribution's upper bound, which must then be a finite capacity
+    because an unbounded contract is economically meaningless.
     """
     q = critical_quantile(prices)
     if q >= 1.0:
-        upper = dist.upper_bound if math.isfinite(dist.upper_bound) else cap
-        if upper is None or not math.isfinite(upper):
+        if not math.isfinite(dist.upper_bound):
             raise ValueError(
                 "critical quantile is 1 and the distribution is unbounded above; "
-                "pass a finite cap (the producer's capacity)"
+                "give it a finite upper_bound cap (the producer's capacity)"
             )
-        return max(0.0, float(upper))
+        return max(0.0, float(dist.upper_bound))
     if q <= 0.0:
         return max(0.0, dist.lower_bound)
     return max(0.0, dist.quantile(q))

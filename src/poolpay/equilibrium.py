@@ -217,18 +217,12 @@ def solve_competitive_equilibrium(
     return CompetitiveEquilibrium(price, redistribution, payoffs)
 
 
-def verify_game_equivalence(
-    snapshot: ScenarioSnapshot,
-    tol: float = DEFAULT_TOLERANCE,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-) -> bool:
+def verify_game_equivalence(snapshot: ScenarioSnapshot, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Does trading power internally earn exactly the joint settlement, for
-    every nonempty coalition?"""
+    every nonempty coalition? Refuses pools above ``EXHAUSTIVE_LIMIT``."""
     n = snapshot.n
-    if n > exhaustive_limit:
-        raise ValueError(
-            f"{n} producers exceeds the exhaustive limit {exhaustive_limit}"
-        )
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"{n} producers exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
     for bitmask in range(1, 2**n):
         members = tuple(i for i in range(n) if bitmask >> i & 1)
         _, value = optimal_redistribution(snapshot, members)

@@ -117,34 +117,9 @@ class ScenarioSnapshot:
         return float(self.realizations.sum())
 
 
-@dataclass(frozen=True, init=False)
-class CoalitionMask:
-    """A subset of producer indices. May be empty or the full set."""
-
-    members: tuple[int, ...]
-
-    def __init__(self, members: Iterable[int]):
-        object.__setattr__(self, "members", tuple(sorted({int(i) for i in members})))
-
-    @classmethod
-    def full(cls, n: int) -> "CoalitionMask":
-        return cls(range(n))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
-
-
 def _coalition_indices(coalition, n: int) -> np.ndarray:
-    """Normalize a CoalitionMask or iterable of indices, checking range."""
-    members = coalition.members if isinstance(coalition, CoalitionMask) else tuple(
-        sorted({int(i) for i in coalition})
-    )
+    """Normalize an iterable of indices, checking range."""
+    members = tuple(sorted({int(i) for i in coalition}))
     idx = np.asarray(members, dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"coalition indices {members} out of range for {n} producers")

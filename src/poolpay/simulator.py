@@ -18,7 +18,6 @@ from typing import Mapping
 import numpy as np
 
 from .allocation import (
-    EXHAUSTIVE_LIMIT,
     PamConfig,
     PayoffAllocation,
     PropertyReport,
@@ -201,14 +200,23 @@ def load_prices(path) -> dict:
     return prices
 
 
-def load_contract_schedule(path) -> dict:
-    """Load a per-hour contract CSV (hour, producer_id, contract_mwh)."""
+def load_contract_schedule(path, producer_ids) -> dict:
+    """Load a per-hour contract CSV (hour, producer_id, contract_mwh).
+
+    Every row must name one of ``producer_ids``, the producers of the
+    generation series the schedule is for.
+    """
     path = Path(path)
+    known = set(producer_ids)
     schedule: dict = {}
     for line_no, row in _read_rows(path, CONTRACT_HEADER):
         where = f"{path}:{line_no}"
         hour = _parse_hour(row[0], where)
-        producer = row[1].strip()
+        producer = _parse_producer(row[1], (), where)
+        if producer not in known:
+            raise TimeseriesFormatError(
+                f"{where}: producer {producer!r} is not in the generation series"
+            )
         contract = _parse_float(row[2], "contract_mwh", where)
         if contract < 0.0:
             raise TimeseriesFormatError(f"{where}: negative contract")
@@ -385,8 +393,7 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
     The contract block is built first, for the whole window. Then, per
     hour: assemble the snapshot, split the pool payoff with the
     marginal-price mechanism, evaluate the separate baseline, and run the
-    property audit (core membership included when enabled; enumeration
-    switches to sampling above the exhaustive limit).
+    property audit (core membership included when enabled).
     """
     _check_ranges(config, data.n_hours)
     s0, s1 = config.sim_range
@@ -403,7 +410,6 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
     totals_separate = np.zeros(data.n_producers)
     total_excess = 0.0
 
-    core_method = "exhaustive" if data.n_producers <= EXHAUSTIVE_LIMIT else "sampled"
     for row, hour_prices in enumerate(prices):
         snapshot = ScenarioSnapshot(
             data.producer_ids, contracts[row], realizations[row], hour_prices
@@ -418,7 +424,6 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
                 alloc,
                 snapshot,
                 check_core=config.exhaustive_core_check,
-                core_method=core_method,
                 seed=config.rng_seed,
             )
         )

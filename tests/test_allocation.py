@@ -202,47 +202,70 @@ class TestCoreMembership:
         bad = PayoffAllocation(np.array([699.0]), 700.0)
         assert not check_core_membership(bad, s).in_core
 
-    def test_exhaustive_refuses_large_pools(self):
+    def test_exhaustive_refuses_large_pools(self, monkeypatch):
+        # a pool of EXHAUSTIVE_LIMIT + 1 producers is sampled, not refused
         rng = np.random.default_rng(0)
-        s = random_snapshot(rng, n_min=6, n_max=6)
-        with pytest.raises(ValueError, match="sampled"):
-            check_core_membership(allocate(s), s, exhaustive_limit=5)
+        n = allocation.EXHAUSTIVE_LIMIT + 1
+        s = random_snapshot(rng, n_min=n, n_max=n)
+        result = check_core_membership(allocate(s), s)
+        assert result.in_core
+        assert not result.exhaustive
+        assert result.coalitions_checked == allocation.CORE_SAMPLES
+        # a pool of exactly EXHAUSTIVE_LIMIT producers is still enumerated
+        monkeypatch.setattr(allocation, "EXHAUSTIVE_LIMIT", 8)
+        for n, exhaustive in ((8, True), (9, False)):
+            s = random_snapshot(rng, n_min=n, n_max=n)
+            assert check_core_membership(allocate(s), s).exhaustive is exhaustive
 
-    def test_sampled_mode(self):
+    def test_sampled_mode(self, monkeypatch):
+        monkeypatch.setattr(allocation, "CORE_SAMPLES", 2000)
         rng = np.random.default_rng(1)
         s = random_snapshot(rng, n_min=22, n_max=22)
-        result = check_core_membership(
-            allocate(s), s, method="sampled", samples=2000, seed=5
-        )
+        result = check_core_membership(allocate(s), s, seed=5)
         assert result.in_core
         assert not result.exhaustive
         assert result.coalitions_checked == 2000
 
-    def test_sampled_mode_finds_planted_violation(self):
-        # pools with no more than `samples` coalitions are enumerated, with
-        # exhaustive mode's result; the 5-producer pool ties (0, 1) with
-        # (0, 1, 2), and the lowest bitmask wins
+    def test_sampled_mode_finds_planted_violation(self, monkeypatch):
+        monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
+        monkeypatch.setattr(allocation, "_CHUNK_ROWS", 64)
+        # only producer 0 delivers, and producer 1 is paid 200 of its 1000:
+        # every coalition with 0 and without 1 falls short by 200, and the
+        # first such draw is the witness
+        s = snap([100] + [0] * 20, [100] + [0] * 20)
+        alloc = PayoffAllocation(np.array([800.0, 200.0] + [0.0] * 19), 1000.0)
+        result = check_core_membership(alloc, s)
+        assert not result.in_core
+        assert not result.exhaustive
+        assert result.coalitions_checked == 500
+        assert result.worst_violation == 200.0
+        masks = np.concatenate(list(allocation._iter_sampled_masks(s.n, 500, seed=0)))
+        first = masks[(masks[:, 0] == 1.0) & (masks[:, 1] == 0.0)][0]
+        assert result.worst_coalition == tuple(np.flatnonzero(first).tolist())
+        # pools up to EXHAUSTIVE_LIMIT are enumerated, even with more
+        # coalitions (511 for 9 producers) than CORE_SAMPLES; the 5-producer
+        # pool ties (0, 1) with (0, 1, 2), and the lowest bitmask wins
         tied = snap([100, 50, 20, 30, 40], [100, 50, 20, 30, 40])
         cases = [
             (snap([100, 0], [100, 0]), None),
+            (snap([100] + [0] * 8, [100] + [0] * 8), None),
             (tied, PayoffAllocation(np.array([900.0, 400.0, 200.0, 350.0, 450.0]), 2300.0)),
         ]
         for s, alloc in cases:
             alloc = alloc or equal_split(s)
-            result = check_core_membership(alloc, s, method="sampled", samples=500)
+            result = check_core_membership(alloc, s)
             assert not result.in_core
-            assert result == check_core_membership(alloc, s)
             assert result.exhaustive
             assert result.coalitions_checked == 2**s.n - 1
         assert result.worst_coalition == (0, 1)
         assert result.worst_violation == 200.0
 
     def test_sampled_mode_scans_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
         monkeypatch.setattr(allocation, "_CHUNK_ROWS", 64)
-        # 9 producers have 511 coalitions, more than the 500 samples drawn
-        s = snap([100] + [0] * 8, [100] + [0] * 8)
+        s = snap([210] + [0] * 20, [210] + [0] * 20)
         alloc = equal_split(s)
-        result = check_core_membership(alloc, s, method="sampled", samples=500)
+        result = check_core_membership(alloc, s)
         assert not result.in_core
         assert result.coalitions_checked == 500
         members = list(result.worst_coalition)
@@ -252,16 +275,6 @@ class TestCoreMembership:
         chunks = list(allocation._iter_sampled_masks(1, 500, seed=0))
         assert [len(m) for m in chunks] == [64] * 7 + [52]
         assert all(m.sum(axis=1).min() == 1.0 for m in chunks)
-
-    def test_sampled_mode_needs_a_sample(self):
-        s = snap([100], [80])
-        with pytest.raises(ValueError, match="samples"):
-            check_core_membership(allocate(s), s, method="sampled", samples=0)
-
-    def test_unknown_method(self):
-        s = snap([100], [80])
-        with pytest.raises(ValueError, match="method"):
-            check_core_membership(allocate(s), s, method="montecarlo")
 
 
 @settings(max_examples=200, deadline=None)

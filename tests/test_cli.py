@@ -121,6 +121,16 @@ class TestCheckCoreCommand:
         assert code == EXIT_VIOLATION
         assert "False" in capsys.readouterr().out
 
+    def test_pool_above_exhaustive_limit_is_sampled(self, tmp_path, capsys):
+        ids = [f"p{i:02d}" for i in range(21)]
+        snapshot = write_csv(tmp_path / "snap.csv", ["producer_id", "contract_mwh", "actual_mwh"],
+                             [[p, 10.0, 10.0] for p in ids])
+        payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"],
+                            [[p, 100.0] for p in ids])
+        code = main(["check-core", "--snapshot", str(snapshot), "--payoffs", str(payoffs),
+                     "--pf", "10", "--prb", "15", "--prs", "5"])
+        assert code == EXIT_OK
+        assert "in_core               : True" in capsys.readouterr().out
 
     def test_payoff_row_for_unknown_producer_rejected(self, snapshot_file, tmp_path, capsys):
         payoffs = write_csv(
@@ -257,6 +267,21 @@ class TestSimulateCommand:
         assert code == EXIT_INPUT_ERROR
         assert "band" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "bad_row", [["2", "zz", "1e9"], ["2", "", "1.0"]], ids=["unknown-producer", "empty-producer"]
+    )
+    def test_contract_row_outside_the_series_is_input_error(
+        self, generation_file, tmp_path, capsys, bad_row
+    ):
+        rows = [[h, p, 50.0] for h in range(4, 10) for p in ("w1", "w2")]
+        contracts = write_csv(tmp_path / "contracts.csv", ["hour", "producer_id", "contract_mwh"],
+                              rows + [bad_row])
+        code = main(["simulate", "--data", str(generation_file),
+                     "--pf", "10", "--prb", "15", "--prs", "5", "--contracts", str(contracts),
+                     "--train", "0:4", "--sim", "4:10", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT_ERROR
+        assert f"contracts.csv:{len(rows) + 2}:" in capsys.readouterr().err
 
     def test_bad_price_file_is_input_error(self, generation_file, tmp_path, capsys):
         prices = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"],

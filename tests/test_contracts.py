@@ -87,7 +87,8 @@ class TestOptimalContract:
         prices = PriceTriple(20.0, 15.0, 5.0)
         with pytest.raises(ValueError, match="cap"):
             optimal_contract(dist, prices)
-        assert optimal_contract(dist, prices, cap=150.0) == 150.0
+        bounded = GenerationDistribution(mean=100.0, std_dev=20.0, upper_bound=150.0)
+        assert optimal_contract(bounded, prices) == 150.0
         capped = GenerationDistribution(mean=100.0, std_dev=20.0, upper_bound=130.0)
         assert optimal_contract(capped, prices) == 130.0
 

@@ -187,9 +187,9 @@ class TestGameEquivalence:
 
     def test_limit_enforced(self):
         rng = np.random.default_rng(24)
-        s = random_snapshot(rng, n_min=6, n_max=6)
+        s = random_snapshot(rng, n_min=21, n_max=21)
         with pytest.raises(ValueError, match="exhaustive"):
-            verify_game_equivalence(s, exhaustive_limit=5)
+            verify_game_equivalence(s)
 
 
 class TestCompetitiveEquilibrium:

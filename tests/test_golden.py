@@ -67,8 +67,7 @@ EXPECTED = {
     "allocate-balanced": "6ed6d21ad2705c5949bf3521dea6b319f76e6e127d943012d01919ef71f69d7f",
     "equilibrium-short": "64a24ddf803e8135de0a79a4e52473411c15b2d4be097efed95e1a92373ec9ce",
     "equilibrium-balanced": "8750c8ae0708786b13ceb6ead8fcb5430091e389768925f14882390ed26d52c5",
-    "check-core-exhaustive": "98570f4ee89ff16f419a79c9b366bdccd01d4a7e6d6ba02757104e64d81222fb",
-    "check-core-sampled": "98570f4ee89ff16f419a79c9b366bdccd01d4a7e6d6ba02757104e64d81222fb",
+    "check-core": "98570f4ee89ff16f419a79c9b366bdccd01d4a7e6d6ba02757104e64d81222fb",
 }
 
 
@@ -128,12 +127,10 @@ def golden_outputs(tmp_path, capsys) -> dict:
             outputs[f"{command}-{name}"] = (code, stdout.encode())
 
     payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"], SKEWED_PAYOFFS)
-    for method in ("exhaustive", "sampled"):
-        code, stdout = run(capsys, [
-            "check-core", "--snapshot", str(short), "--payoffs", str(payoffs),
-            "--method", method, "--seed", "3",
-        ])
-        outputs[f"check-core-{method}"] = (code, stdout.encode())
+    code, stdout = run(capsys, [
+        "check-core", "--snapshot", str(short), "--payoffs", str(payoffs), "--seed", "3",
+    ])
+    outputs["check-core"] = (code, stdout.encode())
     return outputs
 
 
@@ -141,8 +138,7 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
     outputs = golden_outputs(tmp_path, capsys)
     assert {name: code for name, (code, _) in outputs.items()} == {
         **{name: 0 for name in EXPECTED},
-        "check-core-exhaustive": 2,
-        "check-core-sampled": 2,
+        "check-core": 2,
     }
     mismatched = {
         name: data.decode()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from poolpay import (
-    CoalitionMask,
     PriceTriple,
     ScenarioSnapshot,
     aggregator_payoff,
@@ -107,7 +106,7 @@ class TestCoalitionValue:
 
     def test_full_coalition_shortfall(self):
         s = snap([100, 50, 50], [80, 60, 40])
-        assert coalition_value(s, CoalitionMask.full(3)) == 1700.0
+        assert coalition_value(s, range(3)) == 1700.0
 
     def test_singleton_reduces_to_separate(self):
         s = snap([100, 50], [80, 70])
@@ -127,7 +126,7 @@ class TestCoalitionValue:
     def test_permutation_invariant(self):
         s = snap([100, 50, 30], [80, 60, 40])
         assert coalition_value(s, [2, 0, 1]) == coalition_value(s, [0, 1, 2])
-        assert coalition_value(s, (1, 2)) == coalition_value(s, CoalitionMask([2, 1]))
+        assert coalition_value(s, (1, 2)) == coalition_value(s, (2, 1))
 
 
 class TestAggregatorPayoff:
@@ -142,7 +141,7 @@ class TestAggregatorPayoff:
 
     def test_equals_full_coalition(self):
         s = snap([100, 50, 50], [80, 60, 40])
-        assert aggregator_payoff(s) == coalition_value(s, CoalitionMask.full(3))
+        assert aggregator_payoff(s) == coalition_value(s, range(3))
 
 
 class TestPartition:

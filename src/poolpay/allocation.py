@@ -206,19 +206,17 @@ def _require_matching(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> No
 def check_budget_balance(
     alloc: PayoffAllocation,
     snapshot: ScenarioSnapshot,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> BudgetBalanceResult:
     """Do the payoffs sum to the pool's own market settlement?"""
     _require_matching(alloc, snapshot)
     total = aggregator_payoff(snapshot)
     residual = alloc.total - total
-    return BudgetBalanceResult(abs(residual) <= tol * max(1.0, abs(total)), residual)
+    return BudgetBalanceResult(abs(residual) <= DEFAULT_TOLERANCE * max(1.0, abs(total)), residual)
 
 
 def check_individual_rationality(
     alloc: PayoffAllocation,
     snapshot: ScenarioSnapshot,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> IndividualRationalityResult:
     """Does every producer earn at least its stand-alone settlement?"""
     _require_matching(alloc, snapshot)
@@ -226,18 +224,14 @@ def check_individual_rationality(
         return IndividualRationalityResult(True, math.inf, None)
     standalone = separate_payoffs(snapshot)
     margins = alloc.payoffs - standalone
-    allowance = tol * np.maximum(1.0, np.abs(standalone))
+    allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.abs(standalone))
     worst = int(np.argmin(margins))
     return IndividualRationalityResult(
         bool(np.all(margins >= -allowance)), float(margins[worst]), worst
     )
 
 
-def check_fairness(
-    alloc: PayoffAllocation,
-    snapshot: ScenarioSnapshot,
-    tol: float = DEFAULT_TOLERANCE,
-) -> bool:
+def check_fairness(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> bool:
     """Equal deviations must earn equal margins over forward revenue.
 
     Vacuously true when no two producers share a deviation.
@@ -248,22 +242,18 @@ def check_fairness(
     n = snapshot.n
     for i in range(n):
         for j in range(i + 1, n):
-            if approx_equal(dev[i], dev[j], tol) and not approx_equal(margin[i], margin[j], tol):
+            if approx_equal(dev[i], dev[j]) and not approx_equal(margin[i], margin[j]):
                 return False
     return True
 
 
-def check_no_exploitation(
-    alloc: PayoffAllocation,
-    snapshot: ScenarioSnapshot,
-    tol: float = DEFAULT_TOLERANCE,
-) -> bool:
+def check_no_exploitation(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> bool:
     """A producer that delivers its contract exactly gets exactly the forward revenue."""
     _require_matching(alloc, snapshot)
     for i in range(snapshot.n):
         c_i, x_i = snapshot.contracts[i], snapshot.realizations[i]
-        if approx_equal(x_i, c_i, tol):
-            if not approx_equal(alloc.payoffs[i], snapshot.prices.day_ahead * c_i, tol):
+        if approx_equal(x_i, c_i):
+            if not approx_equal(alloc.payoffs[i], snapshot.prices.day_ahead * c_i):
                 return False
     return True
 
@@ -318,16 +308,13 @@ def _iter_sampled_masks(n: int, samples: int, seed: int) -> Iterator[np.ndarray]
 
 
 def _scan_coalitions(
-    masks: np.ndarray,
-    snapshot: ScenarioSnapshot,
-    payoffs: np.ndarray,
-    tol: float,
+    masks: np.ndarray, snapshot: ScenarioSnapshot, payoffs: np.ndarray
 ) -> tuple[bool, float, int]:
     """Check one batch of coalition rows; return (all ok, max violation, argmax row)."""
     v_t = settle(masks @ snapshot.contracts, masks @ snapshot.realizations, snapshot.prices)
     alloc_t = masks @ payoffs
     violation = v_t - alloc_t
-    allowance = tol * np.maximum(1.0, np.maximum(np.abs(v_t), np.abs(alloc_t)))
+    allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.maximum(np.abs(v_t), np.abs(alloc_t)))
     row = int(np.argmax(violation))
     return bool(np.all(violation <= allowance)), float(violation[row]), row
 
@@ -335,7 +322,6 @@ def _scan_coalitions(
 def check_core_membership(
     alloc: PayoffAllocation,
     snapshot: ScenarioSnapshot,
-    tol: float = DEFAULT_TOLERANCE,
     *,
     seed: int = 0,
 ) -> CoreResult:
@@ -363,7 +349,7 @@ def check_core_membership(
     witness: tuple[int, ...] | None = None
     checked = 0
     for masks in batches:
-        ok, batch_worst, row = _scan_coalitions(masks, snapshot, alloc.payoffs, tol)
+        ok, batch_worst, row = _scan_coalitions(masks, snapshot, alloc.payoffs)
         ok_all = ok_all and ok
         checked += masks.shape[0]
         if batch_worst > worst:
@@ -375,7 +361,6 @@ def check_core_membership(
 def run_property_checks(
     alloc: PayoffAllocation,
     snapshot: ScenarioSnapshot,
-    tol: float = DEFAULT_TOLERANCE,
     *,
     check_core: bool = True,
     seed: int = 0,
@@ -385,12 +370,12 @@ def run_property_checks(
     The core audit enumerates or samples as ``check_core_membership``
     decides from the pool size; ``seed`` seeds its sample.
     """
-    budget = check_budget_balance(alloc, snapshot, tol)
-    ir = check_individual_rationality(alloc, snapshot, tol)
-    fairness = check_fairness(alloc, snapshot, tol)
-    no_exploit = check_no_exploitation(alloc, snapshot, tol)
+    budget = check_budget_balance(alloc, snapshot)
+    ir = check_individual_rationality(alloc, snapshot)
+    fairness = check_fairness(alloc, snapshot)
+    no_exploit = check_no_exploitation(alloc, snapshot)
     if check_core:
-        core = check_core_membership(alloc, snapshot, tol, seed=seed)
+        core = check_core_membership(alloc, snapshot, seed=seed)
         in_core: bool | None = core.in_core
         core_violation: float | None = core.worst_violation
         core_coalition = core.worst_coalition

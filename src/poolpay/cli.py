@@ -92,7 +92,7 @@ def _cmd_simulate(args) -> int:
         pam=PamConfig(balance_price_rule=args.pstar),
         contract_schedule=(
             None if args.contracts is None
-            else load_contract_schedule(args.contracts, data.producer_ids)
+            else load_contract_schedule(args.contracts, data)
         ),
         exhaustive_core_check=args.check_core,
         rng_seed=args.seed,

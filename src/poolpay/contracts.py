@@ -25,16 +25,13 @@ from .market import PriceTriple, settle
 
 @dataclass(frozen=True)
 class GenerationDistribution:
-    """Truncated-normal model of one producer's generation for one hour.
-
-    The default truncation at zero keeps samples physical (generation is
-    nonnegative); pass ``lower_bound=-math.inf`` to get a plain normal. A
-    finite ``upper_bound`` models a known capacity.
+    """Normal model of one producer's generation for one hour, truncated at
+    zero so samples stay physical (generation is nonnegative). A finite
+    ``upper_bound`` models a known capacity.
     """
 
     mean: float
     std_dev: float
-    lower_bound: float = 0.0
     upper_bound: float = math.inf
 
     def __post_init__(self) -> None:
@@ -42,27 +39,25 @@ class GenerationDistribution:
             raise ValueError("mean must be finite")
         if not self.std_dev >= 0.0:
             raise ValueError(f"std_dev must be >= 0, got {self.std_dev}")
-        if math.isnan(self.lower_bound) or math.isnan(self.upper_bound):
-            raise ValueError("truncation bounds must not be NaN")
-        if self.lower_bound > self.upper_bound:
-            raise ValueError("lower_bound must not exceed upper_bound")
+        if not self.upper_bound >= 0.0:
+            raise ValueError(f"upper_bound must be >= 0, got {self.upper_bound}")
 
     def _frozen(self):
-        a = (self.lower_bound - self.mean) / self.std_dev
+        a = (0.0 - self.mean) / self.std_dev
         b = (self.upper_bound - self.mean) / self.std_dev
         return stats.truncnorm(a, b, loc=self.mean, scale=self.std_dev)
 
     def _degenerate_point(self) -> float:
-        return min(max(self.mean, self.lower_bound), self.upper_bound)
+        return min(max(self.mean, 0.0), self.upper_bound)
 
     def quantile(self, q: float) -> float:
-        """Inverse CDF; q=0 gives the lower bound, q=1 the upper bound."""
+        """Inverse CDF; q=0 gives 0, q=1 the upper bound."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must be in [0, 1], got {q}")
         if self.std_dev == 0.0:
             return self._degenerate_point()
         if q == 0.0:
-            return self.lower_bound
+            return 0.0
         if q == 1.0:
             return self.upper_bound
         return float(self._frozen().ppf(q))
@@ -113,7 +108,7 @@ def optimal_contract(dist: GenerationDistribution, prices: PriceTriple) -> float
             )
         return max(0.0, float(dist.upper_bound))
     if q <= 0.0:
-        return max(0.0, dist.lower_bound)
+        return 0.0
     return max(0.0, dist.quantile(q))
 
 

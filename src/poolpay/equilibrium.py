@@ -72,19 +72,17 @@ class ResponseInterval:
     def is_empty(self) -> bool:
         return self.unbounded_objective or self.lower > self.upper
 
-    def contains(self, z: float, tol: float = DEFAULT_TOLERANCE) -> bool:
+    def contains(self, z: float) -> bool:
         if self.is_empty:
             return False
-        if z < self.lower - tol * max(1.0, abs(self.lower)):
+        if z < self.lower - DEFAULT_TOLERANCE * max(1.0, abs(self.lower)):
             return False
         if math.isinf(self.upper):
             return True
-        return z <= self.upper + tol * max(1.0, abs(self.upper))
+        return z <= self.upper + DEFAULT_TOLERANCE * max(1.0, abs(self.upper))
 
 
-def best_response_set(
-    f: ProductionFunction, price: float, tol: float = DEFAULT_TOLERANCE
-) -> ResponseInterval:
+def best_response_set(f: ProductionFunction, price: float) -> ResponseInterval:
     """Quantities a price-taking member would choose to hold at this price.
 
     Inside the real-time band the choice pins to the contract; at the band
@@ -93,15 +91,15 @@ def best_response_set(
     (no argmax, tagged unbounded).
     """
     buy, sell, c = f.prices.rt_buy, f.prices.rt_sell, f.contract
-    if approx_equal(buy, sell, tol):
-        if approx_equal(price, buy, tol):
+    if approx_equal(buy, sell):
+        if approx_equal(price, buy):
             return ResponseInterval(0.0, math.inf)
         if price > buy:
             return ResponseInterval(0.0, 0.0)
         return ResponseInterval(math.inf, -math.inf, unbounded_objective=True)
-    if approx_equal(price, buy, tol):
+    if approx_equal(price, buy):
         return ResponseInterval(0.0, c)
-    if approx_equal(price, sell, tol):
+    if approx_equal(price, sell):
         return ResponseInterval(c, math.inf)
     if price > buy:
         return ResponseInterval(0.0, 0.0)
@@ -217,7 +215,7 @@ def solve_competitive_equilibrium(
     return CompetitiveEquilibrium(price, redistribution, payoffs)
 
 
-def verify_game_equivalence(snapshot: ScenarioSnapshot, tol: float = DEFAULT_TOLERANCE) -> bool:
+def verify_game_equivalence(snapshot: ScenarioSnapshot) -> bool:
     """Does trading power internally earn exactly the joint settlement, for
     every nonempty coalition? Refuses pools above ``EXHAUSTIVE_LIMIT``."""
     n = snapshot.n
@@ -226,6 +224,6 @@ def verify_game_equivalence(snapshot: ScenarioSnapshot, tol: float = DEFAULT_TOL
     for bitmask in range(1, 2**n):
         members = tuple(i for i in range(n) if bitmask >> i & 1)
         _, value = optimal_redistribution(snapshot, members)
-        if not approx_equal(value, coalition_value(snapshot, members), tol):
+        if not approx_equal(value, coalition_value(snapshot, members)):
             return False
     return True

@@ -14,14 +14,15 @@ from typing import Iterable
 
 import numpy as np
 
-#: Relative tolerance for monetary comparisons across the library. Two
-#: amounts a, b are treated as equal when |a - b| <= tol * max(1, |a|, |b|).
+#: Relative tolerance for monetary comparisons across the library, fixed for
+#: every audit. Two amounts a, b are treated as equal when
+#: |a - b| <= DEFAULT_TOLERANCE * max(1, |a|, |b|).
 DEFAULT_TOLERANCE = 1e-9
 
 
-def approx_equal(a: float, b: float, tol: float = DEFAULT_TOLERANCE) -> bool:
+def approx_equal(a: float, b: float) -> bool:
     """Equality under the library-wide relative tolerance rule."""
-    return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+    return math.isclose(a, b, rel_tol=DEFAULT_TOLERANCE, abs_tol=DEFAULT_TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,12 @@ class ScenarioSnapshot:
         contracts: Iterable[float],
         realizations: Iterable[float],
         prices: PriceTriple,
-        producer_ids: Iterable[str] | None = None,
     ) -> "ScenarioSnapshot":
-        """Build a snapshot, auto-numbering producers when ids are omitted."""
+        """Build a snapshot whose producers are numbered p1 .. pn."""
         contracts = np.asarray(list(contracts), dtype=float)
         realizations = np.asarray(list(realizations), dtype=float)
-        if producer_ids is None:
-            producer_ids = tuple(f"p{i + 1}" for i in range(contracts.shape[0]))
-        return cls(tuple(producer_ids), contracts, realizations, prices)
+        producer_ids = tuple(f"p{i + 1}" for i in range(contracts.shape[0]))
+        return cls(producer_ids, contracts, realizations, prices)
 
     @property
     def n(self) -> int:

@@ -200,18 +200,21 @@ def load_prices(path) -> dict:
     return prices
 
 
-def load_contract_schedule(path, producer_ids) -> dict:
+def load_contract_schedule(path, series: GenerationSeries) -> dict:
     """Load a per-hour contract CSV (hour, producer_id, contract_mwh).
 
-    Every row must name one of ``producer_ids``, the producers of the
-    generation series the schedule is for.
+    Every row must name one of the hours and one of the producers of
+    ``series``, the generation series the schedule is for.
     """
     path = Path(path)
-    known = set(producer_ids)
+    known_hours = set(series.hours)
+    known = set(series.producer_ids)
     schedule: dict = {}
     for line_no, row in _read_rows(path, CONTRACT_HEADER):
         where = f"{path}:{line_no}"
         hour = _parse_hour(row[0], where)
+        if hour not in known_hours:
+            raise TimeseriesFormatError(f"{where}: hour {hour!r} is not in the generation series")
         producer = _parse_producer(row[1], (), where)
         if producer not in known:
             raise TimeseriesFormatError(
@@ -485,8 +488,17 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
     reload reproduces every payoff bit for bit and two runs with the same
     inputs produce byte-identical files. The ex-ante comparison column in
     summary.csv is a placeholder and stays empty; that mechanism is outside
-    this package's scope.
+    this package's scope. Two producers whose ids map to the same trace file
+    name are an error, raised before any file is written.
     """
+    trace_names: dict[str, str] = {}
+    for producer in report.producer_ids:
+        name = f"trace_{_safe_filename(producer)}.csv"
+        if name in trace_names:
+            raise ValueError(
+                f"producers {trace_names[name]!r} and {producer!r} would both write {name}"
+            )
+        trace_names[name] = producer
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -550,8 +562,8 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
     )
     written.append(summary_path)
 
-    for pi, producer in enumerate(report.producer_ids):
-        trace_path = out_dir / f"trace_{_safe_filename(producer)}.csv"
+    for pi, name in enumerate(trace_names):
+        trace_path = out_dir / name
         trace_rows = [
             [label, pp_row[pi], ps_row[pi]]
             for label, pp_row, ps_row in zip(labels, pooled, separate)

@@ -52,20 +52,19 @@ def mc_payoff_curve(sample, contracts, prices):
 def quad_expected_payoff(dist, contract, prices):
     """Expected stand-alone payoff by direct quadrature of the truncated pdf."""
     if dist.std_dev == 0.0:
-        point = min(max(dist.mean, dist.lower_bound), dist.upper_bound)
+        point = min(max(dist.mean, 0.0), dist.upper_bound)
         return (
             prices.day_ahead * contract
             - prices.rt_buy * max(contract - point, 0.0)
             + prices.rt_sell * max(point - contract, 0.0)
         )
-    a = (dist.lower_bound - dist.mean) / dist.std_dev
+    a = (0.0 - dist.mean) / dist.std_dev
     b = (dist.upper_bound - dist.mean) / dist.std_dev
     frozen = stats.truncnorm(a, b, loc=dist.mean, scale=dist.std_dev)
-    lower = dist.lower_bound if math.isfinite(dist.lower_bound) else -np.inf
     upper = dist.upper_bound if math.isfinite(dist.upper_bound) else np.inf
     short = 0.0
-    if contract > lower:
-        short = integrate.quad(lambda x: (contract - x) * frozen.pdf(x), lower, contract)[0]
+    if contract > 0.0:
+        short = integrate.quad(lambda x: (contract - x) * frozen.pdf(x), 0.0, contract)[0]
     long_ = 0.0
     if upper > contract:
         long_ = integrate.quad(lambda x: (x - contract) * frozen.pdf(x), contract, upper)[0]

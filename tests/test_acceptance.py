@@ -4,12 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Tolerances are pinned here and nowhere else.
 """
 import csv
+import math
 import time
 
 import numpy as np
 import pytest
 
 from poolpay import (
+    DEFAULT_TOLERANCE,
     GenerationDistribution,
     PamConfig,
     PriceTriple,
@@ -18,7 +20,6 @@ from poolpay import (
     SimulationConfig,
     aggregator_payoff,
     allocate,
-    approx_equal,
     best_response_set,
     coalition_value,
     contract_mismatch_counterexample,
@@ -70,10 +71,11 @@ def snapshot_batch():
 def test_criterion_1_five_property_suite(snapshot_batch):
     """All five properties hold on 10,000 random snapshots, with exhaustive
     core enumeration, inside the runtime budget."""
+    assert DEFAULT_TOLERANCE == RELATIVE_TOL
     t0 = time.perf_counter()
     failures = 0
     for s in snapshot_batch:
-        result = run_property_checks(allocate(s), s, tol=RELATIVE_TOL)
+        result = run_property_checks(allocate(s), s)
         if not (
             result.budget_balance
             and result.individual_rationality
@@ -167,11 +169,11 @@ def test_criterion_4_equilibrium_reproduces_the_allocation():
         ce = solve_competitive_equilibrium(s, config)
         pam = allocate(s, config)
         payoff_ok = payoff_ok and all(
-            approx_equal(float(a), float(b), RELATIVE_TOL)
+            math.isclose(float(a), float(b), rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL)
             for a, b in zip(ce.payoffs, pam.payoffs)
         )
-        clearing_ok = clearing_ok and approx_equal(
-            ce.redistribution.total, s.total_realization, RELATIVE_TOL
+        clearing_ok = clearing_ok and math.isclose(
+            ce.redistribution.total, s.total_realization, rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL
         )
         for i in range(s.n):
             f = ProductionFunction(float(s.contracts[i]), s.prices)
@@ -208,7 +210,9 @@ def test_criterion_5_redistribution_equals_joint_settlement():
         for bitmask in range(1, 2**s.n):
             members = tuple(i for i in range(s.n) if bitmask >> i & 1)
             _, value = optimal_redistribution(s, members)
-            if not approx_equal(value, coalition_value(s, members), RELATIVE_TOL):
+            if not math.isclose(
+                value, coalition_value(s, members), rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL
+            ):
                 equivalence_ok = False
         for i in range(s.n):
             for j in range(i + 1, s.n):
@@ -249,7 +253,7 @@ def test_criterion_6_newsvendor_contract_is_optimal():
         dist = GenerationDistribution(mean=mean, std_dev=std)
         star = optimal_contract(dist, prices)
         sample = dist.sample(1_000_000, rng)
-        grid = np.linspace(dist.lower_bound, mean + 4.0 * std, 200)
+        grid = np.linspace(0.0, mean + 4.0 * std, 200)
         grid_mean, grid_se = mc_payoff_curve(sample, grid, prices)
         star_mean, star_se = mc_payoff_curve(sample, [star], prices)
         band = 3.0 * (grid_se + star_se[0])
@@ -307,7 +311,9 @@ def test_criterion_7_monthlong_run_orders_mechanisms():
     report_out = run_simulation(config, data)
     violations = sum(report_out.violation_counts.values())
     gap = report_out.grand_total_pooled - report_out.grand_total_separate
-    gap_matches = approx_equal(gap, report_out.total_excess_profit, RELATIVE_TOL)
+    gap_matches = math.isclose(
+        gap, report_out.total_excess_profit, rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL
+    )
     per_producer_ok = bool(
         np.all(report_out.totals_pooled >= report_out.totals_separate - 1e-6)
     )
@@ -370,13 +376,14 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
     for hi, hour in enumerate(reference.hours):
         for pi, producer in enumerate(reference.producer_ids):
             row = rows[(str(hour), producer)]
-            if not approx_equal(
-                float(row["payoff_pooled"]), float(reference.payoffs_pooled[hi, pi]), RELATIVE_TOL
+            if not math.isclose(
+                float(row["payoff_pooled"]), float(reference.payoffs_pooled[hi, pi]),
+                rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL,
             ):
                 round_trip_ok = False
-            if not approx_equal(
+            if not math.isclose(
                 float(row["payoff_separate"]), float(reference.payoffs_separate[hi, pi]),
-                RELATIVE_TOL,
+                rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL,
             ):
                 round_trip_ok = False
     ok = code1 == EXIT_OK and code2 == EXIT_OK and identical and round_trip_ok

@@ -277,6 +277,26 @@ class TestCoreMembership:
         assert all(m.sum(axis=1).min() == 1.0 for m in chunks)
 
 
+# Each check applied to one idle producer (contract 0, output 0, every total
+# 0) that is off by ``m``; with totals of 0 the allowance is exactly 1e-9.
+IDLE = snap([0.0], [0.0])
+OFF_BY = {
+    "budget-balance": lambda m: check_budget_balance(PayoffAllocation([m], 0.0), IDLE).ok,
+    "individual-rationality": lambda m: check_individual_rationality(
+        PayoffAllocation([-m], 0.0), IDLE
+    ).ok,
+    "core": lambda m: check_core_membership(PayoffAllocation([-m], 0.0), IDLE).in_core,
+    "balance-band": lambda m: PamConfig().marginal_price(snap([0.0], [m]))[1],
+    "no-exploitation": lambda m: check_no_exploitation(PayoffAllocation([m], 0.0), IDLE),
+}
+
+
+@pytest.mark.parametrize("within_allowance", list(OFF_BY.values()), ids=list(OFF_BY))
+def test_allowance_is_exactly_1e_9_at_zero_totals(within_allowance):
+    assert within_allowance(1e-9)
+    assert not within_allowance(float(np.nextafter(1e-9, np.inf)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(snapshots(max_n=8))
 def test_mechanism_satisfies_all_five_properties(s):

@@ -269,7 +269,9 @@ class TestSimulateCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "bad_row", [["2", "zz", "1e9"], ["2", "", "1.0"]], ids=["unknown-producer", "empty-producer"]
+        "bad_row",
+        [["2", "zz", "1e9"], ["2", "", "1.0"], ["99", "w1", "1e9"]],
+        ids=["unknown-producer", "empty-producer", "unknown-hour"],
     )
     def test_contract_row_outside_the_series_is_input_error(
         self, generation_file, tmp_path, capsys, bad_row
@@ -282,6 +284,19 @@ class TestSimulateCommand:
                      "--train", "0:4", "--sim", "4:10", "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT_ERROR
         assert f"contracts.csv:{len(rows) + 2}:" in capsys.readouterr().err
+
+    def test_trace_name_collision_writes_nothing(self, tmp_path, capsys):
+        # "w 1" and "w_1" both map to trace_w_1.csv
+        gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
+                        [[h, p, 50.0, 40.0 + h] for h in range(4) for p in ("w 1", "w_1")])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = main(["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
+                     "--train", "0:2", "--sim", "2:4", "--out", str(out_dir)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "'w 1'" in err and "'w_1'" in err and "trace_w_1.csv" in err
+        assert list(out_dir.iterdir()) == []
 
     def test_bad_price_file_is_input_error(self, generation_file, tmp_path, capsys):
         prices = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"],

@@ -79,8 +79,9 @@ class TestOptimalContract:
         assert optimal_contract(dist, P) == 80.0
 
     def test_quantile_zero_maps_to_lower_bound(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0, lower_bound=10.0)
-        assert optimal_contract(dist, PriceTriple(4.0, 15.0, 5.0)) == 10.0
+        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
+        value = optimal_contract(dist, PriceTriple(4.0, 15.0, 5.0))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_quantile_one_needs_a_cap(self):
         dist = GenerationDistribution(mean=100.0, std_dev=20.0)
@@ -93,10 +94,13 @@ class TestOptimalContract:
         assert optimal_contract(capped, prices) == 130.0
 
     def test_never_negative(self):
-        untruncated = GenerationDistribution(
-            mean=5.0, std_dev=50.0, lower_bound=-math.inf
-        )
-        assert optimal_contract(untruncated, PriceTriple(6.0, 15.0, 5.0)) >= 0.0
+        # with the mean far below zero, scipy 1.17 puts this tiny quantile
+        # level a few ulps below 0; the contract floor keeps it at +0.0 or above
+        dist = GenerationDistribution(mean=-33.5709416720468, std_dev=0.624855462992385)
+        value = optimal_contract(dist, PriceTriple(6.712061290134014e-15, 1.0, 0.0))
+        assert value >= 0.0 and math.copysign(1.0, value) == 1.0
+        wide = GenerationDistribution(mean=5.0, std_dev=50.0)
+        assert optimal_contract(wide, PriceTriple(6.0, 15.0, 5.0)) >= 0.0
 
     def test_monotone_in_forward_price(self):
         dist = GenerationDistribution(mean=100.0, std_dev=20.0)
@@ -137,18 +141,19 @@ class TestGenerationDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
             GenerationDistribution(mean=100.0, std_dev=-1.0)
-        with pytest.raises(ValueError):
-            GenerationDistribution(mean=100.0, std_dev=1.0, lower_bound=10.0, upper_bound=5.0)
+        for cap in (-5.0, math.nan):
+            with pytest.raises(ValueError, match="upper_bound"):
+                GenerationDistribution(mean=100.0, std_dev=1.0, upper_bound=cap)
 
     def test_samples_respect_truncation(self):
         rng = np.random.default_rng(34)
-        dist = GenerationDistribution(mean=10.0, std_dev=30.0, lower_bound=0.0, upper_bound=25.0)
+        dist = GenerationDistribution(mean=10.0, std_dev=30.0, upper_bound=25.0)
         draws = dist.sample(10_000, rng)
         assert draws.min() >= 0.0
         assert draws.max() <= 25.0
 
     def test_quantiles_respect_truncation(self):
-        dist = GenerationDistribution(mean=10.0, std_dev=30.0, lower_bound=0.0, upper_bound=25.0)
+        dist = GenerationDistribution(mean=10.0, std_dev=30.0, upper_bound=25.0)
         assert dist.quantile(0.0) == 0.0
         assert dist.quantile(1.0) == 25.0
         assert 0.0 < dist.quantile(0.5) < 25.0
@@ -159,10 +164,9 @@ class TestGenerationDistribution:
             assert dist.cdf(dist.quantile(q)) == pytest.approx(q, abs=1e-10)
 
     def test_truncation_shifts_the_median(self):
-        censored = GenerationDistribution(mean=10.0, std_dev=20.0, lower_bound=0.0)
-        plain = GenerationDistribution(mean=10.0, std_dev=20.0, lower_bound=-math.inf)
-        assert censored.quantile(0.5) > plain.quantile(0.5)
-        assert plain.quantile(0.5) == pytest.approx(10.0, abs=1e-9)
+        # the untruncated median is the mean, 10.0
+        censored = GenerationDistribution(mean=10.0, std_dev=20.0)
+        assert censored.quantile(0.5) > 10.0
 
 
 class TestFitDistribution:

@@ -190,7 +190,7 @@ class TestRunSimulation:
             price_source=P,
             train_range=(0, 2),
             sim_range=(2, 3),
-            contract_schedule=load_contract_schedule(schedule_path, data.producer_ids),
+            contract_schedule=load_contract_schedule(schedule_path, data),
         )
         report = run_simulation(config, data)
         np.testing.assert_allclose(report.contracts, [[90.0, 60.0]])

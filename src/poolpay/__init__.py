@@ -29,6 +29,7 @@ from .contracts import (
     error_spread,
     expected_separate_payoff,
     optimal_contract,
+    optimal_contracts,
 )
 from .equilibrium import (
     CompetitiveEquilibrium,
@@ -86,6 +87,7 @@ __all__ = [
     "error_spread",
     "expected_separate_payoff",
     "optimal_contract",
+    "optimal_contracts",
     "CompetitiveEquilibrium",
     "ProductionFunction",
     "Redistribution",

@@ -28,6 +28,7 @@ from .simulator import (
     load_snapshot,
     load_timeseries,
     run_simulation,
+    trace_file_names,
 )
 
 EXIT_OK = 0
@@ -78,6 +79,7 @@ def _add_price_flags(parser, required=False):
 
 def _cmd_simulate(args) -> int:
     data = load_timeseries(args.data)
+    trace_file_names(data.producer_ids)  # a file-name clash fails before the run, not after
     if args.prices is not None:
         price_source = load_prices(args.prices)
     else:
@@ -94,7 +96,7 @@ def _cmd_simulate(args) -> int:
             None if args.contracts is None
             else load_contract_schedule(args.contracts, data)
         ),
-        exhaustive_core_check=args.check_core,
+        check_core=args.check_core,
         rng_seed=args.seed,
     )
     report = run_simulation(config, data)
@@ -155,8 +157,9 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_contract(args) -> int:
     prices = PriceTriple(day_ahead=args.pf, rt_buy=args.prb, rt_sell=args.prs)
-    dist = GenerationDistribution(mean=args.mean, std_dev=args.std,
-                                  upper_bound=args.cap if args.cap is not None else float("inf"))
+    if not args.cap >= 0.0:
+        raise ValueError(f"--cap must be >= 0, got {args.cap}")
+    dist = GenerationDistribution(mean=args.mean, std_dev=args.std, upper_bound=args.cap)
     contract = optimal_contract(dist, prices)
     print(f"critical_quantile: {critical_quantile(prices)!r}")
     print(f"optimal_contract_mwh: {contract!r}")
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     contract = sub.add_parser("contract", help="news-vendor contract for one producer")
     contract.add_argument("--mean", type=float, required=True)
     contract.add_argument("--std", type=float, required=True)
-    contract.add_argument("--cap", type=float, default=None,
+    contract.add_argument("--cap", type=float, default=float("inf"),
                           help="capacity upper bound (required when the critical quantile is 1)")
     _add_price_flags(contract, required=True)
     contract.set_defaults(func=_cmd_contract)

@@ -8,9 +8,11 @@ generation distribution's quantile at
 
     q = (day_ahead - rt_sell) / (rt_buy - rt_sell)
 
-clamped to [0, 1]. The Monte Carlo estimator in this module exists to keep
-that closed form honest: tests maximize the sampled expectation over a
-contract grid and compare.
+clamped to [0, 1]. ``optimal_contracts`` sizes a whole (hours x producers)
+block with one broadcast quantile call; ``optimal_contract`` is its 1 x 1
+case. The Monte Carlo estimator in this module exists to keep that closed
+form honest: tests maximize the sampled expectation over a contract grid
+and compare.
 """
 from __future__ import annotations
 
@@ -50,18 +52,6 @@ class GenerationDistribution:
     def _degenerate_point(self) -> float:
         return min(max(self.mean, 0.0), self.upper_bound)
 
-    def quantile(self, q: float) -> float:
-        """Inverse CDF; q=0 gives 0, q=1 the upper bound."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile level must be in [0, 1], got {q}")
-        if self.std_dev == 0.0:
-            return self._degenerate_point()
-        if q == 0.0:
-            return 0.0
-        if q == 1.0:
-            return self.upper_bound
-        return float(self._frozen().ppf(q))
-
     def cdf(self, value: float) -> float:
         if self.std_dev == 0.0:
             return 1.0 if value >= self._degenerate_point() else 0.0
@@ -91,25 +81,41 @@ def critical_quantile(prices: PriceTriple) -> float:
     return min(1.0, max(0.0, q))
 
 
-def optimal_contract(dist: GenerationDistribution, prices: PriceTriple) -> float:
-    """Expected-payoff-maximizing forward commitment for one producer.
+def optimal_contracts(means, std_devs, prices, upper_bound: float = math.inf) -> np.ndarray:
+    """Expected-payoff-maximizing commitments for an (hours x producers) block.
 
-    The critical quantile of the generation distribution, floored at zero
-    so it is always a valid contract. At level 1 the commitment is the
-    distribution's upper bound, which must then be a finite capacity
-    because an unbounded contract is economically meaningless.
+    Each cell is the critical quantile, at its row's entry of ``prices``, of
+    a normal with that cell's mean and its column's entry of ``std_devs``,
+    truncated to [0, upper_bound] and floored at zero. A level of 0 commits
+    nothing, a zero spread the mean clipped to the bounds, and a level of 1
+    the upper bound, which must then be a finite capacity.
     """
-    q = critical_quantile(prices)
-    if q >= 1.0:
-        if not math.isfinite(dist.upper_bound):
-            raise ValueError(
-                "critical quantile is 1 and the distribution is unbounded above; "
-                "give it a finite upper_bound cap (the producer's capacity)"
-            )
-        return max(0.0, float(dist.upper_bound))
-    if q <= 0.0:
-        return 0.0
-    return max(0.0, dist.quantile(q))
+    means = np.asarray(means, dtype=float)
+    std_devs = np.broadcast_to(np.asarray(std_devs, dtype=float), means.shape)
+    q = np.broadcast_to(np.array([critical_quantile(p) for p in prices])[:, None], means.shape)
+    if not (np.isfinite(means).all() and (std_devs >= 0.0).all() and upper_bound >= 0.0):
+        raise ValueError("means must be finite, and std_devs and upper_bound >= 0")
+    if not math.isfinite(upper_bound) and (q >= 1.0).any():
+        raise ValueError(
+            "critical quantile is 1 and the distribution is unbounded above; "
+            "give it a finite upper_bound cap (the producer's capacity)"
+        )
+    contracts = np.where(q >= 1.0, upper_bound, 0.0)
+    interior = (q > 0.0) & (q < 1.0)
+    point = interior & (std_devs == 0.0)
+    contracts[point] = np.minimum(np.maximum(means[point], 0.0), upper_bound)
+    cells = interior & (std_devs > 0.0)
+    m, s = means[cells], std_devs[cells]
+    a, b = (0.0 - m) / s, (upper_bound - m) / s
+    contracts[cells] = stats.truncnorm.ppf(q[cells], a, b, loc=m, scale=s)
+    # not np.maximum: like max(0.0, x), this maps NaN (scipy's answer when
+    # the truncation interval is empty) and -0.0 to +0.0
+    return np.where(contracts > 0.0, contracts, 0.0)
+
+
+def optimal_contract(dist: GenerationDistribution, prices: PriceTriple) -> float:
+    """Expected-payoff-maximizing commitment for one producer: a 1 x 1 block."""
+    return float(optimal_contracts([[dist.mean]], [dist.std_dev], [prices], dist.upper_bound)[0, 0])
 
 
 def error_spread(forecasts, actuals) -> np.ndarray:

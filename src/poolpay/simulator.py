@@ -24,7 +24,7 @@ from .allocation import (
     allocate,
     run_property_checks,
 )
-from .contracts import GenerationDistribution, error_spread, optimal_contract
+from .contracts import error_spread, optimal_contracts
 from .market import (
     PriceTriple,
     ScenarioSnapshot,
@@ -44,6 +44,14 @@ CONTRACT_HEADER = ["hour", "producer_id", "contract_mwh"]
 SNAPSHOT_HEADER = ["producer_id", "contract_mwh", "actual_mwh"]
 SNAPSHOT_HEADER_PRICED = SNAPSHOT_HEADER + ["p_f", "p_rb", "p_rs"]
 PAYOFF_HEADER = ["producer_id", "payoff"]
+HOURLY_HEADER = [
+    "hour", "producer_id", "contract_mwh", "actual_mwh", "payoff_pooled", "payoff_separate",
+    "aggregator_payoff", "excess_profit", "all_properties_pass",
+]
+SUMMARY_HEADER = [
+    "producer_id", "total_payoff_pooled", "total_payoff_separate", "total_payoff_exante"
+]
+TRACE_HEADER = ["hour", "payoff_pooled", "payoff_separate"]
 
 
 def _parse_hour(text: str, where: str):
@@ -200,33 +208,35 @@ def load_prices(path) -> dict:
     return prices
 
 
-def load_contract_schedule(path, series: GenerationSeries) -> dict:
+def load_contract_schedule(path, series: GenerationSeries) -> np.ndarray:
     """Load a per-hour contract CSV (hour, producer_id, contract_mwh).
 
     Every row must name one of the hours and one of the producers of
-    ``series``, the generation series the schedule is for.
+    ``series``, the generation series the schedule is for. The result is an
+    (hours x producers) block aligned with ``series``, NaN in each cell no row names.
     """
     path = Path(path)
-    known_hours = set(series.hours)
-    known = set(series.producer_ids)
-    schedule: dict = {}
+    hour_index = {hour: i for i, hour in enumerate(series.hours)}
+    producer_index = {producer: i for i, producer in enumerate(series.producer_ids)}
+    schedule = np.full((series.n_hours, series.n_producers), np.nan)
     for line_no, row in _read_rows(path, CONTRACT_HEADER):
         where = f"{path}:{line_no}"
         hour = _parse_hour(row[0], where)
-        if hour not in known_hours:
+        if hour not in hour_index:
             raise TimeseriesFormatError(f"{where}: hour {hour!r} is not in the generation series")
         producer = _parse_producer(row[1], (), where)
-        if producer not in known:
+        if producer not in producer_index:
             raise TimeseriesFormatError(
                 f"{where}: producer {producer!r} is not in the generation series"
             )
         contract = _parse_float(row[2], "contract_mwh", where)
         if contract < 0.0:
             raise TimeseriesFormatError(f"{where}: negative contract")
-        key = (hour, producer)
-        if key in schedule:
+        cell = hour_index[hour], producer_index[producer]
+        if not math.isnan(schedule[cell]):
+            key = (hour, producer)
             raise TimeseriesFormatError(f"{where}: duplicate (hour, producer) key {key!r}")
-        schedule[key] = contract
+        schedule[cell] = contract
     return schedule
 
 
@@ -293,8 +303,9 @@ class SimulationConfig:
     sorted hour axis; the training range must end before the simulation
     range begins. ``price_source`` is either one constant PriceTriple or a
     mapping from hour to PriceTriple (as produced by ``load_prices``).
-    Contracts come from ``contract_schedule`` when it is given (as produced
-    by ``load_contract_schedule``), otherwise from news-vendor sizing on the
+    Contracts come from ``contract_schedule`` when it is given, an
+    (hours x producers) block over the whole series as produced by
+    ``load_contract_schedule``; otherwise from news-vendor sizing on the
     training window's error spread.
     """
 
@@ -302,8 +313,8 @@ class SimulationConfig:
     train_range: tuple[int, int]
     sim_range: tuple[int, int]
     pam: PamConfig = field(default_factory=PamConfig)
-    contract_schedule: Mapping | None = None  # (hour, producer_id) -> MWh
-    exhaustive_core_check: bool = False
+    contract_schedule: np.ndarray | None = None
+    check_core: bool = False
     rng_seed: int = 0
 
 
@@ -364,30 +375,26 @@ def _contract_block(
 ) -> np.ndarray:
     """(hours x producers) contracts for the simulation window.
 
-    Looked up in ``config.contract_schedule`` when one is given; otherwise
-    each cell is the news-vendor contract for that hour's forecast, the
-    producer's training error spread and that hour's prices.
+    Sliced from ``config.contract_schedule`` when one is given; otherwise
+    the news-vendor contracts for each hour's forecasts, the producers'
+    training error spreads and that hour's prices.
     """
     s0, s1 = config.sim_range
-    block = np.empty((s1 - s0, data.n_producers))
     schedule = config.contract_schedule
     if schedule is not None:
-        for row, hour in enumerate(data.hours[s0:s1]):
-            for pi, producer in enumerate(data.producer_ids):
-                try:
-                    block[row, pi] = schedule[(hour, producer)]
-                except KeyError:
-                    raise ValueError(
-                        f"contract schedule missing hour {hour!r} for producer {producer!r}"
-                    ) from None
+        if np.shape(schedule) != data.forecasts.shape:
+            raise ValueError(
+                f"contract schedule must be (hours x producers) {data.forecasts.shape}"
+            )
+        block = np.array(schedule[s0:s1], dtype=float)
+        missing = np.argwhere(np.isnan(block))
+        if missing.size:
+            hour, producer = data.hours[s0 + missing[0, 0]], data.producer_ids[missing[0, 1]]
+            raise ValueError(f"contract schedule missing hour {hour!r} for producer {producer!r}")
         return block
     t0, t1 = config.train_range
-    spread = error_spread(data.forecasts[t0:t1], data.actuals[t0:t1]).tolist()
-    for row, forecasts in enumerate(data.forecasts[s0:s1].tolist()):
-        for pi, (mean, std_dev) in enumerate(zip(forecasts, spread)):
-            dist = GenerationDistribution(mean=mean, std_dev=std_dev)
-            block[row, pi] = optimal_contract(dist, prices[row])
-    return block
+    spread = error_spread(data.forecasts[t0:t1], data.actuals[t0:t1])
+    return optimal_contracts(data.forecasts[s0:s1], spread, prices)
 
 
 def run_simulation(config: SimulationConfig, data: GenerationSeries) -> SimulationReport:
@@ -426,7 +433,7 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
             run_property_checks(
                 alloc,
                 snapshot,
-                check_core=config.exhaustive_core_check,
+                check_core=config.check_core,
                 seed=config.rng_seed,
             )
         )
@@ -469,6 +476,17 @@ def _safe_filename(producer_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", producer_id)
 
 
+def trace_file_names(producer_ids) -> list[str]:
+    """Each producer's ``trace_<id>.csv`` name; two ids giving one name are an error."""
+    names: dict[str, str] = {}
+    for producer in producer_ids:
+        name = f"trace_{_safe_filename(producer)}.csv"
+        if name in names:
+            raise ValueError(f"producers {names[name]!r} and {producer!r} would both write {name}")
+        names[name] = producer
+    return list(names)
+
+
 def _repr_rows(block: np.ndarray) -> list[list[str]]:
     """Each row of a 2-D float block as shortest round-trip strings."""
     return [list(map(repr, row)) for row in block.tolist()]
@@ -491,14 +509,7 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
     this package's scope. Two producers whose ids map to the same trace file
     name are an error, raised before any file is written.
     """
-    trace_names: dict[str, str] = {}
-    for producer in report.producer_ids:
-        name = f"trace_{_safe_filename(producer)}.csv"
-        if name in trace_names:
-            raise ValueError(
-                f"producers {trace_names[name]!r} and {producer!r} would both write {name}"
-            )
-        trace_names[name] = producer
+    trace_names = trace_file_names(report.producer_ids)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -522,21 +533,7 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
         )
         for producer, c, x, pp, ps in zip(report.producer_ids, c_row, x_row, pp_row, ps_row)
     ]
-    _write_csv(
-        hourly_path,
-        [
-            "hour",
-            "producer_id",
-            "contract_mwh",
-            "actual_mwh",
-            "payoff_pooled",
-            "payoff_separate",
-            "aggregator_payoff",
-            "excess_profit",
-            "all_properties_pass",
-        ],
-        hourly_rows,
-    )
+    _write_csv(hourly_path, HOURLY_HEADER, hourly_rows)
     written.append(hourly_path)
 
     summary_path = out_dir / "summary.csv"
@@ -547,19 +544,9 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
         )
     ]
     if report.producer_ids:
-        summary_rows.append(
-            [
-                "TOTAL",
-                repr(report.grand_total_pooled),
-                repr(report.grand_total_separate),
-                "",
-            ]
-        )
-    _write_csv(
-        summary_path,
-        ["producer_id", "total_payoff_pooled", "total_payoff_separate", "total_payoff_exante"],
-        summary_rows,
-    )
+        grand_totals = [report.grand_total_pooled, report.grand_total_separate]
+        summary_rows.append(["TOTAL", *map(repr, grand_totals), ""])
+    _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
     written.append(summary_path)
 
     for pi, name in enumerate(trace_names):
@@ -568,7 +555,7 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
             [label, pp_row[pi], ps_row[pi]]
             for label, pp_row, ps_row in zip(labels, pooled, separate)
         ]
-        _write_csv(trace_path, ["hour", "payoff_pooled", "payoff_separate"], trace_rows)
+        _write_csv(trace_path, TRACE_HEADER, trace_rows)
         written.append(trace_path)
 
     return written

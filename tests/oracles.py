@@ -49,6 +49,22 @@ def mc_payoff_curve(sample, contracts, prices):
     return mean, np.sqrt(variance / m)
 
 
+def newsvendor_contract(mean, std_dev, q, upper_bound=math.inf):
+    """One cell of the news-vendor rule, sized on its own: the cap at level
+    1, nothing at level 0, the clipped mean at zero spread, else a frozen
+    ``stats.truncnorm(a, b, loc, scale).ppf(q)``, floored with Python's
+    ``max(0.0, .)`` (which maps NaN and -0.0 to 0.0)."""
+    if q >= 1.0:
+        return max(0.0, upper_bound)
+    if q <= 0.0:
+        return 0.0
+    if std_dev == 0.0:
+        return max(0.0, min(max(mean, 0.0), upper_bound))
+    a = (0.0 - mean) / std_dev
+    b = (upper_bound - mean) / std_dev
+    return max(0.0, float(stats.truncnorm(a, b, loc=mean, scale=std_dev).ppf(q)))
+
+
 def quad_expected_payoff(dist, contract, prices):
     """Expected stand-alone payoff by direct quadrature of the truncated pdf."""
     if dist.std_dev == 0.0:

@@ -306,7 +306,7 @@ def test_criterion_7_monthlong_run_orders_mechanisms():
         price_source=PriceTriple(10.0, 15.0, 5.0),
         train_range=(0, 744),
         sim_range=(744, 1416),
-        exhaustive_core_check=True,
+        check_core=True,
     )
     report_out = run_simulation(config, data)
     violations = sum(report_out.violation_counts.values())
@@ -367,7 +367,7 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
         price_source=PriceTriple(10.0, 15.0, 5.0),
         train_range=(0, 48),
         sim_range=(48, 120),
-        exhaustive_core_check=True,
+        check_core=True,
     )
     reference = run_simulation(config, load_timeseries(gen_path))
     with (tmp_path / "run1" / "hourly.csv").open(newline="") as fh:

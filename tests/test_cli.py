@@ -61,6 +61,13 @@ class TestContractCommand:
         assert code == EXIT_INPUT_ERROR
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["-5", "nan"])
+    def test_bad_cap_is_input_error_naming_the_flag(self, cap, capsys):
+        code = main(["contract", "--mean", "100", "--std", "20", "--cap", cap,
+                     "--pf", "10", "--prb", "15", "--prs", "5"])
+        assert code == EXIT_INPUT_ERROR
+        assert f"--cap must be >= 0, got {float(cap)}" in capsys.readouterr().err
+
 
 class TestAllocateCommand:
     def test_flags_for_prices(self, snapshot_file, capsys):
@@ -285,8 +292,13 @@ class TestSimulateCommand:
         assert code == EXIT_INPUT_ERROR
         assert f"contracts.csv:{len(rows) + 2}:" in capsys.readouterr().err
 
-    def test_trace_name_collision_writes_nothing(self, tmp_path, capsys):
-        # "w 1" and "w_1" both map to trace_w_1.csv
+    def test_trace_name_collision_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # "w 1" and "w_1" both map to trace_w_1.csv; the clash is known once
+        # the series is loaded, so the window is never settled
+        def run_simulation(config, data):
+            raise AssertionError("settled a window whose report cannot be written")
+
+        monkeypatch.setattr("poolpay.cli.run_simulation", run_simulation)
         gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
                         [[h, p, 50.0, 40.0 + h] for h in range(4) for p in ("w 1", "w_1")])
         out_dir = tmp_path / "out"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolpay import (
     GenerationDistribution,
@@ -10,9 +12,11 @@ from poolpay import (
     error_spread,
     expected_separate_payoff,
     optimal_contract,
+    optimal_contracts,
 )
 
-from oracles import mc_payoff_curve, quad_expected_payoff
+from conftest import price_triples
+from oracles import mc_payoff_curve, newsvendor_contract, quad_expected_payoff
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
 
@@ -153,20 +157,84 @@ class TestGenerationDistribution:
         assert draws.max() <= 25.0
 
     def test_quantiles_respect_truncation(self):
-        dist = GenerationDistribution(mean=10.0, std_dev=30.0, upper_bound=25.0)
-        assert dist.quantile(0.0) == 0.0
-        assert dist.quantile(1.0) == 25.0
-        assert 0.0 < dist.quantile(0.5) < 25.0
+        # critical quantile levels 0, 1 and 0.5
+        prices = [PriceTriple(5.0, 15.0, 5.0), PriceTriple(15.0, 15.0, 5.0), P]
+        low, high, mid = optimal_contracts([[10.0]] * 3, [30.0], prices, upper_bound=25.0)[:, 0]
+        assert low == 0.0
+        assert high == 25.0
+        assert 0.0 < mid < 25.0
 
     def test_quantile_inverts_cdf(self):
         dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        for q in (0.05, 0.3, 0.5, 0.7, 0.95):
-            assert dist.cdf(dist.quantile(q)) == pytest.approx(q, abs=1e-10)
+        prices = [PriceTriple(5.0 + 10.0 * q, 15.0, 5.0) for q in (0.05, 0.3, 0.5, 0.7, 0.95)]
+        contracts = optimal_contracts([[dist.mean]] * len(prices), [dist.std_dev], prices)
+        for level, contract in zip(map(critical_quantile, prices), contracts[:, 0]):
+            assert dist.cdf(contract) == pytest.approx(level, abs=1e-10)
 
     def test_truncation_shifts_the_median(self):
         # the untruncated median is the mean, 10.0
-        censored = GenerationDistribution(mean=10.0, std_dev=20.0)
-        assert censored.quantile(0.5) > 10.0
+        assert optimal_contracts([[10.0]], [20.0], [P])[0, 0] > 10.0
+
+
+@st.composite
+def contract_blocks(draw):
+    """(means, std_devs, prices, upper_bound) for a block of up to 6 x 5 cells:
+    negative and zero means, zero spreads, and per-hour prices whose critical
+    quantile levels fall below 0, inside (0, 1) and at or above 1."""
+    hours, producers = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    mean = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100.0, 300.0))
+    spread = st.one_of(st.just(0.0), st.floats(1e-3, 80.0))
+    row = st.lists(mean, min_size=producers, max_size=producers)
+    means = draw(st.lists(row, min_size=hours, max_size=hours))
+    std_devs = draw(st.lists(spread, min_size=producers, max_size=producers))
+    prices = draw(st.lists(price_triples(), min_size=hours, max_size=hours))
+    upper_bound = draw(st.one_of(st.sampled_from([math.inf, 0.0]), st.floats(0.0, 400.0)))
+    return means, std_devs, prices, upper_bound
+
+
+class TestOptimalContracts:
+    @settings(max_examples=300, deadline=None)
+    @given(contract_blocks())
+    # a cap of 0 makes the truncation interval empty: scipy answers NaN
+    @example(([[-20.0, 30.0]], [5.0, 5.0], [P], 0.0))
+    # q <= 0, q in (0, 1) and q >= 1 rows with a cap, and a zero spread
+    @example(([[40.0, -3.0]] * 3, [0.0, 7.5], [PriceTriple(4.0, 15.0, 5.0), P,
+                                               PriceTriple(20.0, 15.0, 5.0)], 60.0))
+    # a q >= 1 row without a cap
+    @example(([[40.0]] * 2, [5.0], [P, PriceTriple(15.0, 15.0, 5.0)], math.inf))
+    def test_block_matches_per_cell_oracle_bit_for_bit(self, block):
+        means, std_devs, prices, upper_bound = block
+        levels = [critical_quantile(p) for p in prices]
+        if upper_bound == math.inf and max(levels) >= 1.0:
+            with pytest.raises(ValueError, match="finite upper_bound cap"):
+                optimal_contracts(means, std_devs, prices, upper_bound)
+            return
+        got = optimal_contracts(means, std_devs, prices, upper_bound)
+        want = np.array([
+            [newsvendor_contract(mean, std_dev, q, upper_bound)
+             for mean, std_dev in zip(row, std_devs)]
+            for row, q in zip(means, levels)
+        ])
+        # compared as bytes, so NaN or a -0.0 in either block counts too
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_contract_is_the_one_by_one_block(self):
+        dist = GenerationDistribution(mean=-33.5709416720468, std_dev=0.624855462992385)
+        prices = PriceTriple(6.712061290134014e-15, 1.0, 0.0)
+        block = optimal_contracts([[dist.mean]], [dist.std_dev], [prices])
+        assert optimal_contract(dist, prices) == block[0, 0] == newsvendor_contract(
+            dist.mean, dist.std_dev, critical_quantile(prices)
+        )
+
+    @pytest.mark.parametrize(
+        "means, std_devs, upper_bound",
+        [([[math.nan]], [1.0], math.inf), ([[1.0]], [-1.0], math.inf),
+         ([[1.0]], [math.nan], math.inf), ([[1.0]], [1.0], -5.0), ([[1.0]], [1.0], math.nan)],
+        ids=["nan-mean", "negative-spread", "nan-spread", "negative-cap", "nan-cap"],
+    )
+    def test_validation(self, means, std_devs, upper_bound):
+        with pytest.raises(ValueError, match="must be"):
+            optimal_contracts(means, std_devs, [P], upper_bound)
 
 
 class TestFitDistribution:

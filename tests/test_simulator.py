@@ -9,7 +9,6 @@ from poolpay import (
     PamConfig,
     PriceTriple,
     SimulationConfig,
-    GenerationDistribution,
     TimeseriesFormatError,
     emit_report,
     load_prices,
@@ -17,6 +16,8 @@ from poolpay import (
     run_simulation,
 )
 from poolpay.simulator import load_contract_schedule
+
+from oracles import newsvendor_contract
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
 
@@ -123,6 +124,15 @@ class TestLoadPrices:
             load_prices(path)
 
 
+def scheduled(data, contracts_by_hour):
+    """A NaN-filled (hours x producers) schedule for ``data`` with the given
+    hours' rows of contracts filled in."""
+    schedule = np.full((data.n_hours, data.n_producers), np.nan)
+    for hour, contracts in contracts_by_hour.items():
+        schedule[data.hours.index(hour)] = contracts
+    return schedule
+
+
 def two_producer_data(tmp_path):
     rows = []
     # two training hours, then the settlement hour with offsetting deviations
@@ -143,8 +153,8 @@ class TestRunSimulation:
             price_source=P,
             train_range=(0, 1),
             sim_range=(1, 2),
-            contract_schedule={(1, "w1"): 100.0},
-            exhaustive_core_check=True,
+            contract_schedule=scheduled(data, {1: [100.0]}),
+            check_core=True,
         )
         report = run_simulation(config, data)
         assert report.payoffs_pooled[0, 0] == 1000.0
@@ -158,8 +168,8 @@ class TestRunSimulation:
             price_source=P,
             train_range=(0, 2),
             sim_range=(2, 3),
-            contract_schedule={(2, "a"): 100.0, (2, "b"): 50.0},
-            exhaustive_core_check=True,
+            contract_schedule=scheduled(data, {2: [100.0, 50.0]}),
+            check_core=True,
         )
         report = run_simulation(config, data)
         assert report.excess_profit[0] == pytest.approx(200.0)
@@ -175,9 +185,9 @@ class TestRunSimulation:
         report = run_simulation(config, data)
         for pi, producer in enumerate(data.producer_ids):
             spread = np.std(data.actuals[0:2, pi] - data.forecasts[0:2, pi], ddof=1)
-            dist = GenerationDistribution(float(data.forecasts[2, pi]), float(spread))
             # q = 0.5 at these prices: the contract is the truncated median
-            assert report.contracts[0, pi] == pytest.approx(dist.quantile(0.5))
+            median = newsvendor_contract(float(data.forecasts[2, pi]), float(spread), 0.5)
+            assert report.contracts[0, pi] == pytest.approx(median)
 
     def test_contract_schedule_mode(self, tmp_path):
         data = two_producer_data(tmp_path)
@@ -195,6 +205,38 @@ class TestRunSimulation:
         report = run_simulation(config, data)
         np.testing.assert_allclose(report.contracts, [[90.0, 60.0]])
 
+    def test_schedule_loads_as_a_block_aligned_with_the_series(self, tmp_path):
+        data = two_producer_data(tmp_path)
+        schedule_path = write_csv(
+            tmp_path / "contracts.csv",
+            ["hour", "producer_id", "contract_mwh"],
+            [[2, "b", 60.0], [0, "a", 5.0], [2, "a", 90.0]],
+        )
+        schedule = load_contract_schedule(schedule_path, data)
+        np.testing.assert_array_equal(
+            schedule, [[5.0, np.nan], [np.nan, np.nan], [90.0, 60.0]]
+        )
+
+    def test_schedule_missing_cell_names_its_hour_and_producer(self, tmp_path):
+        data = two_producer_data(tmp_path)
+        schedule = scheduled(data, {1: [1.0, 1.0], 2: [100.0, 50.0]})
+        schedule[2, 1] = np.nan  # the one gap inside the window, hours 1-2
+        config = SimulationConfig(
+            price_source=P, train_range=(0, 1), sim_range=(1, 3), contract_schedule=schedule
+        )
+        with pytest.raises(ValueError, match="missing hour 2 for producer 'b'"):
+            run_simulation(config, data)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (6,)])
+    def test_schedule_of_another_shape_rejected(self, tmp_path, shape):
+        data = two_producer_data(tmp_path)
+        config = SimulationConfig(
+            price_source=P, train_range=(0, 2), sim_range=(2, 3),
+            contract_schedule=np.ones(shape),
+        )
+        with pytest.raises(ValueError, match=r"\(hours x producers\) \(3, 2\)"):
+            run_simulation(config, data)
+
     def test_per_hour_prices(self, tmp_path):
         data = two_producer_data(tmp_path)
         price_map = {2: PriceTriple(20.0, 30.0, 10.0)}
@@ -202,7 +244,7 @@ class TestRunSimulation:
             price_source=price_map,
             train_range=(0, 2),
             sim_range=(2, 3),
-            contract_schedule={(2, "a"): 100.0, (2, "b"): 50.0},
+            contract_schedule=scheduled(data, {2: [100.0, 50.0]}),
         )
         report = run_simulation(config, data)
         # same offsets, doubled spread
@@ -214,7 +256,7 @@ class TestRunSimulation:
             price_source={0: P},
             train_range=(0, 2),
             sim_range=(2, 3),
-            contract_schedule={(2, "a"): 100.0, (2, "b"): 50.0},
+            contract_schedule=scheduled(data, {2: [100.0, 50.0]}),
         )
         with pytest.raises(ValueError, match="hour 2"):
             run_simulation(config, data)
@@ -264,7 +306,7 @@ class TestEmitReport:
     def _report(self, tmp_path):
         data = two_producer_data(tmp_path)
         config = SimulationConfig(
-            price_source=P, train_range=(0, 2), sim_range=(2, 3), exhaustive_core_check=True
+            price_source=P, train_range=(0, 2), sim_range=(2, 3), check_core=True
         )
         return run_simulation(config, data)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -259,47 +258,26 @@ def check_no_exploitation(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -
 
 
 #: Largest pool the core audit enumerates (2^20 - 1 coalitions); larger
-#: pools are screened with CORE_SAMPLES seeded coalitions.
+#: pools are screened with CORE_SAMPLES coalitions drawn from seed 0.
 EXHAUSTIVE_LIMIT = 20
 #: Coalitions the core audit draws on a pool above EXHAUSTIVE_LIMIT.
 CORE_SAMPLES = 100_000
 
-# Mask matrices for subset enumeration get reused heavily by the brute-force
-# core check; cache them up to a size where the cache stays a few MB. Larger
-# enumerations and all sampled screens are scanned _CHUNK_ROWS rows at a time.
-_MASK_CACHE_MAX_N = 16
-_CHUNK_ROWS = 1 << 16
+# The enumeration is checked _CHUNK_ROWS coalitions at a time, so each
+# temporary of the check stays cache-sized (128 KB); a sampled chunk holds
+# at most _CHUNK_CELLS membership cells, whatever the pool size.
+_CHUNK_ROWS = 1 << 14
+_CHUNK_CELLS = 1 << 20
 
 
-@lru_cache(maxsize=None)
-def _cached_masks(n: int) -> np.ndarray:
-    ks = np.arange(1, 2**n, dtype=np.uint32)
-    bits = (ks[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
-    return bits.astype(np.float64)
-
-
-def _iter_subset_masks(n: int) -> Iterator[np.ndarray]:
-    """Yield row blocks covering bitmasks 1 .. 2^n - 1 in order."""
-    if n <= _MASK_CACHE_MAX_N:
-        yield _cached_masks(n)
-        return
-    shifts = np.arange(n, dtype=np.uint64)
-    start = 1
-    while start < 2**n:
-        stop = min(start + _CHUNK_ROWS, 2**n)
-        ks = np.arange(start, stop, dtype=np.uint64)
-        yield ((ks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        start = stop
-
-
-def _iter_sampled_masks(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """Yield seeded random nonempty coalitions, _CHUNK_ROWS rows at a time.
-
-    An empty draw gets one random member, so every row is a real coalition.
-    """
-    rng = np.random.default_rng(seed)
-    for start in range(0, samples, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, samples - start)
+def _iter_sampled_masks(n: int, samples: int) -> Iterator[np.ndarray]:
+    """Yield random nonempty coalitions drawn from seed 0 as 0/1 rows, at
+    most ``_CHUNK_CELLS`` cells at a time. An empty draw gets one random
+    member, so every row is a real coalition."""
+    rng = np.random.default_rng(0)
+    step = max(1, _CHUNK_CELLS // n)
+    for start in range(0, samples, step):
+        rows = min(step, samples - start)
         masks = rng.integers(0, 2, size=(rows, n)).astype(np.float64)
         empty = masks.sum(axis=1) == 0
         if np.any(empty):
@@ -307,55 +285,70 @@ def _iter_sampled_masks(n: int, samples: int, seed: int) -> Iterator[np.ndarray]
         yield masks
 
 
-def _scan_coalitions(
-    masks: np.ndarray, snapshot: ScenarioSnapshot, payoffs: np.ndarray
-) -> tuple[bool, float, int]:
-    """Check one batch of coalition rows; return (all ok, max violation, argmax row)."""
-    v_t = settle(masks @ snapshot.contracts, masks @ snapshot.realizations, snapshot.prices)
-    alloc_t = masks @ payoffs
-    violation = v_t - alloc_t
-    allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.maximum(np.abs(v_t), np.abs(alloc_t)))
-    row = int(np.argmax(violation))
-    return bool(np.all(violation <= allowance)), float(violation[row]), row
+def _scan(sums: np.ndarray, prices: PriceTriple) -> tuple[bool, float, int]:
+    """Check a (3 x m) block of coalition sums (contracts, realizations,
+    payoffs); return (all ok, max violation, argmax column)."""
+    value = settle(sums[0], sums[1], prices)
+    violation = value - sums[2]
+    col = int(np.argmax(violation))
+    worst = float(violation[col])
+    if worst <= DEFAULT_TOLERANCE:  # within the smallest allowance, so all ok
+        return True, worst, col
+    allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.maximum(np.abs(value), np.abs(sums[2])))
+    return bool(np.all(violation <= allowance)), worst, col
 
 
-def check_core_membership(
-    alloc: PayoffAllocation,
-    snapshot: ScenarioSnapshot,
-    *,
-    seed: int = 0,
-) -> CoreResult:
+def _coalition_blocks(members: np.ndarray):
+    """Yield (sums, coalition): a (3 x m) block of coalition sums of the
+    (3 x n) ``members`` rows, and a function naming column col's members.
+
+    Up to ``EXHAUSTIVE_LIMIT`` producers the blocks cover bitmasks 1 ..
+    2^n - 1 in order, cut from one subset-sum table whose column k is column
+    k - 2^i plus member i, for the top bit i of k: each sum adds its members
+    in increasing index order, from zero. Larger pools are sampled.
+    """
+    n = members.shape[1]
+    if n > EXHAUSTIVE_LIMIT:
+        for masks in _iter_sampled_masks(n, CORE_SAMPLES):
+            yield members @ masks.T, lambda col, masks=masks: tuple(np.flatnonzero(masks[col]).tolist())
+        return
+    table = np.empty((3, 1 << n))
+    table[:, 0] = 0.0
+    for i in range(n):
+        np.add(table[:, : 1 << i], members[:, i : i + 1], out=table[:, 1 << i : 2 << i])
+    for start in range(1, 1 << n, _CHUNK_ROWS):
+        yield table[:, start : start + _CHUNK_ROWS], lambda col, k=start: tuple(
+            i for i in range(n) if (k + col) >> i & 1
+        )
+
+
+def check_core_membership(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> CoreResult:
     """Can any coalition beat its allocated share by seceding?
 
     A pool of at most ``EXHAUSTIVE_LIMIT`` producers is audited exactly: all
-    2^n - 1 nonempty coalitions are enumerated, and the worst violation
-    ``v(T) - allocated(T)`` is reported with its coalition (ties broken
-    toward the lowest subset bitmask). A larger pool is screened with
-    ``CORE_SAMPLES`` random coalitions drawn from ``seed`` and reports
-    ``exhaustive=False``; sampling can only ever certify "no violation
-    found", which is what auditing a third-party allocation on a large pool
-    realistically gets. At most ``_CHUNK_ROWS`` coalitions are scanned at a
-    time, so memory stays bounded.
+    2^n - 1 nonempty coalitions are enumerated from one (3 x 2^n) table of
+    coalition sums, and the worst violation ``v(T) - allocated(T)`` is
+    reported with its coalition (ties broken toward the lowest subset
+    bitmask). A larger pool is screened with ``CORE_SAMPLES`` random
+    coalitions drawn from seed 0 and reports ``exhaustive=False``; sampling
+    can only ever certify "no violation found", which is what auditing a
+    third-party allocation on a large pool realistically gets. The table is
+    checked ``_CHUNK_ROWS`` coalitions at a time, and a sampled chunk holds
+    at most ``_CHUNK_CELLS`` membership cells, so memory stays bounded.
     """
     _require_matching(alloc, snapshot)
     n = snapshot.n
     if n == 0:
         return CoreResult(True, 0.0, None, 0, True)
-    exhaustive = n <= EXHAUSTIVE_LIMIT
-    batches = _iter_subset_masks(n) if exhaustive else _iter_sampled_masks(n, CORE_SAMPLES, seed)
-
-    ok_all = True
-    worst = -math.inf
-    witness: tuple[int, ...] | None = None
-    checked = 0
-    for masks in batches:
-        ok, batch_worst, row = _scan_coalitions(masks, snapshot, alloc.payoffs)
+    members = np.array([snapshot.contracts, snapshot.realizations, alloc.payoffs])
+    ok_all, worst, witness, checked = True, -math.inf, None, 0
+    for sums, coalition in _coalition_blocks(members):
+        ok, block_worst, col = _scan(sums, snapshot.prices)
         ok_all = ok_all and ok
-        checked += masks.shape[0]
-        if batch_worst > worst:
-            worst = batch_worst
-            witness = tuple(np.flatnonzero(masks[row]).tolist())
-    return CoreResult(ok_all, worst, witness, checked, exhaustive)
+        checked += sums.shape[1]
+        if block_worst > worst:
+            worst, witness = block_worst, coalition(col)
+    return CoreResult(ok_all, worst, witness, checked, n <= EXHAUSTIVE_LIMIT)
 
 
 def run_property_checks(
@@ -363,19 +356,18 @@ def run_property_checks(
     snapshot: ScenarioSnapshot,
     *,
     check_core: bool = True,
-    seed: int = 0,
 ) -> PropertyReport:
     """Run the full five-property audit on one allocation.
 
     The core audit enumerates or samples as ``check_core_membership``
-    decides from the pool size; ``seed`` seeds its sample.
+    decides from the pool size.
     """
     budget = check_budget_balance(alloc, snapshot)
     ir = check_individual_rationality(alloc, snapshot)
     fairness = check_fairness(alloc, snapshot)
     no_exploit = check_no_exploitation(alloc, snapshot)
     if check_core:
-        core = check_core_membership(alloc, snapshot, seed=seed)
+        core = check_core_membership(alloc, snapshot)
         in_core: bool | None = core.in_core
         core_violation: float | None = core.worst_violation
         core_coalition = core.worst_coalition

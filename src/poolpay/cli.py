@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 property violation detected,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 
@@ -97,7 +98,6 @@ def _cmd_simulate(args) -> int:
             else load_contract_schedule(args.contracts, data)
         ),
         check_core=args.check_core,
-        rng_seed=args.seed,
     )
     report = run_simulation(config, data)
     files = emit_report(report, args.out)
@@ -127,7 +127,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_check_core(args) -> int:
     snapshot = load_snapshot(args.snapshot, _cli_prices(args))
     alloc = load_payoffs(args.payoffs, snapshot)
-    report = run_property_checks(alloc, snapshot, seed=args.seed)
+    report = run_property_checks(alloc, snapshot)
     print(f"budget_balance        : {report.budget_balance} (residual {report.budget_residual!r})")
     print(f"individual_rationality: {report.individual_rationality} "
           f"(worst margin {report.ir_worst_margin!r})")
@@ -157,6 +157,10 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_contract(args) -> int:
     prices = PriceTriple(day_ahead=args.pf, rt_buy=args.prb, rt_sell=args.prs)
+    if not math.isfinite(args.mean):
+        raise ValueError(f"--mean must be finite, got {args.mean}")
+    if not args.std >= 0.0:
+        raise ValueError(f"--std must be >= 0, got {args.std}")
     if not args.cap >= 0.0:
         raise ValueError(f"--cap must be >= 0, got {args.cap}")
     dist = GenerationDistribution(mean=args.mean, std_dev=args.std, upper_bound=args.cap)
@@ -189,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--contracts", default=None,
                      help="optional contract CSV (hour,producer_id,contract_mwh) "
                           "instead of news-vendor sizing")
-    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="output directory")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -204,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     core.add_argument("--snapshot", required=True)
     core.add_argument("--payoffs", required=True, help="CSV producer_id,payoff")
     _add_price_flags(core)
-    core.add_argument("--seed", type=int, default=0,
-                      help="seed of the core audit's coalition sample on large pools")
     core.set_defaults(func=_cmd_check_core)
 
     eq = sub.add_parser("equilibrium", help="clearing price and payoffs for one snapshot")

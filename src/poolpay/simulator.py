@@ -146,6 +146,13 @@ class GenerationSeries:
         return len(self.producer_ids)
 
 
+def _first_missing(block: np.ndarray, hours, producer_ids):
+    """(hour, producer) of the first NaN cell of an (hours x producers)
+    block in row-major order, or None when every cell holds a value."""
+    missing = np.argwhere(np.isnan(block))
+    return (hours[missing[0, 0]], producer_ids[missing[0, 1]]) if missing.size else None
+
+
 def load_timeseries(path) -> GenerationSeries:
     """Load the generation CSV (hour, producer_id, forecast_mwh, actual_mwh).
 
@@ -153,7 +160,8 @@ def load_timeseries(path) -> GenerationSeries:
     malformed rows are all errors; nothing is imputed.
     """
     path = Path(path)
-    cells: dict[tuple, tuple[float, float]] = {}
+    hour_col, producer_col, forecast_col, actual_col = [], [], [], []
+    seen: set[tuple] = set()
     hour_type = None
     for line_no, row in _read_rows(path, GENERATION_HEADER):
         where = f"{path}:{line_no}"
@@ -171,25 +179,30 @@ def load_timeseries(path) -> GenerationSeries:
         if forecast < 0.0 or actual < 0.0:
             raise TimeseriesFormatError(f"{where}: negative generation")
         key = (hour, producer)
-        if key in cells:
+        if key in seen:
             raise TimeseriesFormatError(f"{where}: duplicate (hour, producer) key {key!r}")
-        cells[key] = (forecast, actual)
-    if not cells:
+        seen.add(key)
+        hour_col.append(hour)
+        producer_col.append(producer)
+        forecast_col.append(forecast)
+        actual_col.append(actual)
+    if not seen:
         raise TimeseriesFormatError(f"{path}: no data rows")
 
-    hours = tuple(sorted({h for h, _ in cells}))
-    producers = tuple(sorted({p for _, p in cells}))
-    forecasts = np.empty((len(hours), len(producers)))
-    actuals = np.empty_like(forecasts)
-    for hi, hour in enumerate(hours):
-        for pi, producer in enumerate(producers):
-            try:
-                forecasts[hi, pi], actuals[hi, pi] = cells[(hour, producer)]
-            except KeyError:
-                raise TimeseriesFormatError(
-                    f"{path}: missing hour {hour!r} for producer {producer!r}; "
-                    "the series must be dense"
-                ) from None
+    hours = tuple(sorted(set(hour_col)))
+    producers = tuple(sorted(set(producer_col)))
+    hour_index = {hour: i for i, hour in enumerate(hours)}
+    producer_index = {producer: i for i, producer in enumerate(producers)}
+    cells = [hour_index[h] for h in hour_col], [producer_index[p] for p in producer_col]
+    forecasts = np.full((len(hours), len(producers)), np.nan)
+    actuals = forecasts.copy()
+    forecasts[cells] = forecast_col
+    actuals[cells] = actual_col
+    gap = _first_missing(forecasts, hours, producers)
+    if gap is not None:
+        raise TimeseriesFormatError(
+            f"{path}: missing hour {gap[0]!r} for producer {gap[1]!r}; the series must be dense"
+        )
     return GenerationSeries(producers, hours, forecasts, actuals)
 
 
@@ -315,7 +328,6 @@ class SimulationConfig:
     pam: PamConfig = field(default_factory=PamConfig)
     contract_schedule: np.ndarray | None = None
     check_core: bool = False
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -387,10 +399,9 @@ def _contract_block(
                 f"contract schedule must be (hours x producers) {data.forecasts.shape}"
             )
         block = np.array(schedule[s0:s1], dtype=float)
-        missing = np.argwhere(np.isnan(block))
-        if missing.size:
-            hour, producer = data.hours[s0 + missing[0, 0]], data.producer_ids[missing[0, 1]]
-            raise ValueError(f"contract schedule missing hour {hour!r} for producer {producer!r}")
+        gap = _first_missing(block, data.hours[s0:s1], data.producer_ids)
+        if gap is not None:
+            raise ValueError(f"contract schedule missing hour {gap[0]!r} for producer {gap[1]!r}")
         return block
     t0, t1 = config.train_range
     spread = error_spread(data.forecasts[t0:t1], data.actuals[t0:t1])
@@ -430,12 +441,7 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
         aggregator[row] = alloc.aggregator_total
         excess[row] = excess_profit(snapshot)
         properties.append(
-            run_property_checks(
-                alloc,
-                snapshot,
-                check_core=config.check_core,
-                seed=config.rng_seed,
-            )
+            run_property_checks(alloc, snapshot, check_core=config.check_core)
         )
         # one row at a time from zero, never sum(axis=0): that sums a single
         # column pairwise and would change the totals' last bits

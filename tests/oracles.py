@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: expected payoffs are
 evaluated from raw samples via sorted prefix sums, or by direct quadrature
 against the distribution's pdf, so the closed-form contract formula is
-checked against something it cannot share a bug with.
+checked against something it cannot share a bug with; the core audit is
+checked against a plain loop over every coalition.
 """
 import math
 
@@ -85,3 +86,34 @@ def quad_expected_payoff(dist, contract, prices):
     if upper > contract:
         long_ = integrate.quad(lambda x: (x - contract) * frozen.pdf(x), contract, upper)[0]
     return prices.day_ahead * contract - prices.rt_buy * short + prices.rt_sell * long_
+
+
+def core_scan(contracts, realizations, payoffs, prices):
+    """Exhaustive core audit as a Python loop over bitmasks 1 .. 2^n - 1.
+
+    Each coalition's sums add its members with ``+=`` in index order from
+    0.0 (not ``sum()``, which adds floats with compensation on Python 3.12).
+    Returns (no violation, worst ``v(T) - allocated(T)``, its coalition),
+    the worst being the first, lowest-bitmask coalition to reach it.
+    """
+    n = len(contracts)
+    ok, worst, witness = True, -math.inf, None
+    for mask in range(1, 1 << n):
+        members = tuple(i for i in range(n) if mask >> i & 1)
+        c = x = paid = 0.0
+        for i in members:
+            c += float(contracts[i])
+            x += float(realizations[i])
+            paid += float(payoffs[i])
+        shortfall = max(c - x, 0.0)
+        value = (
+            prices.day_ahead * c
+            - prices.rt_buy * shortfall
+            + prices.rt_sell * (shortfall - (c - x))
+        )
+        violation = value - paid
+        if violation > 1e-9 * max(1.0, abs(value), abs(paid)):
+            ok = False
+        if violation > worst:
+            worst, witness = violation, members
+    return ok, worst, witness

@@ -1,6 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolpay import (
     ConfigurationError,
@@ -26,7 +30,8 @@ from poolpay import (
 )
 
 from poolpay import allocation
-from conftest import random_snapshot, snapshots
+from conftest import price_triples, random_snapshot, snapshots
+from oracles import core_scan
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
 
@@ -221,14 +226,14 @@ class TestCoreMembership:
         monkeypatch.setattr(allocation, "CORE_SAMPLES", 2000)
         rng = np.random.default_rng(1)
         s = random_snapshot(rng, n_min=22, n_max=22)
-        result = check_core_membership(allocate(s), s, seed=5)
+        result = check_core_membership(allocate(s), s)
         assert result.in_core
         assert not result.exhaustive
         assert result.coalitions_checked == 2000
 
     def test_sampled_mode_finds_planted_violation(self, monkeypatch):
         monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
-        monkeypatch.setattr(allocation, "_CHUNK_ROWS", 64)
+        monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64 * 21)
         # only producer 0 delivers, and producer 1 is paid 200 of its 1000:
         # every coalition with 0 and without 1 falls short by 200, and the
         # first such draw is the witness
@@ -239,7 +244,7 @@ class TestCoreMembership:
         assert not result.exhaustive
         assert result.coalitions_checked == 500
         assert result.worst_violation == 200.0
-        masks = np.concatenate(list(allocation._iter_sampled_masks(s.n, 500, seed=0)))
+        masks = np.concatenate(list(allocation._iter_sampled_masks(s.n, 500)))
         first = masks[(masks[:, 0] == 1.0) & (masks[:, 1] == 0.0)][0]
         assert result.worst_coalition == tuple(np.flatnonzero(first).tolist())
         # pools up to EXHAUSTIVE_LIMIT are enumerated, even with more
@@ -262,7 +267,7 @@ class TestCoreMembership:
 
     def test_sampled_mode_scans_in_chunks(self, monkeypatch):
         monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
-        monkeypatch.setattr(allocation, "_CHUNK_ROWS", 64)
+        monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64)
         s = snap([210] + [0] * 20, [210] + [0] * 20)
         alloc = equal_split(s)
         result = check_core_membership(alloc, s)
@@ -272,9 +277,75 @@ class TestCoreMembership:
         assert result.worst_violation == coalition_value(s, members) - alloc.payoffs[members].sum()
         # a one-producer pool draws the empty coalition half the time; each
         # chunk repairs its own empty rows
-        chunks = list(allocation._iter_sampled_masks(1, 500, seed=0))
+        chunks = list(allocation._iter_sampled_masks(1, 500))
         assert [len(m) for m in chunks] == [64] * 7 + [52]
         assert all(m.sum(axis=1).min() == 1.0 for m in chunks)
+
+    def test_sampled_memory_is_bounded_by_cells(self, monkeypatch):
+        # the sampled screen's peak must not grow with the pool: a chunk
+        # holds _CHUNK_CELLS membership cells, not a fixed number of rows
+        monkeypatch.setattr(allocation, "CORE_SAMPLES", 4000)
+        peaks = []
+        for n in (500, 2000):
+            s = random_snapshot(np.random.default_rng(n), n_min=n, n_max=n)
+            alloc = allocate(s)
+            tracemalloc.start()
+            try:
+                result = check_core_membership(alloc, s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.in_core
+            assert result.coalitions_checked == 4000
+        # a float64 chunk, the int64 draw it is cast from, and the previous
+        # chunk, which its witness lookup keeps alive
+        assert max(peaks) < 4 * 8 * allocation._CHUNK_CELLS
+        assert peaks[1] < 1.25 * peaks[0]
+
+
+# Small whole numbers make exact ties between coalitions, and exact
+# deliveries (realization == contract), common.
+_GRID = st.integers(0, 4).map(float)
+_ENERGY = st.one_of(_GRID, st.floats(0.0, 300.0).map(lambda v: round(v, 6)))
+
+
+@st.composite
+def core_cases(draw):
+    n = draw(st.integers(1, 10))
+    contracts = draw(st.lists(_ENERGY, min_size=n, max_size=n))
+    realizations = [c if draw(st.booleans()) else draw(_ENERGY) for c in contracts]
+    whole = st.tuples(st.integers(-5, 5), st.integers(0, 5), st.integers(0, 5)).map(
+        lambda t: PriceTriple(day_ahead=float(t[0]), rt_buy=float(t[1] + t[2]), rt_sell=float(t[1]))
+    )
+    s = snap(contracts, realizations, draw(st.one_of(whole, price_triples())))
+    nudges = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5]), min_size=n, max_size=n))
+    alloc = allocate(s)
+    return s, PayoffAllocation(alloc.payoffs + np.array(nudges), alloc.aggregator_total)
+
+
+# every producer delivers exactly; (0, 1) and (0, 1, 2) tie at 200, in
+# different chunks when a chunk holds one coalition
+TIED = snap([100, 50, 20, 30, 40], [100, 50, 20, 30, 40])
+TIED_PAYOFFS = PayoffAllocation(np.array([900.0, 400.0, 200.0, 350.0, 450.0]), 2300.0)
+# the mechanism's split: exact deliverers beside a short and a long member,
+# and many coalitions tied at a violation of exactly 0
+MIXED = snap([3, 2, 0, 4], [1, 2, 0, 5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_cases(), st.sampled_from([1, 3, 64, 1 << 16]))
+@example((TIED, TIED_PAYOFFS), 1)
+@example((MIXED, allocate(MIXED)), 3)
+def test_core_scan_matches_loop_oracle_bit_for_bit(case, chunk_rows):
+    s, alloc = case
+    with mock.patch.object(allocation, "_CHUNK_ROWS", chunk_rows):
+        result = check_core_membership(alloc, s)
+    ok, worst, witness = core_scan(s.contracts, s.realizations, alloc.payoffs, s.prices)
+    assert result.exhaustive
+    assert result.coalitions_checked == 2**s.n - 1
+    assert result.in_core is ok
+    assert np.float64(result.worst_violation).tobytes() == np.float64(worst).tobytes()
+    assert result.worst_coalition == witness
 
 
 # Each check applied to one idle producer (contract 0, output 0, every total

@@ -61,12 +61,21 @@ class TestContractCommand:
         assert code == EXIT_INPUT_ERROR
         assert "cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cap", ["-5", "nan"])
-    def test_bad_cap_is_input_error_naming_the_flag(self, cap, capsys):
-        code = main(["contract", "--mean", "100", "--std", "20", "--cap", cap,
+    # the --cap cases keep their ids; --std and --mean are checked the same way
+    @pytest.mark.parametrize("flag, value, rule", [
+        pytest.param("--cap", "-5", ">= 0", id="-5"),
+        pytest.param("--cap", "nan", ">= 0", id="nan"),
+        pytest.param("--std", "-1", ">= 0", id="std=-1"),
+        pytest.param("--std", "nan", ">= 0", id="std=nan"),
+        pytest.param("--mean", "nan", "finite", id="mean=nan"),
+        pytest.param("--mean", "inf", "finite", id="mean=inf"),
+    ])
+    def test_bad_cap_is_input_error_naming_the_flag(self, flag, value, rule, capsys):
+        flags = {"--mean": "100", "--std": "20", flag: value}
+        code = main(["contract", *(token for pair in flags.items() for token in pair),
                      "--pf", "10", "--prb", "15", "--prs", "5"])
         assert code == EXIT_INPUT_ERROR
-        assert f"--cap must be >= 0, got {float(cap)}" in capsys.readouterr().err
+        assert f"{flag} must be {rule}, got {float(value)}" in capsys.readouterr().err
 
 
 class TestAllocateCommand:

@@ -128,7 +128,7 @@ def golden_outputs(tmp_path, capsys) -> dict:
 
     payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"], SKEWED_PAYOFFS)
     code, stdout = run(capsys, [
-        "check-core", "--snapshot", str(short), "--payoffs", str(payoffs), "--seed", "3",
+        "check-core", "--snapshot", str(short), "--payoffs", str(payoffs),
     ])
     outputs["check-core"] = (code, stdout.encode())
     return outputs

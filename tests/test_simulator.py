@@ -1,6 +1,7 @@
 import csv
 import functools
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ class TestLoadTimeseries:
         data = load_timeseries(path)
         assert data.producer_ids == ("a", "b")
         assert data.hours == (0, 1)
+        np.testing.assert_array_equal(data.forecasts, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_iso_timestamps(self, tmp_path):
         path = generation_file(
@@ -81,7 +83,8 @@ class TestLoadTimeseries:
         path = generation_file(
             tmp_path, [[0, "a", 1.0, 1.0], [0, "b", 2.0, 2.0], [1, "a", 1.0, 1.0]]
         )
-        with pytest.raises(TimeseriesFormatError, match="dense"):
+        message = f"{path}: missing hour 1 for producer 'b'; the series must be dense"
+        with pytest.raises(TimeseriesFormatError, match=re.escape(message)):
             load_timeseries(path)
 
     def test_wrong_header_rejected(self, tmp_path):

@@ -9,9 +9,7 @@ competitive-equilibrium solver, news-vendor contract sizing, and an hourly
 simulation driver with a CLI.
 """
 from .allocation import (
-    ConfigurationError,
     CoreResult,
-    PamConfig,
     PayoffAllocation,
     PropertyReport,
     allocate,
@@ -21,6 +19,7 @@ from .allocation import (
     check_individual_rationality,
     check_no_exploitation,
     contract_mismatch_counterexample,
+    marginal_price,
     run_property_checks,
 )
 from .contracts import (
@@ -45,12 +44,10 @@ from .market import (
     DEFAULT_TOLERANCE,
     PriceTriple,
     ScenarioSnapshot,
-    SurplusPartition,
     aggregator_payoff,
     approx_equal,
     coalition_value,
     excess_profit,
-    partition_surplus_shortfall,
     separate_payoff,
     separate_payoffs,
     settle,
@@ -69,9 +66,7 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigurationError",
     "CoreResult",
-    "PamConfig",
     "PayoffAllocation",
     "PropertyReport",
     "allocate",
@@ -81,6 +76,7 @@ __all__ = [
     "check_individual_rationality",
     "check_no_exploitation",
     "contract_mismatch_counterexample",
+    "marginal_price",
     "run_property_checks",
     "GenerationDistribution",
     "critical_quantile",
@@ -99,12 +95,10 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "PriceTriple",
     "ScenarioSnapshot",
-    "SurplusPartition",
     "aggregator_payoff",
     "approx_equal",
     "coalition_value",
     "excess_profit",
-    "partition_surplus_shortfall",
     "separate_payoff",
     "separate_payoffs",
     "settle",

@@ -4,7 +4,7 @@ The built-in mechanism settles every member at a single marginal imbalance
 price: each producer receives its day-ahead revenue plus that price applied
 to its own deviation. The marginal price is the real-time buying price when
 the pool is short in total, the real-time selling price when it is long, and
-a configurable in-band price when the pool exactly meets its commitment.
+the midpoint of the two when the pool exactly meets its commitment.
 This split is budget balanced, individually rational, fair, exploitation
 free, and lies in the core of the induced coalitional game, for every
 realization of generation.
@@ -31,71 +31,22 @@ from .market import (
 )
 
 
-class ConfigurationError(ValueError):
-    """Raised when an allocation configuration is internally inconsistent."""
+def marginal_price(snapshot: ScenarioSnapshot) -> tuple[float, bool]:
+    """The price applied to every member's deviation, and whether the pool
+    counts as balanced.
 
-
-@dataclass(frozen=True)
-class PamConfig:
-    """Settings for the marginal-price allocation.
-
-    ``balance_price_rule`` picks the marginal price used when the pool's
-    total deviation is zero: one of the strings "midpoint", "rt_buy",
-    "rt_sell", or an explicit number. Any value inside the real-time price
-    band works equally well there; the band constraint is enforced when the
-    rule is resolved against an actual price triple.
-
-    The pool counts as balanced when its total deviation lies within the
-    relative band ``DEFAULT_TOLERANCE``. The exact-balance branch is
-    payoff-discontinuous against the neighbouring branches unless the
-    resolved price matches them, so the band is kept tiny.
+    rt_buy when the pool is short in total, rt_sell when it is long, and the
+    midpoint of the real-time band when the total deviation lies within
+    ``DEFAULT_TOLERANCE * max(1, total contract)`` of zero. Any price in the
+    band would keep all five properties there; the midpoint is fixed. The
+    band is kept tiny because the balanced branch is payoff-discontinuous
+    against its neighbours.
     """
-
-    balance_price_rule: str | float = "midpoint"
-
-    def __post_init__(self) -> None:
-        if isinstance(self.balance_price_rule, str):
-            if self.balance_price_rule not in ("midpoint", "rt_buy", "rt_sell"):
-                raise ConfigurationError(
-                    f"unknown balance_price_rule {self.balance_price_rule!r}; "
-                    "expected 'midpoint', 'rt_buy', 'rt_sell', or a number"
-                )
-        elif not math.isfinite(float(self.balance_price_rule)):
-            raise ConfigurationError("explicit balance price must be finite")
-
-    def resolve_balance_price(self, prices: PriceTriple) -> float:
-        """The marginal price used in the exact-balance case."""
-        rule = self.balance_price_rule
-        if rule == "midpoint":
-            return 0.5 * (prices.rt_buy + prices.rt_sell)
-        if rule == "rt_buy":
-            return prices.rt_buy
-        if rule == "rt_sell":
-            return prices.rt_sell
-        value = float(rule)
-        if not prices.rt_sell <= value <= prices.rt_buy:
-            raise ConfigurationError(
-                f"balance price {value} outside the admissible band "
-                f"[{prices.rt_sell}, {prices.rt_buy}]"
-            )
-        return value
-
-    def marginal_price(self, snapshot: ScenarioSnapshot) -> tuple[float, bool]:
-        """The price applied to every member's deviation, and whether the pool
-        counts as balanced.
-
-        rt_buy when the pool is short in total, rt_sell when it is long, and
-        the resolved balance price when the total deviation lies inside the
-        ``DEFAULT_TOLERANCE`` band.
-        """
-        prices = snapshot.prices
-        # resolved on every hour, so an out-of-band explicit price fails
-        # whichever branch the pool lands in
-        balance_price = self.resolve_balance_price(prices)
-        total_dev = snapshot.total_realization - snapshot.total_contract
-        if abs(total_dev) <= DEFAULT_TOLERANCE * max(1.0, snapshot.total_contract):
-            return balance_price, True
-        return (prices.rt_buy if total_dev < 0.0 else prices.rt_sell), False
+    prices = snapshot.prices
+    total_dev = snapshot.total_realization - snapshot.total_contract
+    if abs(total_dev) <= DEFAULT_TOLERANCE * max(1.0, snapshot.total_contract):
+        return 0.5 * (prices.rt_buy + prices.rt_sell), True
+    return (prices.rt_buy if total_dev < 0.0 else prices.rt_sell), False
 
 
 @dataclass(frozen=True)
@@ -181,15 +132,16 @@ class PropertyReport:
         )
 
 
-def allocate(snapshot: ScenarioSnapshot, config: PamConfig | None = None) -> PayoffAllocation:
+def allocate(snapshot: ScenarioSnapshot) -> PayoffAllocation:
     """Split the pool's market payoff with the marginal-price mechanism.
 
     Every producer gets ``day_ahead * contract + m * (realization -
     contract)`` where the marginal price m is rt_buy when the pool is short
-    in total, rt_sell when it is long, and the configured in-band price when
-    the totals match. The payoffs always sum to the pool's own settlement.
+    in total, rt_sell when it is long, and the band midpoint when the totals
+    match (see ``marginal_price``). The payoffs always sum to the pool's own
+    settlement.
     """
-    marginal, _ = (config or PamConfig()).marginal_price(snapshot)
+    marginal, _ = marginal_price(snapshot)
     c, x = snapshot.contracts, snapshot.realizations
     payoffs = snapshot.prices.day_ahead * c + marginal * (x - c)
     return PayoffAllocation(payoffs, aggregator_payoff(snapshot), marginal)

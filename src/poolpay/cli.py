@@ -15,7 +15,7 @@ import math
 import sys
 import traceback
 
-from .allocation import PamConfig, allocate, run_property_checks
+from .allocation import allocate, run_property_checks
 from .contracts import GenerationDistribution, critical_quantile, optimal_contract
 from .equilibrium import solve_competitive_equilibrium
 from .market import PriceTriple, approx_equal
@@ -36,18 +36,6 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_INTERNAL = 3
-
-
-def _parse_pstar(text: str):
-    names = {"midpoint": "midpoint", "buy": "rt_buy", "sell": "rt_sell"}
-    if text in names:
-        return names[text]
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not 'midpoint', 'buy', 'sell', or a number"
-        ) from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -79,6 +67,8 @@ def _add_price_flags(parser, required=False):
 
 
 def _cmd_simulate(args) -> int:
+    if args.prices is not None and any(v is not None for v in (args.pf, args.prb, args.prs)):
+        raise TimeseriesFormatError("--prices cannot be combined with --pf/--prb/--prs")
     data = load_timeseries(args.data)
     trace_file_names(data.producer_ids)  # a file-name clash fails before the run, not after
     if args.prices is not None:
@@ -92,7 +82,6 @@ def _cmd_simulate(args) -> int:
         price_source=price_source,
         train_range=args.train,
         sim_range=args.sim,
-        pam=PamConfig(balance_price_rule=args.pstar),
         contract_schedule=(
             None if args.contracts is None
             else load_contract_schedule(args.contracts, data)
@@ -115,7 +104,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_allocate(args) -> int:
     snapshot = load_snapshot(args.snapshot, _cli_prices(args))
-    alloc = allocate(snapshot, PamConfig(balance_price_rule=args.pstar))
+    alloc = allocate(snapshot)
     print("producer_id,payoff")
     for producer, payoff in zip(snapshot.producer_ids, alloc.payoffs):
         print(f"{producer},{float(payoff)!r}")
@@ -141,9 +130,8 @@ def _cmd_check_core(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     snapshot = load_snapshot(args.snapshot, _cli_prices(args))
-    config = PamConfig(balance_price_rule=args.pstar)
-    ce = solve_competitive_equilibrium(snapshot, config)
-    pam = allocate(snapshot, config)
+    ce = solve_competitive_equilibrium(snapshot)
+    pam = allocate(snapshot)
     print(f"clearing_price: {float(ce.price)!r}")
     print("producer_id,holding_mwh,payoff")
     for k, producer in enumerate(snapshot.producer_ids):
@@ -180,14 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="hourly simulation over a CSV series")
     sim.add_argument("--data", required=True, help="generation CSV (hour,producer_id,forecast_mwh,actual_mwh)")
-    sim.add_argument("--prices", default=None, help="per-hour price CSV (hour,p_f,p_rb,p_rs)")
+    sim.add_argument("--prices", default=None,
+                     help="per-hour price CSV (hour,p_f,p_rb,p_rs), instead of --pf/--prb/--prs")
     _add_price_flags(sim)
     sim.add_argument("--train", type=_parse_range, required=True,
                      help="training hours as half-open positions, e.g. 0:744")
     sim.add_argument("--sim", type=_parse_range, required=True,
                      help="simulated hours as half-open positions, e.g. 744:1416")
-    sim.add_argument("--pstar", type=_parse_pstar, default="midpoint",
-                     help="balanced-pool marginal price: midpoint|buy|sell|<value>")
     sim.add_argument("--check-core", action="store_true",
                      help="audit core membership every hour")
     sim.add_argument("--contracts", default=None,
@@ -200,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     alloc.add_argument("--snapshot", required=True,
                        help="CSV producer_id,contract_mwh,actual_mwh[,p_f,p_rb,p_rs]")
     _add_price_flags(alloc)
-    alloc.add_argument("--pstar", type=_parse_pstar, default="midpoint")
     alloc.set_defaults(func=_cmd_allocate)
 
     core = sub.add_parser("check-core", help="audit an external payoff vector")
@@ -212,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("equilibrium", help="clearing price and payoffs for one snapshot")
     eq.add_argument("--snapshot", required=True)
     _add_price_flags(eq)
-    eq.add_argument("--pstar", type=_parse_pstar, default="midpoint")
     eq.set_defaults(func=_cmd_equilibrium)
 
     contract = sub.add_parser("contract", help="news-vendor contract for one producer")

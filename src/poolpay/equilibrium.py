@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import EXHAUSTIVE_LIMIT, PamConfig
+from .allocation import EXHAUSTIVE_LIMIT, marginal_price
 from .market import (
     DEFAULT_TOLERANCE,
     PriceTriple,
@@ -194,9 +194,7 @@ class CompetitiveEquilibrium:
     payoffs: np.ndarray
 
 
-def solve_competitive_equilibrium(
-    snapshot: ScenarioSnapshot, config: PamConfig | None = None
-) -> CompetitiveEquilibrium:
+def solve_competitive_equilibrium(snapshot: ScenarioSnapshot) -> CompetitiveEquilibrium:
     """Clear the internal power market and read off the competitive payoffs.
 
     A price strictly inside the real-time band pins every member to its
@@ -205,9 +203,9 @@ def solve_competitive_equilibrium(
     one side of each kink is flat and the greedy reallocation clears. Each
     member's payoff is what it makes from its final holdings minus the cost
     of the net power it bought, and it coincides with the marginal-price
-    allocation under the same config.
+    allocation; a balanced pool clears at the same band midpoint.
     """
-    price, balanced = (config or PamConfig()).marginal_price(snapshot)
+    price, balanced = marginal_price(snapshot)
     c, x = snapshot.contracts, snapshot.realizations
     z = c.astype(float).copy() if balanced else _greedy_reallocation(c, x)
     payoffs = settle(c, z, snapshot.prices) - price * (z - x)

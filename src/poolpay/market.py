@@ -15,8 +15,13 @@ from typing import Iterable
 import numpy as np
 
 #: Relative tolerance for monetary comparisons across the library, fixed for
-#: every audit. Two amounts a, b are treated as equal when
-#: |a - b| <= DEFAULT_TOLERANCE * max(1, |a|, |b|).
+#: every audit. Each allowance is DEFAULT_TOLERANCE * max(1, scale), and the
+#: scale depends on the comparison:
+#:   approx_equal(a, b) (fairness, no-exploitation): the larger of |a| and |b|;
+#:   budget balance: |pool settlement| alone, not the sum of the payoffs;
+#:   individual rationality: one-sided, each producer's |stand-alone payoff|;
+#:   core: one-sided, the larger of |v(T)| and |allocated(T)|;
+#:   the balanced-pool band (``allocation.marginal_price``): the total contract.
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -125,21 +130,6 @@ def _coalition_indices(coalition, n: int) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
-class SurplusPartition:
-    """Split of the producers into surplus and shortfall sides for one hour.
-
-    A producer sits on the surplus side when its realization meets or
-    exceeds its contract (the boundary case delivers exactly and
-    contributes zero to either total).
-    """
-
-    surplus_set: tuple[int, ...]
-    shortfall_set: tuple[int, ...]
-    surplus_total: float
-    shortfall_total: float
-
-
 def settle(contract, realization, prices: PriceTriple):
     """Two-settlement payoff of a contract against a realization.
 
@@ -197,30 +187,15 @@ def aggregator_payoff(snapshot: ScenarioSnapshot) -> float:
     return settle(snapshot.total_contract, snapshot.total_realization, snapshot.prices)
 
 
-def partition_surplus_shortfall(snapshot: ScenarioSnapshot) -> SurplusPartition:
-    """Partition producers by the sign of their deviation.
-
-    The boundary ``realization == contract`` lands on the surplus side;
-    either way it contributes zero energy, but the assignment must be
-    deterministic.
-    """
-    dev = snapshot.realizations - snapshot.contracts
-    surplus = dev >= 0.0
-    return SurplusPartition(
-        surplus_set=tuple(int(i) for i in np.nonzero(surplus)[0]),
-        shortfall_set=tuple(int(i) for i in np.nonzero(~surplus)[0]),
-        surplus_total=float(dev[surplus].sum()),
-        shortfall_total=float(-dev[~surplus].sum()),
-    )
-
-
 def excess_profit(snapshot: ScenarioSnapshot) -> float:
     """Gain from pooling relative to everyone settling separately.
 
     Equals spread * min(total surplus, total shortfall): inside the pool,
     surplus energy offsets shortfalls one-for-one, and each offset MWh
     saves the buy/sell spread. Always >= 0, and identical to
-    ``aggregator_payoff - sum(separate_payoffs)``.
+    ``aggregator_payoff - sum(separate_payoffs)``. An exact delivery sits on
+    the surplus side and adds zero to it.
     """
-    part = partition_surplus_shortfall(snapshot)
-    return snapshot.prices.spread * min(part.surplus_total, part.shortfall_total)
+    dev = snapshot.realizations - snapshot.contracts
+    surplus = dev >= 0.0
+    return snapshot.prices.spread * min(float(dev[surplus].sum()), float(-dev[~surplus].sum()))

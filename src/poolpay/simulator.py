@@ -10,20 +10,14 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .allocation import (
-    PamConfig,
-    PayoffAllocation,
-    PropertyReport,
-    allocate,
-    run_property_checks,
-)
+from .allocation import PayoffAllocation, PropertyReport, allocate, run_property_checks
 from .contracts import error_spread, optimal_contracts
 from .market import (
     PriceTriple,
@@ -54,7 +48,7 @@ SUMMARY_HEADER = [
 TRACE_HEADER = ["hour", "payoff_pooled", "payoff_separate"]
 
 
-def _parse_hour(text: str, where: str):
+def _parse_hour(text: str):
     text = text.strip()
     try:
         return int(text)
@@ -64,17 +58,17 @@ def _parse_hour(text: str, where: str):
         return datetime.fromisoformat(text)
     except ValueError:
         raise TimeseriesFormatError(
-            f"{where}: hour {text!r} is neither an integer index nor ISO-8601"
+            f"hour {text!r} is neither an integer index nor ISO-8601"
         ) from None
 
 
-def _parse_float(text: str, column: str, where: str) -> float:
+def _parse_float(text: str, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise TimeseriesFormatError(f"{where}: {column} {text!r} is not a number") from None
+        raise TimeseriesFormatError(f"{column} {text!r} is not a number") from None
     if not math.isfinite(value):
-        raise TimeseriesFormatError(f"{where}: {column} must be finite")
+        raise TimeseriesFormatError(f"{column} must be finite")
     return value
 
 
@@ -82,7 +76,9 @@ def _read_rows(path, *headers: list[str]):
     """Yield (line_number, row) for each data row, after checking the header.
 
     The header must equal one of ``headers``; every data row must then have
-    as many fields as the header it matched. Blank lines are skipped.
+    as many fields as the header it matched. Blank lines are skipped. The
+    row parsers below raise without a location; each loader re-raises with
+    ``path:line`` in front, so that string is built only for a bad row.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -106,21 +102,21 @@ def _read_rows(path, *headers: list[str]):
             yield line_no, row
 
 
-def _parse_prices(fields, where: str) -> PriceTriple:
+def _parse_prices(fields) -> PriceTriple:
     """An admissible (p_f, p_rb, p_rs) triple from three CSV fields."""
-    p_f, p_rb, p_rs = (_parse_float(v, name, where) for v, name in zip(fields, PRICE_HEADER[1:]))
+    p_f, p_rb, p_rs = (_parse_float(v, name) for v, name in zip(fields, PRICE_HEADER[1:]))
     try:
         return PriceTriple(day_ahead=p_f, rt_buy=p_rb, rt_sell=p_rs)
     except ValueError as exc:
-        raise TimeseriesFormatError(f"{where}: {exc}") from None
+        raise TimeseriesFormatError(str(exc)) from None
 
 
-def _parse_producer(text: str, seen, where: str) -> str:
+def _parse_producer(text: str, seen) -> str:
     producer = text.strip()
     if not producer:
-        raise TimeseriesFormatError(f"{where}: empty producer_id")
+        raise TimeseriesFormatError("empty producer_id")
     if producer in seen:
-        raise TimeseriesFormatError(f"{where}: duplicate producer {producer!r}")
+        raise TimeseriesFormatError(f"duplicate producer {producer!r}")
     return producer
 
 
@@ -164,28 +160,30 @@ def load_timeseries(path) -> GenerationSeries:
     seen: set[tuple] = set()
     hour_type = None
     for line_no, row in _read_rows(path, GENERATION_HEADER):
-        where = f"{path}:{line_no}"
-        hour = _parse_hour(row[0], where)
-        if hour_type is None:
-            hour_type = type(hour)
-        elif type(hour) is not hour_type:
-            raise TimeseriesFormatError(
-                f"{where}: hour type {type(hour).__name__} mixes with "
-                f"{hour_type.__name__} used earlier in the file"
-            )
-        producer = _parse_producer(row[1], (), where)
-        forecast = _parse_float(row[2], "forecast_mwh", where)
-        actual = _parse_float(row[3], "actual_mwh", where)
-        if forecast < 0.0 or actual < 0.0:
-            raise TimeseriesFormatError(f"{where}: negative generation")
-        key = (hour, producer)
-        if key in seen:
-            raise TimeseriesFormatError(f"{where}: duplicate (hour, producer) key {key!r}")
-        seen.add(key)
-        hour_col.append(hour)
-        producer_col.append(producer)
-        forecast_col.append(forecast)
-        actual_col.append(actual)
+        try:
+            hour = _parse_hour(row[0])
+            if hour_type is None:
+                hour_type = type(hour)
+            elif type(hour) is not hour_type:
+                raise TimeseriesFormatError(
+                    f"hour type {type(hour).__name__} mixes with "
+                    f"{hour_type.__name__} used earlier in the file"
+                )
+            producer = _parse_producer(row[1], ())
+            forecast = _parse_float(row[2], "forecast_mwh")
+            actual = _parse_float(row[3], "actual_mwh")
+            if forecast < 0.0 or actual < 0.0:
+                raise TimeseriesFormatError("negative generation")
+            key = (hour, producer)
+            if key in seen:
+                raise TimeseriesFormatError(f"duplicate (hour, producer) key {key!r}")
+            seen.add(key)
+            hour_col.append(hour)
+            producer_col.append(producer)
+            forecast_col.append(forecast)
+            actual_col.append(actual)
+        except TimeseriesFormatError as exc:
+            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     if not seen:
         raise TimeseriesFormatError(f"{path}: no data rows")
 
@@ -211,11 +209,13 @@ def load_prices(path) -> dict:
     path = Path(path)
     prices: dict = {}
     for line_no, row in _read_rows(path, PRICE_HEADER):
-        where = f"{path}:{line_no}"
-        hour = _parse_hour(row[0], where)
-        if hour in prices:
-            raise TimeseriesFormatError(f"{where}: duplicate hour {hour!r}")
-        prices[hour] = _parse_prices(row[1:], where)
+        try:
+            hour = _parse_hour(row[0])
+            if hour in prices:
+                raise TimeseriesFormatError(f"duplicate hour {hour!r}")
+            prices[hour] = _parse_prices(row[1:])
+        except TimeseriesFormatError as exc:
+            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     if not prices:
         raise TimeseriesFormatError(f"{path}: no data rows")
     return prices
@@ -233,23 +233,25 @@ def load_contract_schedule(path, series: GenerationSeries) -> np.ndarray:
     producer_index = {producer: i for i, producer in enumerate(series.producer_ids)}
     schedule = np.full((series.n_hours, series.n_producers), np.nan)
     for line_no, row in _read_rows(path, CONTRACT_HEADER):
-        where = f"{path}:{line_no}"
-        hour = _parse_hour(row[0], where)
-        if hour not in hour_index:
-            raise TimeseriesFormatError(f"{where}: hour {hour!r} is not in the generation series")
-        producer = _parse_producer(row[1], (), where)
-        if producer not in producer_index:
-            raise TimeseriesFormatError(
-                f"{where}: producer {producer!r} is not in the generation series"
-            )
-        contract = _parse_float(row[2], "contract_mwh", where)
-        if contract < 0.0:
-            raise TimeseriesFormatError(f"{where}: negative contract")
-        cell = hour_index[hour], producer_index[producer]
-        if not math.isnan(schedule[cell]):
-            key = (hour, producer)
-            raise TimeseriesFormatError(f"{where}: duplicate (hour, producer) key {key!r}")
-        schedule[cell] = contract
+        try:
+            hour = _parse_hour(row[0])
+            if hour not in hour_index:
+                raise TimeseriesFormatError(f"hour {hour!r} is not in the generation series")
+            producer = _parse_producer(row[1], ())
+            if producer not in producer_index:
+                raise TimeseriesFormatError(
+                    f"producer {producer!r} is not in the generation series"
+                )
+            contract = _parse_float(row[2], "contract_mwh")
+            if contract < 0.0:
+                raise TimeseriesFormatError("negative contract")
+            cell = hour_index[hour], producer_index[producer]
+            if not math.isnan(schedule[cell]):
+                key = (hour, producer)
+                raise TimeseriesFormatError(f"duplicate (hour, producer) key {key!r}")
+            schedule[cell] = contract
+        except TimeseriesFormatError as exc:
+            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     return schedule
 
 
@@ -265,19 +267,21 @@ def load_snapshot(path, prices: PriceTriple | None = None) -> ScenarioSnapshot:
     differ = "from --pf/--prb/--prs" if prices is not None else "between rows"
     cells: dict[str, tuple[float, float]] = {}
     for line_no, row in _read_rows(path, SNAPSHOT_HEADER, SNAPSHOT_HEADER_PRICED):
-        where = f"{path}:{line_no}"
-        producer = _parse_producer(row[0], cells, where)
-        contract = _parse_float(row[1], "contract_mwh", where)
-        actual = _parse_float(row[2], "actual_mwh", where)
-        if contract < 0.0 or actual < 0.0:
-            raise TimeseriesFormatError(f"{where}: negative energy")
-        cells[producer] = (contract, actual)
-        if len(row) == len(SNAPSHOT_HEADER_PRICED):
-            row_prices = _parse_prices(row[3:], where)
-            if prices is None:
-                prices = row_prices
-            elif row_prices != prices:
-                raise TimeseriesFormatError(f"{where}: price columns differ {differ}")
+        try:
+            producer = _parse_producer(row[0], cells)
+            contract = _parse_float(row[1], "contract_mwh")
+            actual = _parse_float(row[2], "actual_mwh")
+            if contract < 0.0 or actual < 0.0:
+                raise TimeseriesFormatError("negative energy")
+            cells[producer] = (contract, actual)
+            if len(row) == len(SNAPSHOT_HEADER_PRICED):
+                row_prices = _parse_prices(row[3:])
+                if prices is None:
+                    prices = row_prices
+                elif row_prices != prices:
+                    raise TimeseriesFormatError(f"price columns differ {differ}")
+        except TimeseriesFormatError as exc:
+            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     if not cells:
         raise TimeseriesFormatError(f"{path}: no data rows")
     if prices is None:
@@ -296,11 +300,13 @@ def load_payoffs(path, snapshot: ScenarioSnapshot) -> PayoffAllocation:
     known = set(snapshot.producer_ids)
     by_id: dict[str, float] = {}
     for line_no, row in _read_rows(path, PAYOFF_HEADER):
-        where = f"{path}:{line_no}"
-        producer = _parse_producer(row[0], by_id, where)
-        if producer not in known:
-            raise TimeseriesFormatError(f"{where}: producer {producer!r} is not in the snapshot")
-        by_id[producer] = _parse_float(row[1], "payoff", where)
+        try:
+            producer = _parse_producer(row[0], by_id)
+            if producer not in known:
+                raise TimeseriesFormatError(f"producer {producer!r} is not in the snapshot")
+            by_id[producer] = _parse_float(row[1], "payoff")
+        except TimeseriesFormatError as exc:
+            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     missing = [p for p in snapshot.producer_ids if p not in by_id]
     if missing:
         raise TimeseriesFormatError(f"{path}: no payoff for producer {missing[0]!r}")
@@ -325,7 +331,6 @@ class SimulationConfig:
     price_source: PriceTriple | Mapping
     train_range: tuple[int, int]
     sim_range: tuple[int, int]
-    pam: PamConfig = field(default_factory=PamConfig)
     contract_schedule: np.ndarray | None = None
     check_core: bool = False
 
@@ -435,7 +440,7 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
         snapshot = ScenarioSnapshot(
             data.producer_ids, contracts[row], realizations[row], hour_prices
         )
-        alloc = allocate(snapshot, config.pam)
+        alloc = allocate(snapshot)
         pooled[row] = alloc.payoffs
         separate[row] = separate_payoffs(snapshot)
         aggregator[row] = alloc.aggregator_total

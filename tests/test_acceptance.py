@@ -13,7 +13,6 @@ import pytest
 from poolpay import (
     DEFAULT_TOLERANCE,
     GenerationDistribution,
-    PamConfig,
     PriceTriple,
     ProductionFunction,
     ScenarioSnapshot,
@@ -26,7 +25,6 @@ from poolpay import (
     load_timeseries,
     optimal_contract,
     optimal_redistribution,
-    partition_surplus_shortfall,
     run_property_checks,
     run_simulation,
     separate_payoff,
@@ -100,8 +98,9 @@ def test_criterion_2_pooling_gain_identity(snapshot_batch):
     most_negative = 0.0
     for s in snapshot_batch:
         gap = aggregator_payoff(s) - float(separate_payoffs(s).sum())
-        part = partition_surplus_shortfall(s)
-        closed_form = s.prices.spread * min(part.surplus_total, part.shortfall_total)
+        dev = s.realizations - s.contracts
+        surplus, shortfall = float(dev[dev >= 0.0].sum()), float(-dev[dev < 0.0].sum())
+        closed_form = s.prices.spread * min(surplus, shortfall)
         scale = max(1.0, abs(gap), abs(closed_form))
         worst_mismatch = max(worst_mismatch, abs(gap - closed_form) / scale)
         most_negative = min(most_negative, closed_form)
@@ -154,7 +153,6 @@ def test_criterion_4_equilibrium_reproduces_the_allocation():
     component across all three balance cases; the market clears and every
     holding is a best response."""
     rng = np.random.default_rng(SEED + 4)
-    config = PamConfig()
     payoff_ok = clearing_ok = response_ok = True
     for k in range(10_000):
         s = draw_snapshot(rng)
@@ -166,8 +164,8 @@ def test_criterion_4_equilibrium_reproduces_the_allocation():
                 else s.realizations * (s.total_contract / total)
             )
             s = ScenarioSnapshot.from_arrays(s.contracts, scaled, s.prices)
-        ce = solve_competitive_equilibrium(s, config)
-        pam = allocate(s, config)
+        ce = solve_competitive_equilibrium(s)
+        pam = allocate(s)
         payoff_ok = payoff_ok and all(
             math.isclose(float(a), float(b), rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL)
             for a, b in zip(ce.payoffs, pam.payoffs)

@@ -7,8 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poolpay import (
-    ConfigurationError,
-    PamConfig,
     PayoffAllocation,
     PriceTriple,
     ScenarioSnapshot,
@@ -23,12 +21,12 @@ from poolpay import (
     coalition_value,
     contract_mismatch_counterexample,
     excess_profit,
-    partition_surplus_shortfall,
     run_property_checks,
     separate_payoff,
     separate_payoffs,
 )
 
+import poolpay
 from poolpay import allocation
 from conftest import price_triples, random_snapshot, snapshots
 from oracles import core_scan
@@ -45,6 +43,20 @@ def equal_split(snapshot):
     return PayoffAllocation(np.full(snapshot.n, total / snapshot.n), total)
 
 
+def test_public_names_resolve_and_removed_names_are_gone():
+    for name in poolpay.__all__:
+        assert hasattr(poolpay, name), name
+    removed = {
+        "allocation": ("PamConfig", "ConfigurationError", "resolve_balance_price"),
+        "market": ("SurplusPartition", "partition_surplus_shortfall"),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert name not in poolpay.__all__
+            assert not hasattr(poolpay, name)
+            assert not hasattr(getattr(poolpay, module), name)
+
+
 class TestAllocate:
     def test_pool_short(self):
         alloc = allocate(snap([100, 50, 50], [80, 60, 40]))
@@ -53,13 +65,13 @@ class TestAllocate:
         assert alloc.marginal_price_used == P.rt_buy
 
     def test_marginal_price_names_the_branch(self):
-        config = PamConfig()
-        assert config.marginal_price(snap([100, 50], [80, 60])) == (P.rt_buy, False)
-        assert config.marginal_price(snap([100, 50], [110, 60])) == (P.rt_sell, False)
-        assert config.marginal_price(snap([100, 50], [90, 60])) == (10.0, True)
+        marginal_price = allocation.marginal_price
+        assert marginal_price(snap([100, 50], [80, 60])) == (P.rt_buy, False)
+        assert marginal_price(snap([100, 50], [110, 60])) == (P.rt_sell, False)
+        assert marginal_price(snap([100, 50], [90, 60])) == (10.0, True)
         # inside the relative band around the total contract counts as balanced
-        assert config.marginal_price(snap([100, 50], [90, 60 + 1e-8]))[1]
-        assert not config.marginal_price(snap([100, 50], [90, 60 + 1e-6]))[1]
+        assert marginal_price(snap([100, 50], [90, 60 + 1e-8]))[1]
+        assert not marginal_price(snap([100, 50], [90, 60 + 1e-6]))[1]
 
     def test_pool_long(self):
         alloc = allocate(snap([100, 50, 50], [110, 60, 50]))
@@ -73,24 +85,9 @@ class TestAllocate:
         assert alloc.marginal_price_used == 10.0  # (15 + 5) / 2
 
     def test_exact_deliverer_gets_forward_revenue(self):
-        for rule in ("midpoint", "rt_buy", "rt_sell", 7.5):
-            alloc = allocate(snap([100], [100]), PamConfig(balance_price_rule=rule))
-            assert alloc.payoffs[0] == 1000.0
-
-    def test_balance_rule_variants(self):
-        s = snap([100, 50], [80, 70])
-        for rule, price in (("rt_buy", 15.0), ("rt_sell", 5.0), (12.0, 12.0)):
-            alloc = allocate(s, PamConfig(balance_price_rule=rule))
-            assert alloc.marginal_price_used == price
-            assert approx_equal(alloc.total, 1500.0)
-
-    def test_explicit_price_outside_band_rejected(self):
-        with pytest.raises(ConfigurationError, match="band"):
-            allocate(snap([100, 50], [80, 70]), PamConfig(balance_price_rule=20.0))
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PamConfig(balance_price_rule="median")
+        assert allocate(snap([100], [100])).payoffs[0] == 1000.0
+        # also inside a short pool, where the deviation price is rt_buy
+        assert allocate(snap([100, 50], [100, 40])).payoffs[0] == 1000.0
 
     def test_sums_to_pool_payoff(self):
         rng = np.random.default_rng(3)
@@ -357,7 +354,7 @@ OFF_BY = {
         PayoffAllocation([-m], 0.0), IDLE
     ).ok,
     "core": lambda m: check_core_membership(PayoffAllocation([-m], 0.0), IDLE).in_core,
-    "balance-band": lambda m: PamConfig().marginal_price(snap([0.0], [m]))[1],
+    "balance-band": lambda m: allocation.marginal_price(snap([0.0], [m]))[1],
     "no-exploitation": lambda m: check_no_exploitation(PayoffAllocation([m], 0.0), IDLE),
 }
 
@@ -397,12 +394,11 @@ def test_margin_sharpness_short_pool():
             continue
         seen += 1
         margins = allocate(s).payoffs - separate_payoffs(s)
-        part = partition_surplus_shortfall(s)
-        for i in part.shortfall_set:
+        dev = s.realizations - s.contracts
+        for i in np.flatnonzero(dev < 0.0):
             assert margins[i] == 0.0
-        for i in part.surplus_set:
-            expect = s.prices.spread * (s.realizations[i] - s.contracts[i])
-            assert approx_equal(margins[i], expect)
+        for i in np.flatnonzero(dev >= 0.0):
+            assert approx_equal(margins[i], s.prices.spread * dev[i])
 
 
 def test_margin_sharpness_long_pool():
@@ -414,12 +410,11 @@ def test_margin_sharpness_long_pool():
             continue
         seen += 1
         margins = allocate(s).payoffs - separate_payoffs(s)
-        part = partition_surplus_shortfall(s)
-        for i in part.surplus_set:
+        dev = s.realizations - s.contracts
+        for i in np.flatnonzero(dev >= 0.0):
             assert margins[i] == 0.0
-        for i in part.shortfall_set:
-            expect = s.prices.spread * (s.contracts[i] - s.realizations[i])
-            assert approx_equal(margins[i], expect)
+        for i in np.flatnonzero(dev < 0.0):
+            assert approx_equal(margins[i], -s.prices.spread * dev[i])
 
 
 def test_margins_sum_to_pooling_gain():
@@ -431,6 +426,8 @@ def test_margins_sum_to_pooling_gain():
 
 
 def test_every_admissible_balance_price_stays_in_core():
+    """The mechanism fixes the balanced price at the band midpoint, but any
+    price in [rt_sell, rt_buy] keeps all five properties on a balanced pool."""
     rng = np.random.default_rng(14)
     for _ in range(30):
         n = int(rng.integers(1, 6))
@@ -443,9 +440,12 @@ def test_every_admissible_balance_price_stays_in_core():
         else:
             realizations = realizations * (contracts.sum() / total)
         s = ScenarioSnapshot.from_arrays(contracts, realizations, P)
-        for rule in ("rt_sell", "midpoint", "rt_buy"):
-            alloc = allocate(s, PamConfig(balance_price_rule=rule))
-            assert check_core_membership(alloc, s).in_core
+        assert allocation.marginal_price(s)[1]
+        midpoint = 0.5 * (P.rt_buy + P.rt_sell)
+        for price in (P.rt_sell, midpoint, P.rt_buy, float(rng.uniform(P.rt_sell, P.rt_buy))):
+            payoffs = P.day_ahead * s.contracts + price * (s.realizations - s.contracts)
+            alloc = PayoffAllocation(payoffs, aggregator_payoff(s), price)
+            assert run_property_checks(alloc, s).all_pass
 
 
 def test_zero_spread_collapses_to_separate():

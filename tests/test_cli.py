@@ -105,10 +105,11 @@ class TestAllocateCommand:
         assert code == EXIT_INPUT_ERROR
 
     def test_out_of_band_pstar_on_short_pool_is_input_error(self, snapshot_file, capsys):
+        # the balanced-pool price is fixed at the band midpoint: --pstar is no flag
         code = main(["allocate", "--snapshot", str(snapshot_file), "--pstar", "100",
                      "--pf", "10", "--prb", "15", "--prs", "5"])
         assert code == EXIT_INPUT_ERROR
-        assert "band" in capsys.readouterr().err
+        assert "unrecognized arguments: --pstar 100" in capsys.readouterr().err
 
 
 class TestCheckCoreCommand:
@@ -252,6 +253,12 @@ class TestEquilibriumCommand:
         assert "clearing_price: 15" in out
         assert "matches_marginal_price_allocation=True" in out
 
+    def test_pstar_is_an_unknown_flag(self, snapshot_file, capsys):
+        code = main(["equilibrium", "--snapshot", str(snapshot_file), "--pstar", "midpoint",
+                     "--pf", "10", "--prb", "15", "--prs", "5"])
+        assert code == EXIT_INPUT_ERROR
+        assert "unrecognized arguments: --pstar midpoint" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_end_to_end(self, generation_file, tmp_path, capsys):
@@ -281,7 +288,21 @@ class TestSimulateCommand:
                      "--pf", "10", "--prb", "15", "--prs", "5", "--pstar", "100",
                      "--train", "0:4", "--sim", "4:10", "--out", str(out_dir)])
         assert code == EXIT_INPUT_ERROR
-        assert "band" in capsys.readouterr().err
+        assert "unrecognized arguments: --pstar 100" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--pf", "999"], ["--pf", "10", "--prb", "15", "--prs", "5"]],
+                             ids=["pf", "all-three"])
+    def test_price_file_with_price_flags_fails_before_any_output(
+        self, generation_file, tmp_path, capsys, flags
+    ):
+        prices = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"],
+                           [[h, 10.0, 15.0, 5.0] for h in range(10)])
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--data", str(generation_file), "--prices", str(prices),
+                     *flags, "--train", "0:4", "--sim", "4:10", "--out", str(out_dir)])
+        assert code == EXIT_INPUT_ERROR
+        assert "--prices cannot be combined with --pf/--prb/--prs" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from poolpay import (
-    PamConfig,
     PriceTriple,
     ScenarioSnapshot,
     allocate,
@@ -237,9 +236,8 @@ class TestCompetitiveEquilibrium:
 @settings(max_examples=200, deadline=None)
 @given(snapshots(max_n=8))
 def test_competitive_payoffs_equal_marginal_price_allocation(s):
-    config = PamConfig()
-    ce = solve_competitive_equilibrium(s, config)
-    pam = allocate(s, config)
+    ce = solve_competitive_equilibrium(s)
+    pam = allocate(s)
     assert ce.price == pam.marginal_price_used
     for a, b in zip(ce.payoffs, pam.payoffs):
         assert approx_equal(float(a), float(b))
@@ -247,25 +245,24 @@ def test_competitive_payoffs_equal_marginal_price_allocation(s):
 
 def test_identity_holds_in_every_balance_case_and_rule():
     rng = np.random.default_rng(28)
-    for rule in ("midpoint", "rt_buy", "rt_sell"):
-        config = PamConfig(balance_price_rule=rule)
-        for case in ("short", "long", "balanced"):
-            for _ in range(30):
-                n = int(rng.integers(1, 9))
-                contracts = rng.uniform(0.0, 200.0, n)
-                realizations = rng.uniform(0.0, 200.0, n)
-                if case == "balanced":
-                    total = realizations.sum()
-                    realizations = (
-                        contracts.copy() if total == 0.0
-                        else realizations * (contracts.sum() / total)
-                    )
-                elif case == "short":
-                    realizations = np.minimum(realizations, contracts * 0.9)
-                else:
-                    realizations = contracts + realizations + 1.0
-                s = ScenarioSnapshot.from_arrays(contracts, realizations, P)
-                ce = solve_competitive_equilibrium(s, config)
-                pam = allocate(s, config)
-                for a, b in zip(ce.payoffs, pam.payoffs):
-                    assert approx_equal(float(a), float(b))
+    for case in ("short", "long", "balanced"):
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            contracts = rng.uniform(0.0, 200.0, n)
+            realizations = rng.uniform(0.0, 200.0, n)
+            if case == "balanced":
+                total = realizations.sum()
+                realizations = (
+                    contracts.copy() if total == 0.0
+                    else realizations * (contracts.sum() / total)
+                )
+            elif case == "short":
+                realizations = np.minimum(realizations, contracts * 0.9)
+            else:
+                realizations = contracts + realizations + 1.0
+            s = ScenarioSnapshot.from_arrays(contracts, realizations, P)
+            ce = solve_competitive_equilibrium(s)
+            pam = allocate(s)
+            assert ce.price == pam.marginal_price_used
+            for a, b in zip(ce.payoffs, pam.payoffs):
+                assert approx_equal(float(a), float(b))

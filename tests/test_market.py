@@ -11,7 +11,6 @@ from poolpay import (
     approx_equal,
     coalition_value,
     excess_profit,
-    partition_surplus_shortfall,
     separate_payoff,
     separate_payoffs,
     settle,
@@ -145,23 +144,22 @@ class TestAggregatorPayoff:
 
 
 class TestPartition:
+    """How excess_profit splits producers by the sign of their deviation."""
+
     def test_split_and_totals(self):
-        part = partition_surplus_shortfall(snap([100, 50], [80, 70]))
-        assert part.surplus_set == (1,)
-        assert part.shortfall_set == (0,)
-        assert part.surplus_total == 20.0
-        assert part.shortfall_total == 20.0
+        # surplus 20 + 15 = 35 against shortfall 20: the smaller side counts
+        assert excess_profit(snap([100, 50, 10], [80, 70, 25])) == 10.0 * 20.0
+        assert excess_profit(snap([100, 50, 10], [80, 55, 15])) == 10.0 * 10.0
 
     def test_exact_delivery_goes_to_surplus_side(self):
-        part = partition_surplus_shortfall(snap([100], [100]))
-        assert part.surplus_set == (0,)
-        assert part.shortfall_set == ()
+        assert excess_profit(snap([100], [100])) == 0.0
+        # an exact deliverer adds nothing to either side
+        assert excess_profit(snap([100, 50, 30], [80, 70, 30])) == excess_profit(
+            snap([100, 50], [80, 70])
+        )
 
     def test_all_shortfall(self):
-        part = partition_surplus_shortfall(snap([10, 20, 30], [0, 0, 0]))
-        assert part.surplus_set == ()
-        assert part.shortfall_set == (0, 1, 2)
-        assert part.shortfall_total == 60.0
+        assert excess_profit(snap([10, 20, 30], [0, 0, 0])) == 0.0
 
 
 class TestExcessProfit:

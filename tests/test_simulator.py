@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from poolpay import (
-    PamConfig,
     PriceTriple,
     SimulationConfig,
     TimeseriesFormatError,

@@ -26,14 +26,11 @@ from .contracts import (
     GenerationDistribution,
     critical_quantile,
     error_spread,
-    expected_separate_payoff,
     optimal_contract,
     optimal_contracts,
 )
 from .equilibrium import (
     CompetitiveEquilibrium,
-    ProductionFunction,
-    Redistribution,
     ResponseInterval,
     best_response_set,
     optimal_redistribution,
@@ -81,12 +78,9 @@ __all__ = [
     "GenerationDistribution",
     "critical_quantile",
     "error_spread",
-    "expected_separate_payoff",
     "optimal_contract",
     "optimal_contracts",
     "CompetitiveEquilibrium",
-    "ProductionFunction",
-    "Redistribution",
     "ResponseInterval",
     "best_response_set",
     "optimal_redistribution",

@@ -106,26 +106,25 @@ class CoreResult:
 class PropertyReport:
     """Outcome of the five-property audit for one allocation.
 
-    ``in_core`` is None when the core check was skipped (``check_core=False``);
+    ``core`` is None when the core check was skipped (``check_core=False``);
     a skipped check never counts as a violation.
     """
 
-    budget_balance: bool
-    budget_residual: float
-    individual_rationality: bool
-    ir_worst_margin: float
-    ir_worst_index: int | None
+    budget: BudgetBalanceResult
+    ir: IndividualRationalityResult
     fairness: bool
     no_exploitation: bool
-    in_core: bool | None
-    core_worst_violation: float | None
-    core_worst_coalition: tuple[int, ...] | None
+    core: CoreResult | None
+
+    @property
+    def in_core(self) -> bool | None:
+        return None if self.core is None else self.core.in_core
 
     @property
     def all_pass(self) -> bool:
         return (
-            self.budget_balance
-            and self.individual_rationality
+            self.budget.ok
+            and self.ir.ok
             and self.fairness
             and self.no_exploitation
             and self.in_core is not False
@@ -314,28 +313,12 @@ def run_property_checks(
     The core audit enumerates or samples as ``check_core_membership``
     decides from the pool size.
     """
-    budget = check_budget_balance(alloc, snapshot)
-    ir = check_individual_rationality(alloc, snapshot)
-    fairness = check_fairness(alloc, snapshot)
-    no_exploit = check_no_exploitation(alloc, snapshot)
-    if check_core:
-        core = check_core_membership(alloc, snapshot)
-        in_core: bool | None = core.in_core
-        core_violation: float | None = core.worst_violation
-        core_coalition = core.worst_coalition
-    else:
-        in_core, core_violation, core_coalition = None, None, None
     return PropertyReport(
-        budget_balance=budget.ok,
-        budget_residual=budget.residual,
-        individual_rationality=ir.ok,
-        ir_worst_margin=ir.worst_margin,
-        ir_worst_index=ir.worst_index,
-        fairness=fairness,
-        no_exploitation=no_exploit,
-        in_core=in_core,
-        core_worst_violation=core_violation,
-        core_worst_coalition=core_coalition,
+        budget=check_budget_balance(alloc, snapshot),
+        ir=check_individual_rationality(alloc, snapshot),
+        fairness=check_fairness(alloc, snapshot),
+        no_exploitation=check_no_exploitation(alloc, snapshot),
+        core=check_core_membership(alloc, snapshot) if check_core else None,
     )
 
 

@@ -117,14 +117,13 @@ def _cmd_check_core(args) -> int:
     snapshot = load_snapshot(args.snapshot, _cli_prices(args))
     alloc = load_payoffs(args.payoffs, snapshot)
     report = run_property_checks(alloc, snapshot)
-    print(f"budget_balance        : {report.budget_balance} (residual {report.budget_residual!r})")
-    print(f"individual_rationality: {report.individual_rationality} "
-          f"(worst margin {report.ir_worst_margin!r})")
+    budget, ir, core = report.budget, report.ir, report.core
+    print(f"budget_balance        : {budget.ok} (residual {budget.residual!r})")
+    print(f"individual_rationality: {ir.ok} (worst margin {ir.worst_margin!r})")
     print(f"fairness              : {report.fairness}")
     print(f"no_exploitation       : {report.no_exploitation}")
-    print(f"in_core               : {report.in_core} "
-          f"(worst violation {report.core_worst_violation!r}, "
-          f"coalition {report.core_worst_coalition})")
+    print(f"in_core               : {core.in_core} "
+          f"(worst violation {core.worst_violation!r}, coalition {core.worst_coalition})")
     return EXIT_OK if report.all_pass else EXIT_VIOLATION
 
 
@@ -135,7 +134,7 @@ def _cmd_equilibrium(args) -> int:
     print(f"clearing_price: {float(ce.price)!r}")
     print("producer_id,holding_mwh,payoff")
     for k, producer in enumerate(snapshot.producer_ids):
-        print(f"{producer},{float(ce.redistribution.quantities[k])!r},{float(ce.payoffs[k])!r}")
+        print(f"{producer},{float(ce.holdings[k])!r},{float(ce.payoffs[k])!r}")
     matches = all(
         approx_equal(a, b) for a, b in zip(ce.payoffs, pam.payoffs)
     )
@@ -151,6 +150,8 @@ def _cmd_contract(args) -> int:
         raise ValueError(f"--std must be >= 0, got {args.std}")
     if not args.cap >= 0.0:
         raise ValueError(f"--cap must be >= 0, got {args.cap}")
+    if math.isinf(args.cap) and critical_quantile(prices) >= 1.0:
+        raise ValueError("--cap is required when p_f >= p_rb (critical quantile 1)")
     dist = GenerationDistribution(mean=args.mean, std_dev=args.std, upper_bound=args.cap)
     contract = optimal_contract(dist, prices)
     print(f"critical_quantile: {critical_quantile(prices)!r}")

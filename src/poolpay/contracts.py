@@ -10,9 +10,7 @@ generation distribution's quantile at
 
 clamped to [0, 1]. ``optimal_contracts`` sizes a whole (hours x producers)
 block with one broadcast quantile call; ``optimal_contract`` is its 1 x 1
-case. The Monte Carlo estimator in this module exists to keep that closed
-form honest: tests maximize the sampled expectation over a contract grid
-and compare.
+case.
 """
 from __future__ import annotations
 
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .market import PriceTriple, settle
+from .market import PriceTriple
 
 
 @dataclass(frozen=True)
@@ -135,21 +133,3 @@ def error_spread(forecasts, actuals) -> np.ndarray:
         raise ValueError("forecasts and actuals must be >= 0")
     return np.std(actuals - forecasts, axis=0, ddof=1)
 
-
-def expected_separate_payoff(
-    dist: GenerationDistribution,
-    contract: float,
-    prices: PriceTriple,
-    samples: int,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo estimate of the expected stand-alone payoff at one contract.
-
-    Deterministic for a given seed.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if contract < 0.0:
-        raise ValueError("contract must be >= 0")
-    rng = np.random.default_rng(seed)
-    return float(settle(contract, dist.sample(samples, rng), prices).mean())

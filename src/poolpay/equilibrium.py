@@ -26,31 +26,8 @@ from .market import (
     _coalition_indices,
     approx_equal,
     coalition_value,
-    separate_payoff,
     settle,
 )
-
-
-@dataclass(frozen=True)
-class ProductionFunction:
-    """Money earned by one producer as a function of the energy it holds.
-
-    Identical to the stand-alone settlement with the producer's contract
-    fixed: slope rt_buy up to the contract (each MWh avoids a buy-back),
-    slope rt_sell beyond it (each extra MWh is sold off). Concave since
-    rt_sell <= rt_buy; nondecreasing only when rt_sell >= 0, and nothing
-    here relies on monotonicity, so negative selling prices are accepted.
-    """
-
-    contract: float
-    prices: PriceTriple
-
-    def __post_init__(self) -> None:
-        if self.contract < 0.0:
-            raise ValueError(f"contract must be >= 0, got {self.contract}")
-
-    def value(self, quantity: float) -> float:
-        return separate_payoff(self.contract, quantity, self.prices)
 
 
 @dataclass(frozen=True)
@@ -60,17 +37,17 @@ class ResponseInterval:
     The argmax of a piecewise-linear concave objective is an interval,
     possibly a single point, possibly unbounded above. When the price lies
     strictly below rt_sell the objective grows without bound and no
-    maximizer exists; that case is tagged rather than raised so callers can
-    assert that such prices never clear a market.
+    maximizer exists; that case is the empty interval (inf, -inf) rather
+    than an error, so callers can assert that such prices never clear a
+    market.
     """
 
     lower: float
     upper: float
-    unbounded_objective: bool = False
 
     @property
     def is_empty(self) -> bool:
-        return self.unbounded_objective or self.lower > self.upper
+        return self.lower > self.upper
 
     def contains(self, z: float) -> bool:
         if self.is_empty:
@@ -82,21 +59,26 @@ class ResponseInterval:
         return z <= self.upper + DEFAULT_TOLERANCE * max(1.0, abs(self.upper))
 
 
-def best_response_set(f: ProductionFunction, price: float) -> ResponseInterval:
+def best_response_set(contract: float, prices: PriceTriple, price: float) -> ResponseInterval:
     """Quantities a price-taking member would choose to hold at this price.
 
+    The member's money from holding z is its stand-alone settlement
+    ``separate_payoff(contract, z, prices)``: slope rt_buy up to the
+    contract, rt_sell beyond it, so concave since rt_sell <= rt_buy.
     Inside the real-time band the choice pins to the contract; at the band
     edges one whole side of the kink is optimal; outside the band the
     member either dumps everything (argmax {0}) or would buy without limit
-    (no argmax, tagged unbounded).
+    (no argmax, the empty interval).
     """
-    buy, sell, c = f.prices.rt_buy, f.prices.rt_sell, f.contract
+    if contract < 0.0:
+        raise ValueError(f"contract must be >= 0, got {contract}")
+    buy, sell, c = prices.rt_buy, prices.rt_sell, contract
     if approx_equal(buy, sell):
         if approx_equal(price, buy):
             return ResponseInterval(0.0, math.inf)
         if price > buy:
             return ResponseInterval(0.0, 0.0)
-        return ResponseInterval(math.inf, -math.inf, unbounded_objective=True)
+        return ResponseInterval(math.inf, -math.inf)
     if approx_equal(price, buy):
         return ResponseInterval(0.0, c)
     if approx_equal(price, sell):
@@ -104,33 +86,8 @@ def best_response_set(f: ProductionFunction, price: float) -> ResponseInterval:
     if price > buy:
         return ResponseInterval(0.0, 0.0)
     if price < sell:
-        return ResponseInterval(math.inf, -math.inf, unbounded_objective=True)
+        return ResponseInterval(math.inf, -math.inf)
     return ResponseInterval(c, c)
-
-
-@dataclass(frozen=True)
-class Redistribution:
-    """A feasible reassignment of a coalition's realized power.
-
-    ``quantities[k]`` is the energy held by ``members[k]`` after trading;
-    the quantities sum to the members' total realization.
-    """
-
-    members: tuple[int, ...]
-    quantities: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.array(self.quantities, dtype=float)
-        if q.shape != (len(self.members),):
-            raise ValueError("quantities must align with members")
-        if np.any(q < 0.0):
-            raise ValueError("redistributed quantities must be >= 0")
-        q.setflags(write=False)
-        object.__setattr__(self, "quantities", q)
-
-    @property
-    def total(self) -> float:
-        return float(self.quantities.sum())
 
 
 def _greedy_reallocation(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -166,10 +123,11 @@ def _greedy_reallocation(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def optimal_redistribution(
-    snapshot: ScenarioSnapshot, coalition
-) -> tuple[Redistribution, float]:
+def optimal_redistribution(snapshot: ScenarioSnapshot, coalition) -> tuple[np.ndarray, float]:
     """Best reassignment of a coalition's power and the payoff it earns.
+
+    The holdings are one entry per member, in increasing member index, and
+    sum to the members' total realization.
 
     Built greedily: excess power flows to deficit members until one side is
     exhausted. The greedy total always equals the coalition's joint
@@ -182,15 +140,16 @@ def optimal_redistribution(
     x = snapshot.realizations[idx]
     z = _greedy_reallocation(c, x)
     value = float(sum(settle(c, z, snapshot.prices).tolist()))
-    return Redistribution(tuple(int(i) for i in idx), z), value
+    return z, value
 
 
 @dataclass(frozen=True)
 class CompetitiveEquilibrium:
-    """Clearing price, post-trade holdings, and the resulting payoffs."""
+    """Clearing price, each member's post-trade holding, and the resulting
+    payoffs; ``holdings`` and ``payoffs`` are (n,) arrays in member order."""
 
     price: float
-    redistribution: Redistribution
+    holdings: np.ndarray
     payoffs: np.ndarray
 
 
@@ -209,8 +168,7 @@ def solve_competitive_equilibrium(snapshot: ScenarioSnapshot) -> CompetitiveEqui
     c, x = snapshot.contracts, snapshot.realizations
     z = c.astype(float).copy() if balanced else _greedy_reallocation(c, x)
     payoffs = settle(c, z, snapshot.prices) - price * (z - x)
-    redistribution = Redistribution(tuple(range(snapshot.n)), z)
-    return CompetitiveEquilibrium(price, redistribution, payoffs)
+    return CompetitiveEquilibrium(price, z, payoffs)
 
 
 def verify_game_equivalence(snapshot: ScenarioSnapshot) -> bool:

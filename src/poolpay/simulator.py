@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .allocation import PayoffAllocation, PropertyReport, allocate, run_property_checks
-from .contracts import error_spread, optimal_contracts
+from .contracts import critical_quantile, error_spread, optimal_contracts
 from .market import (
     PriceTriple,
     ScenarioSnapshot,
@@ -62,6 +62,14 @@ def _parse_hour(text: str):
         ) from None
 
 
+def _hour_kind(hour) -> str:
+    """Integer hours, naive ISO hours and timezone-aware ISO hours do not
+    order against each other, so a file must keep to one kind."""
+    if isinstance(hour, int):
+        return "integer"
+    return "naive ISO" if hour.tzinfo is None else "timezone-aware ISO"
+
+
 def _parse_float(text: str, column: str) -> float:
     try:
         value = float(text)
@@ -81,25 +89,41 @@ def _read_rows(path, *headers: list[str]):
     ``path:line`` in front, so that string is built only for a bad row.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TimeseriesFormatError(f"{path}:1: empty file") from None
-        if [h.strip() for h in header] not in headers:
-            expected = " or ".join(repr(",".join(h)) for h in headers)
-            raise TimeseriesFormatError(
-                f"{path}:1: expected header {expected}, got {','.join(header)!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise TimeseriesFormatError(f"{path}:1: empty file") from None
+            if [h.strip() for h in header] not in headers:
+                expected = " or ".join(repr(",".join(h)) for h in headers)
                 raise TimeseriesFormatError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}:1: expected header {expected}, got {','.join(header)!r}"
                 )
-            yield line_no, row
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise TimeseriesFormatError(
+                        f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield line_no, row
+    except UnicodeDecodeError as exc:
+        raise TimeseriesFormatError(_undecodable(path, exc)) from None
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> str:
+    """``path:line`` and the first byte that is not UTF-8. The text reader
+    decodes in chunks, so its line count need not be the bad byte's line;
+    the file is read again as bytes, one line at a time, to find it."""
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return f"{path}:{line_no}: byte 0x{raw[bad.start]:02x} is not valid UTF-8"
+    return f"{path}: {exc}"
 
 
 def _parse_prices(fields) -> PriceTriple:
@@ -158,16 +182,15 @@ def load_timeseries(path) -> GenerationSeries:
     path = Path(path)
     hour_col, producer_col, forecast_col, actual_col = [], [], [], []
     seen: set[tuple] = set()
-    hour_type = None
+    first_kind = None
     for line_no, row in _read_rows(path, GENERATION_HEADER):
         try:
             hour = _parse_hour(row[0])
-            if hour_type is None:
-                hour_type = type(hour)
-            elif type(hour) is not hour_type:
+            kind = _hour_kind(hour)
+            first_kind = first_kind or kind
+            if kind != first_kind:
                 raise TimeseriesFormatError(
-                    f"hour type {type(hour).__name__} mixes with "
-                    f"{hour_type.__name__} used earlier in the file"
+                    f"{kind} hour mixes with {first_kind} hours used earlier in the file"
                 )
             producer = _parse_producer(row[1], ())
             forecast = _parse_float(row[2], "forecast_mwh")
@@ -408,6 +431,12 @@ def _contract_block(
         if gap is not None:
             raise ValueError(f"contract schedule missing hour {gap[0]!r} for producer {gap[1]!r}")
         return block
+    for hour, hour_prices in zip(data.hours[s0:s1], prices):
+        if critical_quantile(hour_prices) >= 1.0:
+            raise ValueError(
+                f"hour {hour!r} has p_f >= p_rb, so its news-vendor contract is unbounded; "
+                "give the contracts as a schedule (--contracts)"
+            )
     t0, t1 = config.train_range
     spread = error_spread(data.forecasts[t0:t1], data.actuals[t0:t1])
     return optimal_contracts(data.forecasts[s0:s1], spread, prices)
@@ -470,8 +499,8 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
         grand_total_separate=float(totals_separate.sum()),
         total_excess_profit=float(total_excess),
         violation_counts={
-            "budget_balance": sum(not p.budget_balance for p in properties),
-            "individual_rationality": sum(not p.individual_rationality for p in properties),
+            "budget_balance": sum(not p.budget.ok for p in properties),
+            "individual_rationality": sum(not p.ir.ok for p in properties),
             "fairness": sum(not p.fairness for p in properties),
             "no_exploitation": sum(not p.no_exploitation for p in properties),
             "core": sum(p.in_core is False for p in properties),

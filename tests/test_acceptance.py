@@ -14,7 +14,6 @@ from poolpay import (
     DEFAULT_TOLERANCE,
     GenerationDistribution,
     PriceTriple,
-    ProductionFunction,
     ScenarioSnapshot,
     SimulationConfig,
     aggregator_payoff,
@@ -75,8 +74,8 @@ def test_criterion_1_five_property_suite(snapshot_batch):
     for s in snapshot_batch:
         result = run_property_checks(allocate(s), s)
         if not (
-            result.budget_balance
-            and result.individual_rationality
+            result.budget.ok
+            and result.ir.ok
             and result.fairness
             and result.no_exploitation
             and result.in_core
@@ -170,14 +169,12 @@ def test_criterion_4_equilibrium_reproduces_the_allocation():
             math.isclose(float(a), float(b), rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL)
             for a, b in zip(ce.payoffs, pam.payoffs)
         )
-        clearing_ok = clearing_ok and math.isclose(
-            ce.redistribution.total, s.total_realization, rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL
+        clearing_ok = clearing_ok and bool(np.all(ce.holdings >= 0.0)) and math.isclose(
+            float(ce.holdings.sum()), s.total_realization, rel_tol=RELATIVE_TOL, abs_tol=RELATIVE_TOL
         )
         for i in range(s.n):
-            f = ProductionFunction(float(s.contracts[i]), s.prices)
-            if not best_response_set(f, ce.price).contains(
-                float(ce.redistribution.quantities[i])
-            ):
+            response = best_response_set(float(s.contracts[i]), s.prices, ce.price)
+            if not response.contains(float(ce.holdings[i])):
                 response_ok = False
     ok = payoff_ok and clearing_ok and response_ok
     report(

@@ -49,6 +49,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
     removed = {
         "allocation": ("PamConfig", "ConfigurationError", "resolve_balance_price"),
         "market": ("SurplusPartition", "partition_surplus_shortfall"),
+        "equilibrium": ("ProductionFunction", "Redistribution"),
+        "contracts": ("expected_separate_payoff",),
     }
     for module, names in removed.items():
         for name in names:
@@ -369,8 +371,8 @@ def test_allowance_is_exactly_1e_9_at_zero_totals(within_allowance):
 @given(snapshots(max_n=8))
 def test_mechanism_satisfies_all_five_properties(s):
     report = run_property_checks(allocate(s), s)
-    assert report.budget_balance
-    assert report.individual_rationality
+    assert report.budget.ok
+    assert report.ir.ok
     assert report.fairness
     assert report.no_exploitation
     assert report.in_core
@@ -382,7 +384,36 @@ def test_mechanism_satisfies_all_five_properties(s):
 def test_core_implies_individual_rationality(s):
     report = run_property_checks(allocate(s), s)
     if report.in_core:
-        assert report.individual_rationality
+        assert report.ir.ok
+
+
+def test_report_holds_what_each_check_returns():
+    rng = np.random.default_rng(12)
+    for k in range(200):
+        s = random_snapshot(rng, n_max=8)
+        alloc = allocate(s)
+        if k % 2:  # an external split: the mechanism's payoffs, shuffled
+            alloc = PayoffAllocation(rng.permutation(alloc.payoffs), aggregator_payoff(s))
+        report = run_property_checks(alloc, s)
+        assert report.budget == check_budget_balance(alloc, s)
+        assert report.ir == check_individual_rationality(alloc, s)
+        assert report.fairness == check_fairness(alloc, s)
+        assert report.no_exploitation == check_no_exploitation(alloc, s)
+        assert report.core == check_core_membership(alloc, s)
+        assert report.in_core == report.core.in_core
+        four = report.budget.ok and report.ir.ok and report.fairness and report.no_exploitation
+        assert report.all_pass == (four and report.core.in_core)
+        skipped = run_property_checks(alloc, s, check_core=False)
+        assert skipped.core is None and skipped.in_core is None
+        assert skipped.all_pass == four
+    # the other four properties hold and coalition {0, 2} blocks: a skipped
+    # core audit passes the split, a run one fails it
+    s = snap([100, 100, 0, 0], [60, 70, 40, 30])
+    alloc = PayoffAllocation([750.0, 900.0, 200.0, 150.0], aggregator_payoff(s))
+    assert run_property_checks(alloc, s, check_core=False).all_pass
+    report = run_property_checks(alloc, s)
+    assert report.core.worst_coalition == (0, 2)
+    assert not report.all_pass
 
 
 def test_margin_sharpness_short_pool():

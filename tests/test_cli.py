@@ -61,6 +61,14 @@ class TestContractCommand:
         assert code == EXIT_INPUT_ERROR
         assert "cap" in capsys.readouterr().err
 
+    def test_quantile_one_without_cap_names_the_flag(self, capsys):
+        code = main(["contract", "--mean", "100", "--std", "20",
+                     "--pf", "15", "--prb", "15", "--prs", "5"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "--cap is required" in err
+        assert "upper_bound" not in err
+
     # the --cap cases keep their ids; --std and --mean are checked the same way
     @pytest.mark.parametrize("flag, value, rule", [
         pytest.param("--cap", "-5", ">= 0", id="-5"),
@@ -359,3 +367,40 @@ class TestSimulateCommand:
                      "--pf", "10", "--prb", "15", "--prs", "5",
                      "--train", "whenever", "--sim", "4:10", "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT_ERROR
+
+    def test_mixed_naive_and_aware_hours_name_the_row(self, tmp_path, capsys):
+        gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
+                        [["2004-02-01T00:00:00", "w1", 50.0, 40.0],
+                         ["2004-02-01T01:00:00", "w1", 50.0, 40.0],
+                         ["2004-02-01T02:00:00+00:00", "w1", 50.0, 40.0],
+                         ["2004-02-01T03:00:00", "w1", 50.0, 40.0]])
+        code = main(["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
+                     "--train", "0:2", "--sim", "2:4", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT_ERROR
+        assert f"{gen}:4: timezone-aware ISO hour mixes with naive ISO hours" in (
+            capsys.readouterr().err
+        )
+
+    def test_undecodable_byte_names_file_and_line(self, generation_file, tmp_path, capsys):
+        # far enough down that the text decoder has read several chunks
+        lines = generation_file.read_bytes().splitlines(keepends=True)
+        lines = lines[:1] + [b"%d,w%d,50.0,40.0\n" % (h, p) for h in range(20, 3020) for p in (1, 2)]
+        lines[4321] = lines[4321].replace(b"w", b"\xffw")
+        gen = tmp_path / "gen_bad.csv"
+        gen.write_bytes(b"".join(lines))
+        code = main(["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
+                     "--train", "0:4", "--sim", "4:10", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT_ERROR
+        assert f"{gen}:4322: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+
+    def test_quantile_one_sizing_names_the_hour(self, generation_file, tmp_path, capsys):
+        prices = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"],
+                           [[h, 20.0 if h in (6, 8) else 10.0, 15.0, 5.0] for h in range(10)])
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--data", str(generation_file), "--prices", str(prices),
+                     "--train", "0:4", "--sim", "4:10", "--out", str(out_dir)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "hour 6 has p_f >= p_rb" in err and "--contracts" in err
+        assert "upper_bound" not in err
+        assert not out_dir.exists()

@@ -10,7 +10,6 @@ from poolpay import (
     PriceTriple,
     critical_quantile,
     error_spread,
-    expected_separate_payoff,
     optimal_contract,
     optimal_contracts,
 )
@@ -272,41 +271,11 @@ class TestFitDistribution:
 
 
 class TestExpectedSeparatePayoff:
-    def test_degenerate_distribution(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=0.0)
-        assert expected_separate_payoff(dist, 100.0, P, samples=10) == 1000.0
-
-    def test_zero_contract_zero_salvage(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        prices = PriceTriple(10.0, 15.0, 0.0)
-        assert expected_separate_payoff(dist, 0.0, prices, samples=1000) == 0.0
-
-    def test_deterministic_given_seed(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        a = expected_separate_payoff(dist, 90.0, P, samples=5000, seed=7)
-        b = expected_separate_payoff(dist, 90.0, P, samples=5000, seed=7)
-        c = expected_separate_payoff(dist, 90.0, P, samples=5000, seed=8)
-        assert a == b
-        assert a != c
-
     def test_matches_quadrature_within_three_standard_errors(self):
+        # the sampler against the pdf: the mean payoff over dist.sample
+        # must land within three standard errors of the quadrature value
         dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        samples = 1_000_000
-        mc = expected_separate_payoff(dist, 100.0, P, samples=samples, seed=42)
+        draws = dist.sample(1_000_000, np.random.default_rng(42))
+        mean, se = mc_payoff_curve(draws, [100.0], P)
         exact = quad_expected_payoff(dist, 100.0, P)
-        rng = np.random.default_rng(42)
-        draws = dist.sample(samples, rng)
-        payoffs = (
-            P.day_ahead * 100.0
-            - P.rt_buy * np.maximum(100.0 - draws, 0.0)
-            + P.rt_sell * np.maximum(draws - 100.0, 0.0)
-        )
-        se = payoffs.std(ddof=1) / math.sqrt(samples)
-        assert abs(mc - exact) <= 3.0 * se
-
-    def test_rejects_bad_arguments(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        with pytest.raises(ValueError):
-            expected_separate_payoff(dist, 100.0, P, samples=0)
-        with pytest.raises(ValueError):
-            expected_separate_payoff(dist, -1.0, P, samples=10)
+        assert abs(mean[0] - exact) <= 3.0 * se[0]

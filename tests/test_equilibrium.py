@@ -16,7 +16,6 @@ from poolpay import (
     separate_payoff,
     solve_competitive_equilibrium,
     verify_game_equivalence,
-    ProductionFunction,
     PayoffAllocation,
     aggregator_payoff,
 )
@@ -30,83 +29,81 @@ def snap(contracts, realizations, prices=P):
     return ScenarioSnapshot.from_arrays(contracts, realizations, prices)
 
 
-def grid_best_pair_value(f1, f2, total, points=10_000):
+def grid_best_pair_value(c1, c2, prices, total, points=10_000):
     """Brute-force two-member reallocation: scan z1 over a dense grid."""
     z1 = np.linspace(0.0, total, points + 1)
-    values = [f1.value(float(a)) + f2.value(float(total - a)) for a in z1]
+    values = [
+        separate_payoff(c1, float(a), prices) + separate_payoff(c2, float(total - a), prices)
+        for a in z1
+    ]
     return max(values)
 
 
+# The money a member makes from the energy it holds is its stand-alone
+# settlement with the contract fixed; these tests pin that function down.
 class TestProductionFunction:
     def test_matches_separate_payoff(self):
-        f = ProductionFunction(contract=100.0, prices=P)
-        assert f.value(100.0) == 1000.0
-        assert f.value(60.0) == 400.0
-        assert f.value(140.0) == 1200.0
-        for z in (0.0, 37.5, 100.0, 251.0):
-            assert f.value(z) == separate_payoff(100.0, z, P)
+        assert separate_payoff(100.0, 100.0, P) == 1000.0
+        assert separate_payoff(100.0, 60.0, P) == 400.0
+        assert separate_payoff(100.0, 140.0, P) == 1200.0
 
     def test_concave_piecewise_slopes(self):
-        f = ProductionFunction(contract=100.0, prices=P)
+        def f(z):
+            return separate_payoff(100.0, z, P)
+
         h = 1e-6
-        below = (f.value(50.0 + h) - f.value(50.0 - h)) / (2 * h)
-        above = (f.value(150.0 + h) - f.value(150.0 - h)) / (2 * h)
+        below = (f(50.0 + h) - f(50.0 - h)) / (2 * h)
+        above = (f(150.0 + h) - f(150.0 - h)) / (2 * h)
         assert below == pytest.approx(P.rt_buy, abs=1e-5)
         assert above == pytest.approx(P.rt_sell, abs=1e-5)
 
     def test_rejects_negative_contract(self):
-        with pytest.raises(ValueError):
-            ProductionFunction(contract=-1.0, prices=P)
+        with pytest.raises(ValueError, match="contract must be >= 0"):
+            best_response_set(-1.0, P, 10.0)
 
 
 class TestBestResponseSet:
     def test_at_buy_price_any_holding_up_to_contract(self):
-        f = ProductionFunction(contract=100.0, prices=P)
-        interval = best_response_set(f, 15.0)
+        interval = best_response_set(100.0, P, 15.0)
         assert (interval.lower, interval.upper) == (0.0, 100.0)
 
     def test_at_sell_price_anything_from_contract_up(self):
-        f = ProductionFunction(contract=100.0, prices=P)
-        interval = best_response_set(f, 5.0)
+        interval = best_response_set(100.0, P, 5.0)
         assert interval.lower == 100.0
         assert math.isinf(interval.upper)
 
     def test_interior_price_pins_to_contract(self):
-        f = ProductionFunction(contract=100.0, prices=P)
-        interval = best_response_set(f, 10.0)
+        interval = best_response_set(100.0, P, 10.0)
         assert (interval.lower, interval.upper) == (100.0, 100.0)
 
     def test_price_above_buy_dumps_everything(self):
-        f = ProductionFunction(contract=100.0, prices=P)
-        interval = best_response_set(f, 22.0)
+        interval = best_response_set(100.0, P, 22.0)
         assert (interval.lower, interval.upper) == (0.0, 0.0)
         assert not interval.is_empty
 
     def test_price_below_sell_has_no_maximizer(self):
-        f = ProductionFunction(contract=100.0, prices=P)
-        interval = best_response_set(f, 1.0)
-        assert interval.unbounded_objective
+        interval = best_response_set(100.0, P, 1.0)
         assert interval.is_empty
         assert not interval.contains(100.0)
 
     def test_flat_prices(self):
         flat = PriceTriple(day_ahead=10.0, rt_buy=8.0, rt_sell=8.0)
-        f = ProductionFunction(contract=100.0, prices=flat)
-        everything = best_response_set(f, 8.0)
+        everything = best_response_set(100.0, flat, 8.0)
         assert everything.lower == 0.0 and math.isinf(everything.upper)
-        assert best_response_set(f, 9.0).upper == 0.0
-        assert best_response_set(f, 7.0).unbounded_objective
+        assert best_response_set(100.0, flat, 9.0).upper == 0.0
+        assert best_response_set(100.0, flat, 7.0).is_empty
 
     def test_interval_argmax_verified_on_grid(self):
         # every claimed-optimal holding must beat every grid point
-        f = ProductionFunction(contract=100.0, prices=P)
         endowment = 80.0
         grid = np.linspace(0.0, 400.0, 4001)
         for price, inside in ((15.0, 50.0), (10.0, 100.0), (5.0, 250.0)):
-            interval = best_response_set(f, price)
+            interval = best_response_set(100.0, P, price)
             assert interval.contains(inside)
-            best = max(f.value(float(z)) - price * (float(z) - endowment) for z in grid)
-            claimed = f.value(inside) - price * (inside - endowment)
+            best = max(
+                separate_payoff(100.0, float(z), P) - price * (float(z) - endowment) for z in grid
+            )
+            claimed = separate_payoff(100.0, inside, P) - price * (inside - endowment)
             assert claimed >= best - 1e-9 * max(1.0, abs(best))
 
 
@@ -115,32 +112,32 @@ def test_prices_outside_band_cannot_clear():
     # a best response at all; either way total holdings cannot match the
     # total realization, so no such price clears the market
     s = snap([100, 50], [80, 70])
-    high = [best_response_set(ProductionFunction(float(c), s.prices), 20.0) for c in s.contracts]
+    high = [best_response_set(float(c), s.prices, 20.0) for c in s.contracts]
     assert all(iv.upper == 0.0 for iv in high)
     assert sum(iv.upper for iv in high) < s.total_realization
-    low = [best_response_set(ProductionFunction(float(c), s.prices), 1.0) for c in s.contracts]
+    low = [best_response_set(float(c), s.prices, 1.0) for c in s.contracts]
     assert all(iv.is_empty for iv in low)
 
 
 class TestOptimalRedistribution:
     def test_offsetting_pair(self):
-        redis, value = optimal_redistribution(snap([100, 50], [80, 70]), [0, 1])
-        np.testing.assert_allclose(redis.quantities, [100.0, 50.0])
+        holdings, value = optimal_redistribution(snap([100, 50], [80, 70]), [0, 1])
+        np.testing.assert_allclose(holdings, [100.0, 50.0])
         assert value == 1500.0
         assert value == coalition_value(snap([100, 50], [80, 70]), [0, 1])
 
     def test_short_coalition_pins_surplus_member(self):
         s = snap([100, 50, 50], [80, 60, 40])
-        redis, value = optimal_redistribution(s, [0, 1, 2])
+        holdings, value = optimal_redistribution(s, [0, 1, 2])
         assert value == pytest.approx(1700.0)
-        assert redis.quantities[1] == 50.0  # surplus member pinned to its contract
-        np.testing.assert_allclose(redis.quantities, [90.0, 50.0, 40.0])
-        assert redis.total == pytest.approx(s.total_realization)
+        assert holdings[1] == 50.0  # surplus member pinned to its contract
+        np.testing.assert_allclose(holdings, [90.0, 50.0, 40.0])
+        assert holdings.sum() == pytest.approx(s.total_realization)
 
     def test_singleton_keeps_own_power(self):
         s = snap([100, 50], [80, 70])
-        redis, value = optimal_redistribution(s, [1])
-        np.testing.assert_allclose(redis.quantities, [70.0])
+        holdings, value = optimal_redistribution(s, [1])
+        np.testing.assert_allclose(holdings, [70.0])
         assert value == separate_payoff(50.0, 70.0, P)
 
     def test_empty_coalition_rejected(self):
@@ -152,19 +149,19 @@ class TestOptimalRedistribution:
         for _ in range(100):
             s = random_snapshot(rng, n_max=6)
             members = tuple(range(s.n))
-            redis, _ = optimal_redistribution(s, members)
-            assert np.all(redis.quantities >= 0.0)
-            assert approx_equal(redis.total, s.total_realization)
+            holdings, _ = optimal_redistribution(s, members)
+            assert holdings.shape == (s.n,)
+            assert np.all(holdings >= 0.0)
+            assert approx_equal(float(holdings.sum()), s.total_realization)
 
     def test_two_member_value_matches_grid_search(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             s = random_snapshot(rng, n_min=2, n_max=2)
-            f1 = ProductionFunction(float(s.contracts[0]), s.prices)
-            f2 = ProductionFunction(float(s.contracts[1]), s.prices)
+            c1, c2 = float(s.contracts[0]), float(s.contracts[1])
             total = s.total_realization
             _, value = optimal_redistribution(s, [0, 1])
-            grid_value = grid_best_pair_value(f1, f2, total, points=2000)
+            grid_value = grid_best_pair_value(c1, c2, s.prices, total, points=2000)
             step = total / 2000 if total else 0.0
             resolution = step * (abs(s.prices.rt_buy) + abs(s.prices.rt_sell))
             assert value >= grid_value - 1e-9 * max(1.0, abs(grid_value))
@@ -205,7 +202,7 @@ class TestCompetitiveEquilibrium:
     def test_balanced_pool(self):
         ce = solve_competitive_equilibrium(snap([100, 50], [80, 70]))
         assert ce.price == 10.0
-        np.testing.assert_allclose(ce.redistribution.quantities, [100.0, 50.0])
+        np.testing.assert_allclose(ce.holdings, [100.0, 50.0])
         np.testing.assert_allclose(ce.payoffs, [800.0, 700.0])
 
     def test_market_clears(self):
@@ -213,7 +210,9 @@ class TestCompetitiveEquilibrium:
         for _ in range(100):
             s = random_snapshot(rng)
             ce = solve_competitive_equilibrium(s)
-            assert approx_equal(ce.redistribution.total, s.total_realization)
+            assert ce.holdings.shape == (s.n,)
+            assert np.all(ce.holdings >= 0.0)
+            assert approx_equal(float(ce.holdings.sum()), s.total_realization)
 
     def test_holdings_are_best_responses(self):
         rng = np.random.default_rng(26)
@@ -221,8 +220,8 @@ class TestCompetitiveEquilibrium:
             s = random_snapshot(rng)
             ce = solve_competitive_equilibrium(s)
             for k in range(s.n):
-                f = ProductionFunction(float(s.contracts[k]), s.prices)
-                assert best_response_set(f, ce.price).contains(float(ce.redistribution.quantities[k]))
+                response = best_response_set(float(s.contracts[k]), s.prices, ce.price)
+                assert response.contains(float(ce.holdings[k]))
 
     def test_payoffs_in_core(self):
         rng = np.random.default_rng(27)

@@ -23,10 +23,8 @@ from .allocation import (
     run_property_checks,
 )
 from .contracts import (
-    GenerationDistribution,
     critical_quantile,
     error_spread,
-    optimal_contract,
     optimal_contracts,
 )
 from .equilibrium import (
@@ -51,7 +49,6 @@ from .market import (
 )
 from .simulator import (
     GenerationSeries,
-    SimulationConfig,
     SimulationReport,
     TimeseriesFormatError,
     emit_report,
@@ -75,10 +72,8 @@ __all__ = [
     "contract_mismatch_counterexample",
     "marginal_price",
     "run_property_checks",
-    "GenerationDistribution",
     "critical_quantile",
     "error_spread",
-    "optimal_contract",
     "optimal_contracts",
     "CompetitiveEquilibrium",
     "ResponseInterval",
@@ -97,7 +92,6 @@ __all__ = [
     "separate_payoffs",
     "settle",
     "GenerationSeries",
-    "SimulationConfig",
     "SimulationReport",
     "TimeseriesFormatError",
     "emit_report",

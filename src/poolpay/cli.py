@@ -16,11 +16,10 @@ import sys
 import traceback
 
 from .allocation import allocate, run_property_checks
-from .contracts import GenerationDistribution, critical_quantile, optimal_contract
+from .contracts import critical_quantile, optimal_contracts
 from .equilibrium import solve_competitive_equilibrium
 from .market import PriceTriple, approx_equal
 from .simulator import (
-    SimulationConfig,
     TimeseriesFormatError,
     emit_report,
     load_contract_schedule,
@@ -72,23 +71,16 @@ def _cmd_simulate(args) -> int:
     data = load_timeseries(args.data)
     trace_file_names(data.producer_ids)  # a file-name clash fails before the run, not after
     if args.prices is not None:
-        price_source = load_prices(args.prices)
+        prices = load_prices(args.prices, data)
     else:
         constant = _cli_prices(args)
         if constant is None:
             raise TimeseriesFormatError("either --prices or --pf/--prb/--prs is required")
-        price_source = constant
-    config = SimulationConfig(
-        price_source=price_source,
-        train_range=args.train,
-        sim_range=args.sim,
-        contract_schedule=(
-            None if args.contracts is None
-            else load_contract_schedule(args.contracts, data)
-        ),
-        check_core=args.check_core,
+        prices = (constant,) * data.n_hours
+    contracts = None if args.contracts is None else load_contract_schedule(args.contracts, data)
+    report = run_simulation(
+        data, prices, args.train, args.sim, contracts=contracts, check_core=args.check_core
     )
-    report = run_simulation(config, data)
     files = emit_report(report, args.out)
     print(f"simulated {report.n_hours} hours x {len(report.producer_ids)} producers")
     print(f"total pooled payoff   : {report.grand_total_pooled:.6f}")
@@ -152,8 +144,7 @@ def _cmd_contract(args) -> int:
         raise ValueError(f"--cap must be >= 0, got {args.cap}")
     if math.isinf(args.cap) and critical_quantile(prices) >= 1.0:
         raise ValueError("--cap is required when p_f >= p_rb (critical quantile 1)")
-    dist = GenerationDistribution(mean=args.mean, std_dev=args.std, upper_bound=args.cap)
-    contract = optimal_contract(dist, prices)
+    contract = float(optimal_contracts([[args.mean]], [args.std], [prices], args.cap)[0, 0])
     print(f"critical_quantile: {critical_quantile(prices)!r}")
     print(f"optimal_contract_mwh: {contract!r}")
     return EXIT_OK

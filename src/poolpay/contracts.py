@@ -9,58 +9,17 @@ generation distribution's quantile at
     q = (day_ahead - rt_sell) / (rt_buy - rt_sell)
 
 clamped to [0, 1]. ``optimal_contracts`` sizes a whole (hours x producers)
-block with one broadcast quantile call; ``optimal_contract`` is its 1 x 1
-case.
+block with one broadcast quantile call; one producer's hour is its 1 x 1
+block.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .market import PriceTriple
-
-
-@dataclass(frozen=True)
-class GenerationDistribution:
-    """Normal model of one producer's generation for one hour, truncated at
-    zero so samples stay physical (generation is nonnegative). A finite
-    ``upper_bound`` models a known capacity.
-    """
-
-    mean: float
-    std_dev: float
-    upper_bound: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError("mean must be finite")
-        if not self.std_dev >= 0.0:
-            raise ValueError(f"std_dev must be >= 0, got {self.std_dev}")
-        if not self.upper_bound >= 0.0:
-            raise ValueError(f"upper_bound must be >= 0, got {self.upper_bound}")
-
-    def _frozen(self):
-        a = (0.0 - self.mean) / self.std_dev
-        b = (self.upper_bound - self.mean) / self.std_dev
-        return stats.truncnorm(a, b, loc=self.mean, scale=self.std_dev)
-
-    def _degenerate_point(self) -> float:
-        return min(max(self.mean, 0.0), self.upper_bound)
-
-    def cdf(self, value: float) -> float:
-        if self.std_dev == 0.0:
-            return 1.0 if value >= self._degenerate_point() else 0.0
-        return float(self._frozen().cdf(value))
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        if self.std_dev == 0.0:
-            return np.full(count, self._degenerate_point())
-        return self._frozen().rvs(size=count, random_state=rng)
 
 
 def critical_quantile(prices: PriceTriple) -> float:
@@ -109,11 +68,6 @@ def optimal_contracts(means, std_devs, prices, upper_bound: float = math.inf) ->
     # not np.maximum: like max(0.0, x), this maps NaN (scipy's answer when
     # the truncation interval is empty) and -0.0 to +0.0
     return np.where(contracts > 0.0, contracts, 0.0)
-
-
-def optimal_contract(dist: GenerationDistribution, prices: PriceTriple) -> float:
-    """Expected-payoff-maximizing commitment for one producer: a 1 x 1 block."""
-    return float(optimal_contracts([[dist.mean]], [dist.std_dev], [prices], dist.upper_bound)[0, 0])
 
 
 def error_spread(forecasts, actuals) -> np.ndarray:

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -60,6 +59,19 @@ def _parse_hour(text: str):
         raise TimeseriesFormatError(
             f"hour {text!r} is neither an integer index nor ISO-8601"
         ) from None
+
+
+def _format_hour(hour) -> str:
+    """An hour as written in the outputs and in error messages."""
+    return hour.isoformat() if isinstance(hour, datetime) else str(hour)
+
+
+def _series_row(text: str, hour_rows: dict) -> tuple:
+    """(hour, row) of an hour field that must name one of the series' hours."""
+    hour = _parse_hour(text)
+    if hour not in hour_rows:
+        raise TimeseriesFormatError(f"hour {_format_hour(hour)} is not in the generation series")
+    return hour, hour_rows[hour]
 
 
 def _hour_kind(hour) -> str:
@@ -199,7 +211,9 @@ def load_timeseries(path) -> GenerationSeries:
                 raise TimeseriesFormatError("negative generation")
             key = (hour, producer)
             if key in seen:
-                raise TimeseriesFormatError(f"duplicate (hour, producer) key {key!r}")
+                raise TimeseriesFormatError(
+                    f"duplicate (hour, producer) key ({_format_hour(hour)}, {producer!r})"
+                )
             seen.add(key)
             hour_col.append(hour)
             producer_col.append(producer)
@@ -222,26 +236,33 @@ def load_timeseries(path) -> GenerationSeries:
     gap = _first_missing(forecasts, hours, producers)
     if gap is not None:
         raise TimeseriesFormatError(
-            f"{path}: missing hour {gap[0]!r} for producer {gap[1]!r}; the series must be dense"
+            f"{path}: missing hour {_format_hour(gap[0])} for producer {gap[1]!r}; "
+            "the series must be dense"
         )
     return GenerationSeries(producers, hours, forecasts, actuals)
 
 
-def load_prices(path) -> dict:
-    """Load the per-hour price CSV (hour, p_f, p_rb, p_rs)."""
+def load_prices(path, series: GenerationSeries) -> tuple:
+    """Load the per-hour price CSV (hour, p_f, p_rb, p_rs) for ``series``.
+
+    Every row must name one of the hours of ``series``. The result holds one
+    PriceTriple per hour of ``series``, in its order, and None for each hour
+    no row names.
+    """
     path = Path(path)
-    prices: dict = {}
+    hour_rows = {hour: i for i, hour in enumerate(series.hours)}
+    prices: list = [None] * series.n_hours
     for line_no, row in _read_rows(path, PRICE_HEADER):
         try:
-            hour = _parse_hour(row[0])
-            if hour in prices:
-                raise TimeseriesFormatError(f"duplicate hour {hour!r}")
-            prices[hour] = _parse_prices(row[1:])
+            hour, i = _series_row(row[0], hour_rows)
+            if prices[i] is not None:
+                raise TimeseriesFormatError(f"duplicate hour {_format_hour(hour)}")
+            prices[i] = _parse_prices(row[1:])
         except TimeseriesFormatError as exc:
             raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
-    if not prices:
+    if all(p is None for p in prices):
         raise TimeseriesFormatError(f"{path}: no data rows")
-    return prices
+    return tuple(prices)
 
 
 def load_contract_schedule(path, series: GenerationSeries) -> np.ndarray:
@@ -252,14 +273,12 @@ def load_contract_schedule(path, series: GenerationSeries) -> np.ndarray:
     (hours x producers) block aligned with ``series``, NaN in each cell no row names.
     """
     path = Path(path)
-    hour_index = {hour: i for i, hour in enumerate(series.hours)}
+    hour_rows = {hour: i for i, hour in enumerate(series.hours)}
     producer_index = {producer: i for i, producer in enumerate(series.producer_ids)}
     schedule = np.full((series.n_hours, series.n_producers), np.nan)
     for line_no, row in _read_rows(path, CONTRACT_HEADER):
         try:
-            hour = _parse_hour(row[0])
-            if hour not in hour_index:
-                raise TimeseriesFormatError(f"hour {hour!r} is not in the generation series")
+            hour, hour_row = _series_row(row[0], hour_rows)
             producer = _parse_producer(row[1], ())
             if producer not in producer_index:
                 raise TimeseriesFormatError(
@@ -268,10 +287,11 @@ def load_contract_schedule(path, series: GenerationSeries) -> np.ndarray:
             contract = _parse_float(row[2], "contract_mwh")
             if contract < 0.0:
                 raise TimeseriesFormatError("negative contract")
-            cell = hour_index[hour], producer_index[producer]
+            cell = hour_row, producer_index[producer]
             if not math.isnan(schedule[cell]):
-                key = (hour, producer)
-                raise TimeseriesFormatError(f"duplicate (hour, producer) key {key!r}")
+                raise TimeseriesFormatError(
+                    f"duplicate (hour, producer) key ({_format_hour(hour)}, {producer!r})"
+                )
             schedule[cell] = contract
         except TimeseriesFormatError as exc:
             raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
@@ -338,27 +358,6 @@ def load_payoffs(path, snapshot: ScenarioSnapshot) -> PayoffAllocation:
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    """Everything run_simulation needs besides the generation data.
-
-    Ranges are half-open [start, stop) positions into the chronologically
-    sorted hour axis; the training range must end before the simulation
-    range begins. ``price_source`` is either one constant PriceTriple or a
-    mapping from hour to PriceTriple (as produced by ``load_prices``).
-    Contracts come from ``contract_schedule`` when it is given, an
-    (hours x producers) block over the whole series as produced by
-    ``load_contract_schedule``; otherwise from news-vendor sizing on the
-    training window's error spread.
-    """
-
-    price_source: PriceTriple | Mapping
-    train_range: tuple[int, int]
-    sim_range: tuple[int, int]
-    contract_schedule: np.ndarray | None = None
-    check_core: bool = False
-
-
-@dataclass(frozen=True)
 class SimulationReport:
     """A settled simulation window, held as columns.
 
@@ -391,36 +390,26 @@ class SimulationReport:
         return len(self.hours)
 
 
-def _check_ranges(config: SimulationConfig, n_hours: int) -> None:
-    for name, (start, stop) in (("train_range", config.train_range), ("sim_range", config.sim_range)):
+def _check_ranges(train_range, sim_range, n_hours: int) -> None:
+    for name, (start, stop) in (("train_range", train_range), ("sim_range", sim_range)):
         if not (0 <= start < stop <= n_hours):
             raise ValueError(
                 f"{name} [{start}, {stop}) invalid for {n_hours} available hours"
             )
-    if config.train_range[1] > config.sim_range[0]:
+    if train_range[1] > sim_range[0]:
         raise ValueError("training window must end before the simulation window starts")
 
 
-def _prices_for_hour(config: SimulationConfig, hour) -> PriceTriple:
-    if isinstance(config.price_source, PriceTriple):
-        return config.price_source
-    try:
-        return config.price_source[hour]
-    except KeyError:
-        raise ValueError(f"no prices supplied for hour {hour!r}") from None
-
-
 def _contract_block(
-    config: SimulationConfig, data: GenerationSeries, prices: list[PriceTriple]
+    data: GenerationSeries, prices, train_range, sim_range, schedule
 ) -> np.ndarray:
     """(hours x producers) contracts for the simulation window.
 
-    Sliced from ``config.contract_schedule`` when one is given; otherwise
-    the news-vendor contracts for each hour's forecasts, the producers'
-    training error spreads and that hour's prices.
+    Sliced from ``schedule`` when one is given; otherwise the news-vendor
+    contracts for each hour's forecasts, the producers' training error
+    spreads and that hour's prices (``prices`` covers the window only).
     """
-    s0, s1 = config.sim_range
-    schedule = config.contract_schedule
+    s0, s1 = sim_range
     if schedule is not None:
         if np.shape(schedule) != data.forecasts.shape:
             raise ValueError(
@@ -429,32 +418,52 @@ def _contract_block(
         block = np.array(schedule[s0:s1], dtype=float)
         gap = _first_missing(block, data.hours[s0:s1], data.producer_ids)
         if gap is not None:
-            raise ValueError(f"contract schedule missing hour {gap[0]!r} for producer {gap[1]!r}")
+            raise ValueError(
+                f"contract schedule missing hour {_format_hour(gap[0])} for producer {gap[1]!r}"
+            )
         return block
     for hour, hour_prices in zip(data.hours[s0:s1], prices):
         if critical_quantile(hour_prices) >= 1.0:
             raise ValueError(
-                f"hour {hour!r} has p_f >= p_rb, so its news-vendor contract is unbounded; "
-                "give the contracts as a schedule (--contracts)"
+                f"hour {_format_hour(hour)} has p_f >= p_rb, so its news-vendor contract is "
+                "unbounded; give the contracts as a schedule (--contracts)"
             )
-    t0, t1 = config.train_range
+    t0, t1 = train_range
     spread = error_spread(data.forecasts[t0:t1], data.actuals[t0:t1])
     return optimal_contracts(data.forecasts[s0:s1], spread, prices)
 
 
-def run_simulation(config: SimulationConfig, data: GenerationSeries) -> SimulationReport:
+def run_simulation(
+    data: GenerationSeries, prices, train_range, sim_range, *, contracts=None, check_core=False
+) -> SimulationReport:
     """Settle every hour of the simulation window and audit each allocation.
+
+    ``prices`` holds one PriceTriple per hour of ``data``, as ``load_prices``
+    returns them; an hour outside the simulation window may have None.
+    Ranges are half-open [start, stop) positions into the sorted hour axis,
+    and the training range must end before the simulation range begins.
+    Contracts come from ``contracts`` when it is given, an (hours x
+    producers) block over the whole series as ``load_contract_schedule``
+    returns it; otherwise from news-vendor sizing on the training window's
+    error spread.
 
     The contract block is built first, for the whole window. Then, per
     hour: assemble the snapshot, split the pool payoff with the
     marginal-price mechanism, evaluate the separate baseline, and run the
     property audit (core membership included when enabled).
     """
-    _check_ranges(config, data.n_hours)
-    s0, s1 = config.sim_range
-    hours = data.hours[s0:s1]
-    prices = [_prices_for_hour(config, hour) for hour in hours]
-    contracts = _contract_block(config, data, prices)
+    _check_ranges(train_range, sim_range, data.n_hours)
+    if len(prices) != data.n_hours:
+        raise ValueError(
+            f"prices must hold one entry per hour of the series ({data.n_hours}), "
+            f"got {len(prices)}"
+        )
+    s0, s1 = sim_range
+    hours, window = data.hours[s0:s1], prices[s0:s1]
+    for hour, hour_prices in zip(hours, window):
+        if hour_prices is None:
+            raise ValueError(f"no prices supplied for hour {_format_hour(hour)}")
+    contracts = _contract_block(data, window, train_range, sim_range, contracts)
     realizations = data.actuals[s0:s1].copy()
     pooled = np.empty_like(contracts)
     separate = np.empty_like(contracts)
@@ -465,7 +474,7 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
     totals_separate = np.zeros(data.n_producers)
     total_excess = 0.0
 
-    for row, hour_prices in enumerate(prices):
+    for row, hour_prices in enumerate(window):
         snapshot = ScenarioSnapshot(
             data.producer_ids, contracts[row], realizations[row], hour_prices
         )
@@ -474,9 +483,7 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
         separate[row] = separate_payoffs(snapshot)
         aggregator[row] = alloc.aggregator_total
         excess[row] = excess_profit(snapshot)
-        properties.append(
-            run_property_checks(alloc, snapshot, check_core=config.check_core)
-        )
+        properties.append(run_property_checks(alloc, snapshot, check_core=check_core))
         # one row at a time from zero, never sum(axis=0): that sums a single
         # column pairwise and would change the totals' last bits
         totals_pooled += pooled[row]
@@ -506,10 +513,6 @@ def run_simulation(config: SimulationConfig, data: GenerationSeries) -> Simulati
             "core": sum(p.in_core is False for p in properties),
         },
     )
-
-
-def _format_hour(hour) -> str:
-    return hour.isoformat() if isinstance(hour, datetime) else str(hour)
 
 
 def _safe_filename(producer_id: str) -> str:

@@ -50,6 +50,15 @@ def mc_payoff_curve(sample, contracts, prices):
     return mean, np.sqrt(variance / m)
 
 
+def truncated_normal(mean, std_dev, upper_bound=math.inf):
+    """The generation model of one producer's hour as a frozen scipy
+    distribution: a normal with ``std_dev > 0`` truncated to [0, upper_bound].
+    Its ``.rvs(size=count, random_state=rng)`` draws the Monte Carlo samples."""
+    a = (0.0 - mean) / std_dev
+    b = (upper_bound - mean) / std_dev
+    return stats.truncnorm(a, b, loc=mean, scale=std_dev)
+
+
 def newsvendor_contract(mean, std_dev, q, upper_bound=math.inf):
     """One cell of the news-vendor rule, sized on its own: the cap at level
     1, nothing at level 0, the clipped mean at zero spread, else a frozen
@@ -61,24 +70,20 @@ def newsvendor_contract(mean, std_dev, q, upper_bound=math.inf):
         return 0.0
     if std_dev == 0.0:
         return max(0.0, min(max(mean, 0.0), upper_bound))
-    a = (0.0 - mean) / std_dev
-    b = (upper_bound - mean) / std_dev
-    return max(0.0, float(stats.truncnorm(a, b, loc=mean, scale=std_dev).ppf(q)))
+    return max(0.0, float(truncated_normal(mean, std_dev, upper_bound).ppf(q)))
 
 
-def quad_expected_payoff(dist, contract, prices):
+def quad_expected_payoff(mean, std_dev, upper_bound, contract, prices):
     """Expected stand-alone payoff by direct quadrature of the truncated pdf."""
-    if dist.std_dev == 0.0:
-        point = min(max(dist.mean, 0.0), dist.upper_bound)
+    if std_dev == 0.0:
+        point = min(max(mean, 0.0), upper_bound)
         return (
             prices.day_ahead * contract
             - prices.rt_buy * max(contract - point, 0.0)
             + prices.rt_sell * max(point - contract, 0.0)
         )
-    a = (0.0 - dist.mean) / dist.std_dev
-    b = (dist.upper_bound - dist.mean) / dist.std_dev
-    frozen = stats.truncnorm(a, b, loc=dist.mean, scale=dist.std_dev)
-    upper = dist.upper_bound if math.isfinite(dist.upper_bound) else np.inf
+    frozen = truncated_normal(mean, std_dev, upper_bound)
+    upper = upper_bound if math.isfinite(upper_bound) else np.inf
     short = 0.0
     if contract > 0.0:
         short = integrate.quad(lambda x: (contract - x) * frozen.pdf(x), 0.0, contract)[0]

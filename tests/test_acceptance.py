@@ -12,17 +12,15 @@ import pytest
 
 from poolpay import (
     DEFAULT_TOLERANCE,
-    GenerationDistribution,
     PriceTriple,
     ScenarioSnapshot,
-    SimulationConfig,
     aggregator_payoff,
     allocate,
     best_response_set,
     coalition_value,
     contract_mismatch_counterexample,
     load_timeseries,
-    optimal_contract,
+    optimal_contracts,
     optimal_redistribution,
     run_property_checks,
     run_simulation,
@@ -33,7 +31,7 @@ from poolpay import (
 from poolpay.cli import EXIT_OK, main
 from poolpay.simulator import GenerationSeries
 
-from oracles import mc_payoff_curve
+from oracles import mc_payoff_curve, truncated_normal
 
 RELATIVE_TOL = 1e-9
 SEED = 20260810
@@ -245,18 +243,15 @@ def test_criterion_6_newsvendor_contract_is_optimal():
         spread = float(rng.uniform(1.0, 25.0))
         day_ahead = rt_sell + float(rng.uniform(-0.1, 0.95)) * spread
         prices = PriceTriple(day_ahead, rt_sell + spread, rt_sell)
-        dist = GenerationDistribution(mean=mean, std_dev=std)
-        star = optimal_contract(dist, prices)
-        sample = dist.sample(1_000_000, rng)
+        star = optimal_contracts([[mean]], [std], [prices])[0, 0]
+        sample = truncated_normal(mean, std).rvs(size=1_000_000, random_state=rng)
         grid = np.linspace(0.0, mean + 4.0 * std, 200)
         grid_mean, grid_se = mc_payoff_curve(sample, grid, prices)
         star_mean, star_se = mc_payoff_curve(sample, [star], prices)
         band = 3.0 * (grid_se + star_se[0])
         if not np.all(star_mean[0] >= grid_mean - band):
             beaten += 1
-    fixed = optimal_contract(
-        GenerationDistribution(mean=100.0, std_dev=20.0), PriceTriple(10.0, 15.0, 5.0)
-    )
+    fixed = optimal_contracts([[100.0]], [20.0], [PriceTriple(10.0, 15.0, 5.0)])[0, 0]
     fixed_ok = abs(fixed - 100.0) <= 0.01
     report(
         6,
@@ -297,13 +292,8 @@ def test_criterion_7_monthlong_run_orders_mechanisms():
     this run uses synthetic data and checks ordering and identities instead.
     """
     data = synthetic_series()
-    config = SimulationConfig(
-        price_source=PriceTriple(10.0, 15.0, 5.0),
-        train_range=(0, 744),
-        sim_range=(744, 1416),
-        check_core=True,
-    )
-    report_out = run_simulation(config, data)
+    prices = (PriceTriple(10.0, 15.0, 5.0),) * data.n_hours
+    report_out = run_simulation(data, prices, (0, 744), (744, 1416), check_core=True)
     violations = sum(report_out.violation_counts.values())
     gap = report_out.grand_total_pooled - report_out.grand_total_separate
     gap_matches = math.isclose(
@@ -358,13 +348,9 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
         + [f"trace_{p}.csv" for p in data.producer_ids]
     )
 
-    config = SimulationConfig(
-        price_source=PriceTriple(10.0, 15.0, 5.0),
-        train_range=(0, 48),
-        sim_range=(48, 120),
-        check_core=True,
-    )
-    reference = run_simulation(config, load_timeseries(gen_path))
+    loaded = load_timeseries(gen_path)
+    prices = (PriceTriple(10.0, 15.0, 5.0),) * loaded.n_hours
+    reference = run_simulation(loaded, prices, (0, 48), (48, 120), check_core=True)
     with (tmp_path / "run1" / "hourly.csv").open(newline="") as fh:
         rows = {(r["hour"], r["producer_id"]): r for r in csv.DictReader(fh)}
     round_trip_ok = True

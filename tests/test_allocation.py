@@ -50,7 +50,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
         "allocation": ("PamConfig", "ConfigurationError", "resolve_balance_price"),
         "market": ("SurplusPartition", "partition_surplus_shortfall"),
         "equilibrium": ("ProductionFunction", "Redistribution"),
-        "contracts": ("expected_separate_payoff",),
+        "contracts": ("expected_separate_payoff", "GenerationDistribution", "optimal_contract"),
+        "simulator": ("SimulationConfig", "_prices_for_hour"),
     }
     for module, names in removed.items():
         for name in names:

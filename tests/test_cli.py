@@ -333,7 +333,7 @@ class TestSimulateCommand:
     def test_trace_name_collision_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # "w 1" and "w_1" both map to trace_w_1.csv; the clash is known once
         # the series is loaded, so the window is never settled
-        def run_simulation(config, data):
+        def run_simulation(*args, **kwargs):
             raise AssertionError("settled a window whose report cannot be written")
 
         monkeypatch.setattr("poolpay.cli.run_simulation", run_simulation)
@@ -404,3 +404,57 @@ class TestSimulateCommand:
         assert "hour 6 has p_f >= p_rb" in err and "--contracts" in err
         assert "upper_bound" not in err
         assert not out_dir.exists()
+
+
+def iso_hour(h):
+    return f"2004-02-01T{h:02d}:00:00"
+
+
+ISO_GENERATION = [[iso_hour(h), p, 50.0, 40.0 + h + k]
+                  for h in range(4) for k, p in enumerate(("w1", "w2"))]
+ISO_PRICES = [[iso_hour(h), 10.0, 15.0, 5.0] for h in range(4)]
+ISO_CONTRACTS = [[iso_hour(h), p, 45.0] for h in (2, 3) for p in ("w1", "w2")]
+
+
+@pytest.mark.parametrize(
+    "generation, prices, contracts, message",
+    [
+        (ISO_GENERATION[:-1], ISO_PRICES, ISO_CONTRACTS,
+         "missing hour 2004-02-01T03:00:00 for producer 'w2'"),
+        (ISO_GENERATION + ISO_GENERATION[2:3], ISO_PRICES, ISO_CONTRACTS,
+         "duplicate (hour, producer) key (2004-02-01T01:00:00, 'w1')"),
+        (ISO_GENERATION, ISO_PRICES, ISO_CONTRACTS + [[iso_hour(9), "w1", 1.0]],
+         "hour 2004-02-01T09:00:00 is not in the generation series"),
+        (ISO_GENERATION, ISO_PRICES, ISO_CONTRACTS + ISO_CONTRACTS[:1],
+         "duplicate (hour, producer) key (2004-02-01T02:00:00, 'w1')"),
+        (ISO_GENERATION, ISO_PRICES, ISO_CONTRACTS[:-1],
+         "contract schedule missing hour 2004-02-01T03:00:00 for producer 'w2'"),
+        (ISO_GENERATION, ISO_PRICES[:3] + [[iso_hour(3), 20.0, 15.0, 5.0]], None,
+         "hour 2004-02-01T03:00:00 has p_f >= p_rb"),
+        (ISO_GENERATION, ISO_PRICES[:-1], ISO_CONTRACTS,
+         "no prices supplied for hour 2004-02-01T03:00:00"),
+        (ISO_GENERATION, ISO_PRICES + ISO_PRICES[1:2], ISO_CONTRACTS,
+         "duplicate hour 2004-02-01T01:00:00"),
+        # a timezone-aware hour in a naive series is not one of its hours
+        (ISO_GENERATION, ISO_PRICES[:2] + [[iso_hour(2) + "+00:00", 10.0, 15.0, 5.0]]
+         + ISO_PRICES[3:], ISO_CONTRACTS,
+         "prices.csv:4: hour 2004-02-01T02:00:00+00:00 is not in the generation series"),
+    ],
+    ids=["generation-gap", "generation-duplicate", "schedule-unknown-hour", "schedule-duplicate",
+         "schedule-gap", "unbounded-contract", "missing-price", "price-duplicate",
+         "price-hour-of-another-kind"],
+)
+def test_iso_hours_are_named_as_written(tmp_path, capsys, generation, prices, contracts, message):
+    gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
+                    generation)
+    price_path = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"], prices)
+    argv = ["simulate", "--data", str(gen), "--prices", str(price_path),
+            "--train", "0:2", "--sim", "2:4", "--out", str(tmp_path / "out")]
+    if contracts is not None:
+        contract_path = write_csv(tmp_path / "contracts.csv",
+                                  ["hour", "producer_id", "contract_mwh"], contracts)
+        argv += ["--contracts", str(contract_path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert message in err and "datetime" not in err

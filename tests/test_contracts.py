@@ -5,19 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolpay import (
-    GenerationDistribution,
-    PriceTriple,
-    critical_quantile,
-    error_spread,
-    optimal_contract,
-    optimal_contracts,
-)
+from poolpay import PriceTriple, critical_quantile, error_spread, optimal_contracts
+from poolpay.cli import EXIT_OK, main
 
 from conftest import price_triples
-from oracles import mc_payoff_curve, newsvendor_contract, quad_expected_payoff
+from oracles import mc_payoff_curve, newsvendor_contract, quad_expected_payoff, truncated_normal
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
+
+
+def contract(mean, std_dev, prices, upper_bound=math.inf):
+    """One producer's hour, sized as the 1 x 1 block."""
+    return optimal_contracts([[mean]], [std_dev], [prices], upper_bound)[0, 0]
 
 
 class TestCriticalQuantile:
@@ -57,68 +56,53 @@ class TestCriticalQuantile:
         """The quantile formula must agree with brute-force expected-payoff
         maximization over a contract grid (the module's main correctness risk)."""
         rng = np.random.default_rng(32)
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        sample = dist.sample(200_000, rng)
+        sample = truncated_normal(100.0, 20.0).rvs(size=200_000, random_state=rng)
         grid = np.linspace(0.0, 200.0, 401)
         for prices in (P, PriceTriple(12.0, 15.0, 5.0), PriceTriple(8.0, 20.0, -5.0)):
             mean, se = mc_payoff_curve(sample, grid, prices)
             best_grid = grid[int(np.argmax(mean))]
-            closed_form = optimal_contract(dist, prices)
+            closed_form = contract(100.0, 20.0, prices)
             assert abs(closed_form - best_grid) <= 2.0  # within a few grid steps
 
 
 class TestOptimalContract:
     def test_symmetric_prices_pick_the_mean(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        assert optimal_contract(dist, P) == pytest.approx(100.0, abs=0.01)
+        assert contract(100.0, 20.0, P) == pytest.approx(100.0, abs=0.01)
 
     def test_seventy_percent_quantile(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        value = optimal_contract(dist, PriceTriple(12.0, 15.0, 5.0))
+        value = contract(100.0, 20.0, PriceTriple(12.0, 15.0, 5.0))
         assert value == pytest.approx(110.49, abs=0.01)
 
     def test_deterministic_generation(self):
-        dist = GenerationDistribution(mean=80.0, std_dev=0.0)
-        assert optimal_contract(dist, P) == 80.0
+        assert contract(80.0, 0.0, P) == 80.0
 
     def test_quantile_zero_maps_to_lower_bound(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        value = optimal_contract(dist, PriceTriple(4.0, 15.0, 5.0))
+        value = contract(100.0, 20.0, PriceTriple(4.0, 15.0, 5.0))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_quantile_one_needs_a_cap(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
         prices = PriceTriple(20.0, 15.0, 5.0)
         with pytest.raises(ValueError, match="cap"):
-            optimal_contract(dist, prices)
-        bounded = GenerationDistribution(mean=100.0, std_dev=20.0, upper_bound=150.0)
-        assert optimal_contract(bounded, prices) == 150.0
-        capped = GenerationDistribution(mean=100.0, std_dev=20.0, upper_bound=130.0)
-        assert optimal_contract(capped, prices) == 130.0
+            contract(100.0, 20.0, prices)
+        assert contract(100.0, 20.0, prices, upper_bound=150.0) == 150.0
+        assert contract(100.0, 20.0, prices, upper_bound=130.0) == 130.0
 
     def test_never_negative(self):
         # with the mean far below zero, scipy 1.17 puts this tiny quantile
         # level a few ulps below 0; the contract floor keeps it at +0.0 or above
-        dist = GenerationDistribution(mean=-33.5709416720468, std_dev=0.624855462992385)
-        value = optimal_contract(dist, PriceTriple(6.712061290134014e-15, 1.0, 0.0))
+        value = contract(-33.5709416720468, 0.624855462992385,
+                         PriceTriple(6.712061290134014e-15, 1.0, 0.0))
         assert value >= 0.0 and math.copysign(1.0, value) == 1.0
-        wide = GenerationDistribution(mean=5.0, std_dev=50.0)
-        assert optimal_contract(wide, PriceTriple(6.0, 15.0, 5.0)) >= 0.0
+        assert contract(5.0, 50.0, PriceTriple(6.0, 15.0, 5.0)) >= 0.0
 
     def test_monotone_in_forward_price(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        values = [
-            optimal_contract(dist, PriceTriple(pf, 15.0, 5.0))
-            for pf in np.linspace(5.5, 14.5, 19)
-        ]
+        values = [contract(100.0, 20.0, PriceTriple(pf, 15.0, 5.0))
+                  for pf in np.linspace(5.5, 14.5, 19)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_monotone_in_mean(self):
         prices = PriceTriple(12.0, 15.0, 5.0)
-        values = [
-            optimal_contract(GenerationDistribution(mean=m, std_dev=20.0), prices)
-            for m in np.linspace(50.0, 150.0, 21)
-        ]
+        values = [contract(m, 20.0, prices) for m in np.linspace(50.0, 150.0, 21)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_beats_grid_by_monte_carlo(self):
@@ -130,9 +114,8 @@ class TestOptimalContract:
             buy = sell + rng.uniform(1.0, 25.0)
             pf = sell + rng.uniform(-0.1, 0.95) * (buy - sell)
             prices = PriceTriple(pf, buy, sell)
-            dist = GenerationDistribution(mean=mean, std_dev=std)
-            star = optimal_contract(dist, prices)
-            sample = dist.sample(200_000, rng)
+            star = contract(mean, std, prices)
+            sample = truncated_normal(mean, std).rvs(size=200_000, random_state=rng)
             grid = np.linspace(0.0, mean + 4.0 * std, 200)
             grid_mean, grid_se = mc_payoff_curve(sample, grid, prices)
             star_mean, star_se = mc_payoff_curve(sample, [star], prices)
@@ -141,19 +124,15 @@ class TestOptimalContract:
 
 
 class TestGenerationDistribution:
+    """The generation model of each cell: a normal on the forecast with the
+    training spread, truncated to [0, upper_bound]."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            GenerationDistribution(mean=100.0, std_dev=-1.0)
+            contract(100.0, -1.0, P)
         for cap in (-5.0, math.nan):
             with pytest.raises(ValueError, match="upper_bound"):
-                GenerationDistribution(mean=100.0, std_dev=1.0, upper_bound=cap)
-
-    def test_samples_respect_truncation(self):
-        rng = np.random.default_rng(34)
-        dist = GenerationDistribution(mean=10.0, std_dev=30.0, upper_bound=25.0)
-        draws = dist.sample(10_000, rng)
-        assert draws.min() >= 0.0
-        assert draws.max() <= 25.0
+                contract(100.0, 1.0, P, upper_bound=cap)
 
     def test_quantiles_respect_truncation(self):
         # critical quantile levels 0, 1 and 0.5
@@ -164,11 +143,11 @@ class TestGenerationDistribution:
         assert 0.0 < mid < 25.0
 
     def test_quantile_inverts_cdf(self):
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
         prices = [PriceTriple(5.0 + 10.0 * q, 15.0, 5.0) for q in (0.05, 0.3, 0.5, 0.7, 0.95)]
-        contracts = optimal_contracts([[dist.mean]] * len(prices), [dist.std_dev], prices)
-        for level, contract in zip(map(critical_quantile, prices), contracts[:, 0]):
-            assert dist.cdf(contract) == pytest.approx(level, abs=1e-10)
+        contracts = optimal_contracts([[100.0]] * len(prices), [20.0], prices)
+        cdf = truncated_normal(100.0, 20.0).cdf
+        for level, value in zip(map(critical_quantile, prices), contracts[:, 0]):
+            assert cdf(value) == pytest.approx(level, abs=1e-10)
 
     def test_truncation_shifts_the_median(self):
         # the untruncated median is the mean, 10.0
@@ -217,12 +196,17 @@ class TestOptimalContracts:
         # compared as bytes, so NaN or a -0.0 in either block counts too
         assert got.tobytes() == want.tobytes()
 
-    def test_scalar_contract_is_the_one_by_one_block(self):
-        dist = GenerationDistribution(mean=-33.5709416720468, std_dev=0.624855462992385)
+    def test_scalar_contract_is_the_one_by_one_block(self, capsys):
+        mean, std_dev = -33.5709416720468, 0.624855462992385
         prices = PriceTriple(6.712061290134014e-15, 1.0, 0.0)
-        block = optimal_contracts([[dist.mean]], [dist.std_dev], [prices])
-        assert optimal_contract(dist, prices) == block[0, 0] == newsvendor_contract(
-            dist.mean, dist.std_dev, critical_quantile(prices)
+        code = main(["contract", "--mean", repr(mean), "--std", repr(std_dev),
+                     "--pf", repr(prices.day_ahead), "--prb", "1.0", "--prs", "0.0"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        printed = float(out.split("optimal_contract_mwh: ")[1])
+        block = optimal_contracts([[mean]], [std_dev], [prices])
+        assert printed == block[0, 0] == newsvendor_contract(
+            mean, std_dev, critical_quantile(prices)
         )
 
     @pytest.mark.parametrize(
@@ -242,9 +226,7 @@ class TestFitDistribution:
 
     def test_error_spread(self):
         spread = error_spread([[100.0], [100.0], [100.0]], [[90.0], [100.0], [110.0]])
-        dist = GenerationDistribution(mean=100.0, std_dev=float(spread[0]))
-        assert dist.mean == 100.0
-        assert dist.std_dev == pytest.approx(10.0)
+        assert spread[0] == pytest.approx(10.0)
 
     def test_identical_pairs_give_zero_spread(self):
         assert error_spread([[50.0]] * 5, [[50.0]] * 5)[0] == 0.0
@@ -272,10 +254,10 @@ class TestFitDistribution:
 
 class TestExpectedSeparatePayoff:
     def test_matches_quadrature_within_three_standard_errors(self):
-        # the sampler against the pdf: the mean payoff over dist.sample
+        # the sampler against the pdf: the mean payoff over the draws
         # must land within three standard errors of the quadrature value
-        dist = GenerationDistribution(mean=100.0, std_dev=20.0)
-        draws = dist.sample(1_000_000, np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        draws = truncated_normal(100.0, 20.0).rvs(size=1_000_000, random_state=rng)
         mean, se = mc_payoff_curve(draws, [100.0], P)
-        exact = quad_expected_payoff(dist, 100.0, P)
+        exact = quad_expected_payoff(100.0, 20.0, math.inf, 100.0, P)
         assert abs(mean[0] - exact) <= 3.0 * se[0]

@@ -8,7 +8,6 @@ import pytest
 
 from poolpay import (
     PriceTriple,
-    SimulationConfig,
     TimeseriesFormatError,
     emit_report,
     load_prices,
@@ -32,6 +31,15 @@ def write_csv(path, header, rows):
 
 def generation_file(tmp_path, rows, name="gen.csv"):
     return write_csv(tmp_path / name, ["hour", "producer_id", "forecast_mwh", "actual_mwh"], rows)
+
+
+def price_file(tmp_path, rows):
+    return write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"], rows)
+
+
+def every_hour(data, prices=P):
+    """One price triple for every hour of ``data``."""
+    return (prices,) * data.n_hours
 
 
 class TestLoadTimeseries:
@@ -107,23 +115,29 @@ class TestLoadTimeseries:
 
 class TestLoadPrices:
     def test_valid(self, tmp_path):
-        path = write_csv(
-            tmp_path / "prices.csv",
-            ["hour", "p_f", "p_rb", "p_rs"],
-            [[0, 10.0, 15.0, 5.0], [1, 11.0, 14.0, -2.0]],
-        )
-        prices = load_prices(path)
-        assert prices[0] == PriceTriple(10.0, 15.0, 5.0)
-        assert prices[1].rt_sell == -2.0
+        data = two_producer_data(tmp_path)
+        path = price_file(tmp_path, [[1, 11.0, 14.0, -2.0], [0, 10.0, 15.0, 5.0]])
+        prices = load_prices(path, data)
+        # aligned with the series' hours, None where no row names the hour
+        assert prices == (PriceTriple(10.0, 15.0, 5.0), PriceTriple(11.0, 14.0, -2.0), None)
 
     def test_arbitrage_hour_rejected_with_line(self, tmp_path):
-        path = write_csv(
-            tmp_path / "prices.csv",
-            ["hour", "p_f", "p_rb", "p_rs"],
-            [[0, 10.0, 15.0, 5.0], [1, 10.0, 5.0, 15.0]],
-        )
+        data = two_producer_data(tmp_path)
+        path = price_file(tmp_path, [[0, 10.0, 15.0, 5.0], [1, 10.0, 5.0, 15.0]])
         with pytest.raises(TimeseriesFormatError, match=r":3: .*no-arbitrage"):
-            load_prices(path)
+            load_prices(path, data)
+
+    @pytest.mark.parametrize(
+        "hour, message",
+        [("3", "hour 3 is not"), ("2004-02-01T00:00:00", "hour 2004-02-01T00:00:00 is not"),
+         ("2", "duplicate hour 2")],
+        ids=["past-the-series", "another-hour-kind", "duplicate"],
+    )
+    def test_row_must_name_a_new_hour_of_the_series(self, tmp_path, hour, message):
+        data = two_producer_data(tmp_path)
+        path = price_file(tmp_path, [[h, 10.0, 15.0, 5.0] for h in range(3)] + [[hour, 1, 2, 0]])
+        with pytest.raises(TimeseriesFormatError, match=re.escape(f"{path}:5: {message}")):
+            load_prices(path, data)
 
 
 def scheduled(data, contracts_by_hour):
@@ -151,14 +165,10 @@ class TestRunSimulation:
         data = load_timeseries(
             generation_file(tmp_path, [[0, "w1", 100.0, 100.0], [1, "w1", 100.0, 100.0]])
         )
-        config = SimulationConfig(
-            price_source=P,
-            train_range=(0, 1),
-            sim_range=(1, 2),
-            contract_schedule=scheduled(data, {1: [100.0]}),
-            check_core=True,
+        report = run_simulation(
+            data, every_hour(data), (0, 1), (1, 2),
+            contracts=scheduled(data, {1: [100.0]}), check_core=True,
         )
-        report = run_simulation(config, data)
         assert report.payoffs_pooled[0, 0] == 1000.0
         assert report.payoffs_separate[0, 0] == 1000.0
         assert report.properties[0].all_pass
@@ -166,14 +176,10 @@ class TestRunSimulation:
 
     def test_offsetting_deviations_capture_the_spread(self, tmp_path):
         data = two_producer_data(tmp_path)
-        config = SimulationConfig(
-            price_source=P,
-            train_range=(0, 2),
-            sim_range=(2, 3),
-            contract_schedule=scheduled(data, {2: [100.0, 50.0]}),
-            check_core=True,
+        report = run_simulation(
+            data, every_hour(data), (0, 2), (2, 3),
+            contracts=scheduled(data, {2: [100.0, 50.0]}), check_core=True,
         )
-        report = run_simulation(config, data)
         assert report.excess_profit[0] == pytest.approx(200.0)
         gap = report.payoffs_pooled[0].sum() - report.payoffs_separate[0].sum()
         assert gap == pytest.approx(200.0)
@@ -181,10 +187,7 @@ class TestRunSimulation:
 
     def test_newsvendor_contracts_match_fit_distribution(self, tmp_path):
         data = two_producer_data(tmp_path)
-        config = SimulationConfig(
-            price_source=P, train_range=(0, 2), sim_range=(2, 3)
-        )
-        report = run_simulation(config, data)
+        report = run_simulation(data, every_hour(data), (0, 2), (2, 3))
         for pi, producer in enumerate(data.producer_ids):
             spread = np.std(data.actuals[0:2, pi] - data.forecasts[0:2, pi], ddof=1)
             # q = 0.5 at these prices: the contract is the truncated median
@@ -198,13 +201,10 @@ class TestRunSimulation:
             ["hour", "producer_id", "contract_mwh"],
             [[2, "a", 90.0], [2, "b", 60.0]],
         )
-        config = SimulationConfig(
-            price_source=P,
-            train_range=(0, 2),
-            sim_range=(2, 3),
-            contract_schedule=load_contract_schedule(schedule_path, data),
+        report = run_simulation(
+            data, every_hour(data), (0, 2), (2, 3),
+            contracts=load_contract_schedule(schedule_path, data),
         )
-        report = run_simulation(config, data)
         np.testing.assert_allclose(report.contracts, [[90.0, 60.0]])
 
     def test_schedule_loads_as_a_block_aligned_with_the_series(self, tmp_path):
@@ -223,63 +223,53 @@ class TestRunSimulation:
         data = two_producer_data(tmp_path)
         schedule = scheduled(data, {1: [1.0, 1.0], 2: [100.0, 50.0]})
         schedule[2, 1] = np.nan  # the one gap inside the window, hours 1-2
-        config = SimulationConfig(
-            price_source=P, train_range=(0, 1), sim_range=(1, 3), contract_schedule=schedule
-        )
         with pytest.raises(ValueError, match="missing hour 2 for producer 'b'"):
-            run_simulation(config, data)
+            run_simulation(data, every_hour(data), (0, 1), (1, 3), contracts=schedule)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (6,)])
     def test_schedule_of_another_shape_rejected(self, tmp_path, shape):
         data = two_producer_data(tmp_path)
-        config = SimulationConfig(
-            price_source=P, train_range=(0, 2), sim_range=(2, 3),
-            contract_schedule=np.ones(shape),
-        )
         with pytest.raises(ValueError, match=r"\(hours x producers\) \(3, 2\)"):
-            run_simulation(config, data)
+            run_simulation(data, every_hour(data), (0, 2), (2, 3), contracts=np.ones(shape))
 
     def test_per_hour_prices(self, tmp_path):
         data = two_producer_data(tmp_path)
-        price_map = {2: PriceTriple(20.0, 30.0, 10.0)}
-        config = SimulationConfig(
-            price_source=price_map,
-            train_range=(0, 2),
-            sim_range=(2, 3),
-            contract_schedule=scheduled(data, {2: [100.0, 50.0]}),
+        prices = (None, None, PriceTriple(20.0, 30.0, 10.0))
+        report = run_simulation(
+            data, prices, (0, 2), (2, 3), contracts=scheduled(data, {2: [100.0, 50.0]})
         )
-        report = run_simulation(config, data)
         # same offsets, doubled spread
         assert report.excess_profit[0] == pytest.approx(400.0)
 
     def test_missing_price_hour_aborts_with_reference(self, tmp_path):
         data = two_producer_data(tmp_path)
-        config = SimulationConfig(
-            price_source={0: P},
-            train_range=(0, 2),
-            sim_range=(2, 3),
-            contract_schedule=scheduled(data, {2: [100.0, 50.0]}),
-        )
-        with pytest.raises(ValueError, match="hour 2"):
-            run_simulation(config, data)
+        with pytest.raises(ValueError, match="no prices supplied for hour 2"):
+            run_simulation(
+                data, (P, None, None), (0, 2), (2, 3),
+                contracts=scheduled(data, {2: [100.0, 50.0]}),
+            )
+
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_prices_of_another_length_rejected(self, tmp_path, length):
+        # a short tuple would leave hours unsettled, a long one is misaligned
+        data = two_producer_data(tmp_path)
+        with pytest.raises(ValueError, match=rf"one entry per hour of the series \(3\), got {length}"):
+            run_simulation(data, (P,) * length, (0, 2), (2, 3))
 
     def test_overlapping_windows_rejected(self, tmp_path):
         data = two_producer_data(tmp_path)
-        config = SimulationConfig(price_source=P, train_range=(0, 2), sim_range=(1, 3))
         with pytest.raises(ValueError, match="before"):
-            run_simulation(config, data)
+            run_simulation(data, every_hour(data), (0, 2), (1, 3))
 
     def test_range_outside_data_rejected(self, tmp_path):
         data = two_producer_data(tmp_path)
-        config = SimulationConfig(price_source=P, train_range=(0, 2), sim_range=(2, 9))
         with pytest.raises(ValueError, match="sim_range"):
-            run_simulation(config, data)
+            run_simulation(data, every_hour(data), (0, 2), (2, 9))
 
     def test_short_training_window_rejected_for_newsvendor(self, tmp_path):
         data = two_producer_data(tmp_path)
-        config = SimulationConfig(price_source=P, train_range=(0, 1), sim_range=(2, 3))
         with pytest.raises(ValueError, match="training"):
-            run_simulation(config, data)
+            run_simulation(data, every_hour(data), (0, 1), (2, 3))
 
     def test_hours_are_independent(self, tmp_path):
         rows = []
@@ -291,8 +281,7 @@ class TestRunSimulation:
         data = load_timeseries(generation_file(tmp_path, rows))
 
         def run(sim_range):
-            config = SimulationConfig(price_source=P, train_range=(0, 3), sim_range=sim_range)
-            return run_simulation(config, data)
+            return run_simulation(data, every_hour(data), (0, 3), sim_range)
 
         whole = run((3, 8))
         first, second = run((3, 5)), run((5, 8))
@@ -307,10 +296,7 @@ class TestRunSimulation:
 class TestEmitReport:
     def _report(self, tmp_path):
         data = two_producer_data(tmp_path)
-        config = SimulationConfig(
-            price_source=P, train_range=(0, 2), sim_range=(2, 3), check_core=True
-        )
-        return run_simulation(config, data)
+        return run_simulation(data, every_hour(data), (0, 2), (2, 3), check_core=True)
 
     def test_files_written(self, tmp_path):
         report = self._report(tmp_path)
@@ -359,9 +345,8 @@ class TestEmitReport:
                     rows_src.append([hour, "idle", 0.0, 0.0])
             name = f"g{len(producers)}.csv"
             data = load_timeseries(generation_file(tmp_path, rows_src, name=name))
-            config = SimulationConfig(price_source=prices, train_range=(0, 2), sim_range=(2, 26))
             out_dir = tmp_path / f"out{len(producers)}"
-            emit_report(run_simulation(config, data), out_dir)
+            emit_report(run_simulation(data, every_hour(data, prices), (0, 2), (2, 26)), out_dir)
 
             with (out_dir / "hourly.csv").open(newline="") as fh:
                 hourly = list(csv.DictReader(fh))

@@ -15,6 +15,7 @@ one, so the suite doubles as an audit tool for external mechanisms.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -184,28 +185,64 @@ def check_individual_rationality(
 def check_fairness(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> bool:
     """Equal deviations must earn equal margins over forward revenue.
 
-    Vacuously true when no two producers share a deviation.
+    Vacuously true when no two producers share a deviation. Every pair is
+    judged by ``approx_equal``, in O(n log n) time and O(n) memory:
+
+    - Sort the deviations once. For i < k < j in sorted order,
+      ``approx_equal(d_i, d_j)`` implies ``approx_equal(d_i, d_k)`` and
+      ``approx_equal(d_k, d_j)``: the gap shrinks while the allowance
+      ``1e-9 * max(1, |a|, |b|)`` shrinks at most 1e-9 times as fast, and
+      both sides round monotonically. So if no two sorted neighbours are
+      equal, no pair is, and the audit ends there.
+    - Otherwise each producer's equal-deviation partners at or after it form
+      one window [i, end), and ``end`` never moves left as i grows. The
+      same rule applied to margins makes the margins equal to ``m_i`` an
+      interval, so every margin in the window equals ``m_i`` exactly when
+      the window's minimum and maximum do. Two monotone deques keep those
+      as the window slides. Pairs are symmetric, so windows to the right
+      cover them all.
     """
     _require_matching(alloc, snapshot)
     dev = snapshot.contracts - snapshot.realizations
+    order = np.argsort(dev, kind="stable")
+    d = dev[order].tolist()
+    if not any(map(approx_equal, d[:-1], d[1:])):
+        return True
     margin = alloc.payoffs - snapshot.prices.day_ahead * snapshot.contracts
-    n = snapshot.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if approx_equal(dev[i], dev[j]) and not approx_equal(margin[i], margin[j]):
-                return False
+    m = margin[order].tolist()
+    n = len(d)
+    low, high = deque(), deque()  # window positions of rising / falling margins
+    end = 0
+    for i, (d_i, m_i) in enumerate(zip(d, m)):
+        while end < n and approx_equal(d_i, d[end]):
+            m_end = m[end]
+            while low and m[low[-1]] >= m_end:
+                low.pop()
+            low.append(end)
+            while high and m[high[-1]] <= m_end:
+                high.pop()
+            high.append(end)
+            end += 1
+        if low[0] < i:
+            low.popleft()
+        if high[0] < i:
+            high.popleft()
+        if not (approx_equal(m_i, m[low[0]]) and approx_equal(m_i, m[high[0]])):
+            return False
     return True
 
 
 def check_no_exploitation(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> bool:
     """A producer that delivers its contract exactly gets exactly the forward revenue."""
     _require_matching(alloc, snapshot)
-    for i in range(snapshot.n):
-        c_i, x_i = snapshot.contracts[i], snapshot.realizations[i]
-        if approx_equal(x_i, c_i):
-            if not approx_equal(alloc.payoffs[i], snapshot.prices.day_ahead * c_i):
-                return False
-    return True
+    day_ahead = snapshot.prices.day_ahead
+    return all(
+        approx_equal(p_i, day_ahead * c_i)
+        for c_i, x_i, p_i in zip(
+            snapshot.contracts.tolist(), snapshot.realizations.tolist(), alloc.payoffs.tolist()
+        )
+        if approx_equal(x_i, c_i)
+    )
 
 
 #: Largest pool the core audit enumerates (2^20 - 1 coalitions); larger

@@ -194,8 +194,10 @@ def excess_profit(snapshot: ScenarioSnapshot) -> float:
     surplus energy offsets shortfalls one-for-one, and each offset MWh
     saves the buy/sell spread. Always >= 0, and identical to
     ``aggregator_payoff - sum(separate_payoffs)``. An exact delivery sits on
-    the surplus side and adds zero to it.
+    the surplus side and adds zero to it. With no shortfall the gain is
+    ``0.0``, never ``-0.0``: the shortfall is subtracted from ``0.0``, not
+    negated.
     """
     dev = snapshot.realizations - snapshot.contracts
     surplus = dev >= 0.0
-    return snapshot.prices.spread * min(float(dev[surplus].sum()), float(-dev[~surplus].sum()))
+    return snapshot.prices.spread * min(float(dev[surplus].sum()), 0.0 - float(dev[~surplus].sum()))

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: expected payoffs are
 evaluated from raw samples via sorted prefix sums, or by direct quadrature
 against the distribution's pdf, so the closed-form contract formula is
-checked against something it cannot share a bug with; the core audit is
-checked against a plain loop over every coalition.
+checked against something it cannot share a bug with; the core, fairness
+and no-exploitation audits are checked against plain loops over every
+coalition, pair or producer.
 """
 import math
 
@@ -122,3 +123,31 @@ def core_scan(contracts, realizations, payoffs, prices):
         if violation > worst:
             worst, witness = violation, members
     return ok, worst, witness
+
+
+def _close(a, b):
+    """The library's equality rule, written out: |a - b| <= 1e-9 * max(1, |a|, |b|)."""
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def fairness_scan(contracts, realizations, payoffs, prices):
+    """Fairness as a loop over all n(n - 1) / 2 pairs: any two producers with
+    equal deviations ``c - x`` must have equal margins ``p - day_ahead * c``."""
+    contracts = np.asarray(contracts, dtype=float)
+    dev = contracts - np.asarray(realizations, dtype=float)
+    margin = np.asarray(payoffs, dtype=float) - prices.day_ahead * contracts
+    n = len(dev)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _close(dev[i], dev[j]) and not _close(margin[i], margin[j]):
+                return False
+    return True
+
+
+def no_exploitation_scan(contracts, realizations, payoffs, prices):
+    """No-exploitation as a loop over producers: one that delivers its
+    contract gets exactly its forward revenue ``day_ahead * c``."""
+    for c, x, p in zip(contracts, realizations, payoffs):
+        if _close(x, c) and not _close(p, prices.day_ahead * c):
+            return False
+    return True

@@ -29,7 +29,7 @@ from poolpay import (
 import poolpay
 from poolpay import allocation
 from conftest import price_triples, random_snapshot, snapshots
-from oracles import core_scan
+from oracles import core_scan, fairness_scan, no_exploitation_scan
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
 
@@ -348,8 +348,90 @@ def test_core_scan_matches_loop_oracle_bit_for_bit(case, chunk_rows):
     assert result.worst_coalition == witness
 
 
+@st.composite
+def _near(draw, base):
+    """``base``, or a value on, just inside or just outside the 1e-9
+    allowance around it."""
+    step = draw(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -0.5, 2.0]))
+    value = base + step * 1e-9 * max(1.0, abs(base))
+    for _ in range(draw(st.integers(0, 2))):
+        value = float(np.nextafter(value, draw(st.sampled_from([np.inf, -np.inf]))))
+    return value
+
+
+_MAGNITUDE = st.one_of(
+    st.sampled_from([0.0, 5e-10, 1e-9, 1.0, 3.0, 2.0**20, 2.0**40]), st.floats(0.0, 2.0**40)
+)
+
+
+@st.composite
+def pair_audit_cases(draw):
+    """Pools of up to 16 producers whose deviations come from a few bases:
+    exact ties, near-ties at 1e-9 relative and around zero, magnitudes from
+    0 to 2^40 and idle producers. The payoffs are the mechanism's, some
+    moved on or across the allowance, or shuffled."""
+    n = draw(st.integers(0, 16))
+    signed = _MAGNITUDE.flatmap(lambda v: st.sampled_from([v, -v]))
+    bases = draw(st.lists(signed, min_size=1, max_size=4))
+    contracts, realizations = [], []
+    for _ in range(n):
+        dev = draw(_near(draw(st.sampled_from(bases))))
+        kind = draw(st.sampled_from(["idle", "exact", "offset", "deliver"]))
+        offset = draw(_MAGNITUDE)
+        if kind == "idle":
+            c, x = 0.0, 0.0
+        elif kind == "exact":  # c - x == dev exactly, and c == 0 when dev < 0
+            c, x = max(dev, 0.0), max(-dev, 0.0)
+        elif kind == "offset":
+            c, x = offset + max(dev, 0.0), offset + max(-dev, 0.0)
+        else:
+            c, x = offset, abs(draw(_near(offset)))
+        contracts.append(c)
+        realizations.append(x)
+    whole = st.integers(-5, 5).map(lambda pf: PriceTriple(float(pf), 15.0, 5.0))
+    s = snap(contracts, realizations, draw(st.one_of(whole, price_triples())))
+    payoffs = allocate(s).payoffs.tolist()
+    style = draw(st.sampled_from(["mechanism", "nudged", "shuffled"]))
+    if style == "nudged":
+        payoffs = [draw(_near(p)) for p in payoffs]
+    elif style == "shuffled":
+        payoffs = draw(st.permutations(payoffs))
+    return s, PayoffAllocation(payoffs, aggregator_payoff(s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_audit_cases())
+@example((snap([0.0, 0.0], [0.0, 0.0]), PayoffAllocation([0.0, 2e-9], 0.0)))
+@example((snap([3.0, 2.0, 0.0], [1.0, 0.0, 0.0]), PayoffAllocation([10.0, 11.0, 0.0], 21.0)))
+def test_pair_audits_match_loop_oracles(case):
+    s, alloc = case
+    args = (s.contracts, s.realizations, alloc.payoffs, s.prices)
+    assert check_fairness(alloc, s) is fairness_scan(*args)
+    assert check_no_exploitation(alloc, s) is no_exploitation_scan(*args)
+
+
+def test_fairness_on_an_all_idle_pool_of_20000():
+    # every producer shares deviation 0, so one window holds the whole pool;
+    # a pair loop would make 2e8 comparisons here
+    n = 20_000
+    s = snap([0.0] * n, [0.0] * n)
+    fair = allocate(s)
+    moved = fair.payoffs.copy()
+    moved[n // 2] = 2e-9  # the allowance at zero is 1e-9
+    unfair = PayoffAllocation(moved, fair.aggregator_total)
+    tracemalloc.start()
+    try:
+        assert check_fairness(fair, s)
+        assert not check_fairness(unfair, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 # Each check applied to one idle producer (contract 0, output 0, every total
 # 0) that is off by ``m``; with totals of 0 the allowance is exactly 1e-9.
+# Fairness compares two idle producers, one of them off by ``m``.
 IDLE = snap([0.0], [0.0])
 OFF_BY = {
     "budget-balance": lambda m: check_budget_balance(PayoffAllocation([m], 0.0), IDLE).ok,
@@ -359,6 +441,9 @@ OFF_BY = {
     "core": lambda m: check_core_membership(PayoffAllocation([-m], 0.0), IDLE).in_core,
     "balance-band": lambda m: allocation.marginal_price(snap([0.0], [m]))[1],
     "no-exploitation": lambda m: check_no_exploitation(PayoffAllocation([m], 0.0), IDLE),
+    "fairness": lambda m: check_fairness(
+        PayoffAllocation([0.0, m], 0.0), snap([0.0, 0.0], [0.0, 0.0])
+    ),
 }
 
 

@@ -290,6 +290,20 @@ class TestSimulateCommand:
         for name in ("hourly.csv", "summary.csv", "trace_w1.csv", "trace_w2.csv"):
             assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
+    def test_one_producer_pool_gains_zero_not_minus_zero(self, tmp_path):
+        # one producer is never short against a pool partner, so the
+        # pooling gain is exactly 0.0 on every hour
+        gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
+                        [[0, "w1", 50, 48], [1, "w1", 50, 53], [2, "w1", 50, 47]])
+        contracts = write_csv(tmp_path / "contracts.csv", ["hour", "producer_id", "contract_mwh"],
+                              [[1, "w1", 50], [2, "w1", 45]])
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
+                     "--contracts", str(contracts), "--train", "0:1", "--sim", "1:3",
+                     "--out", str(out_dir)]) == EXIT_OK
+        with (out_dir / "hourly.csv").open(newline="") as fh:
+            assert [row["excess_profit"] for row in csv.DictReader(fh)] == ["0.0", "0.0"]
+
     def test_out_of_band_pstar_fails_before_any_output(self, generation_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code = main(["simulate", "--data", str(generation_file),

@@ -172,6 +172,10 @@ class TestExcessProfit:
     def test_zero_when_one_side_empty(self):
         assert excess_profit(snap([100, 50], [90, 40])) == 0.0
 
+    def test_surplus_without_shortfall_is_plus_zero(self):
+        assert not np.signbit(excess_profit(snap([100, 50], [110, 50])))
+        assert not np.signbit(excess_profit(snap([100], [103])))
+
     def test_zero_when_spread_zero(self):
         flat = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=15.0)
         assert excess_profit(snap([100, 50], [80, 70], flat)) == 0.0

@@ -13,11 +13,6 @@ from .allocation import (
     PayoffAllocation,
     PropertyReport,
     allocate,
-    check_budget_balance,
-    check_core_membership,
-    check_fairness,
-    check_individual_rationality,
-    check_no_exploitation,
     contract_mismatch_counterexample,
     marginal_price,
     run_property_checks,
@@ -64,11 +59,6 @@ __all__ = [
     "PayoffAllocation",
     "PropertyReport",
     "allocate",
-    "check_budget_balance",
-    "check_core_membership",
-    "check_fairness",
-    "check_individual_rationality",
-    "check_no_exploitation",
     "contract_mismatch_counterexample",
     "marginal_price",
     "run_property_checks",

@@ -9,7 +9,7 @@ This split is budget balanced, individually rational, fair, exploitation
 free, and lies in the core of the induced coalitional game, for every
 realization of generation.
 
-The ``check_*`` functions take arbitrary allocations, not just the built-in
+``run_property_checks`` takes arbitrary allocations, not just the built-in
 one, so the suite doubles as an audit tool for external mechanisms.
 """
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .market import (
     ScenarioSnapshot,
     aggregator_payoff,
     approx_equal,
-    separate_payoffs,
     settle,
 )
 
@@ -43,11 +42,20 @@ def marginal_price(snapshot: ScenarioSnapshot) -> tuple[float, bool]:
     band is kept tiny because the balanced branch is payoff-discontinuous
     against its neighbours.
     """
-    prices = snapshot.prices
-    total_dev = snapshot.total_realization - snapshot.total_contract
-    if abs(total_dev) <= DEFAULT_TOLERANCE * max(1.0, snapshot.total_contract):
+    return _marginal(snapshot.total_contract, snapshot.total_realization, snapshot.prices)
+
+
+def _marginal(total_c: float, total_x: float, prices: PriceTriple) -> tuple[float, bool]:
+    """``marginal_price`` of a pool with these total contract and realization."""
+    total_dev = total_x - total_c
+    if abs(total_dev) <= DEFAULT_TOLERANCE * max(1.0, total_c):
         return 0.5 * (prices.rt_buy + prices.rt_sell), True
     return (prices.rt_buy if total_dev < 0.0 else prices.rt_sell), False
+
+
+def _pam(contracts, realizations, day_ahead, marginal):
+    """The mechanism's payoffs, for one pool or, with price columns, a block."""
+    return day_ahead * contracts + marginal * (realizations - contracts)
 
 
 @dataclass(frozen=True)
@@ -142,48 +150,13 @@ def allocate(snapshot: ScenarioSnapshot) -> PayoffAllocation:
     settlement.
     """
     marginal, _ = marginal_price(snapshot)
-    c, x = snapshot.contracts, snapshot.realizations
-    payoffs = snapshot.prices.day_ahead * c + marginal * (x - c)
+    payoffs = _pam(snapshot.contracts, snapshot.realizations, snapshot.prices.day_ahead, marginal)
     return PayoffAllocation(payoffs, aggregator_payoff(snapshot), marginal)
 
 
-def _require_matching(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> None:
-    if alloc.n != snapshot.n:
-        raise ValueError(
-            f"allocation covers {alloc.n} producers but snapshot has {snapshot.n}"
-        )
-
-
-def check_budget_balance(
-    alloc: PayoffAllocation,
-    snapshot: ScenarioSnapshot,
-) -> BudgetBalanceResult:
-    """Do the payoffs sum to the pool's own market settlement?"""
-    _require_matching(alloc, snapshot)
-    total = aggregator_payoff(snapshot)
-    residual = alloc.total - total
-    return BudgetBalanceResult(abs(residual) <= DEFAULT_TOLERANCE * max(1.0, abs(total)), residual)
-
-
-def check_individual_rationality(
-    alloc: PayoffAllocation,
-    snapshot: ScenarioSnapshot,
-) -> IndividualRationalityResult:
-    """Does every producer earn at least its stand-alone settlement?"""
-    _require_matching(alloc, snapshot)
-    if snapshot.n == 0:
-        return IndividualRationalityResult(True, math.inf, None)
-    standalone = separate_payoffs(snapshot)
-    margins = alloc.payoffs - standalone
-    allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.abs(standalone))
-    worst = int(np.argmin(margins))
-    return IndividualRationalityResult(
-        bool(np.all(margins >= -allowance)), float(margins[worst]), worst
-    )
-
-
-def check_fairness(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> bool:
-    """Equal deviations must earn equal margins over forward revenue.
+def _fair(dev: np.ndarray, margin: np.ndarray) -> bool:
+    """Fairness: producers with equal deviations ``dev`` must have equal
+    ``margin`` over forward revenue.
 
     Vacuously true when no two producers share a deviation. Every pair is
     judged by ``approx_equal``, in O(n log n) time and O(n) memory:
@@ -202,13 +175,10 @@ def check_fairness(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> bool:
       as the window slides. Pairs are symmetric, so windows to the right
       cover them all.
     """
-    _require_matching(alloc, snapshot)
-    dev = snapshot.contracts - snapshot.realizations
     order = np.argsort(dev, kind="stable")
     d = dev[order].tolist()
     if not any(map(approx_equal, d[:-1], d[1:])):
         return True
-    margin = alloc.payoffs - snapshot.prices.day_ahead * snapshot.contracts
     m = margin[order].tolist()
     n = len(d)
     low, high = deque(), deque()  # window positions of rising / falling margins
@@ -230,19 +200,6 @@ def check_fairness(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> bool:
         if not (approx_equal(m_i, m[low[0]]) and approx_equal(m_i, m[high[0]])):
             return False
     return True
-
-
-def check_no_exploitation(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> bool:
-    """A producer that delivers its contract exactly gets exactly the forward revenue."""
-    _require_matching(alloc, snapshot)
-    day_ahead = snapshot.prices.day_ahead
-    return all(
-        approx_equal(p_i, day_ahead * c_i)
-        for c_i, x_i, p_i in zip(
-            snapshot.contracts.tolist(), snapshot.realizations.tolist(), alloc.payoffs.tolist()
-        )
-        if approx_equal(x_i, c_i)
-    )
 
 
 #: Largest pool the core audit enumerates (2^20 - 1 coalitions); larger
@@ -310,8 +267,8 @@ def _coalition_blocks(members: np.ndarray):
         )
 
 
-def check_core_membership(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> CoreResult:
-    """Can any coalition beat its allocated share by seceding?
+def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
+    """Can any coalition beat its allocated share ``payoffs`` by seceding?
 
     A pool of at most ``EXHAUSTIVE_LIMIT`` producers is audited exactly: all
     2^n - 1 nonempty coalitions are enumerated from one (3 x 2^n) table of
@@ -324,19 +281,50 @@ def check_core_membership(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -
     checked ``_CHUNK_ROWS`` coalitions at a time, and a sampled chunk holds
     at most ``_CHUNK_CELLS`` membership cells, so memory stays bounded.
     """
-    _require_matching(alloc, snapshot)
-    n = snapshot.n
+    n = len(payoffs)
     if n == 0:
         return CoreResult(True, 0.0, None, 0, True)
-    members = np.array([snapshot.contracts, snapshot.realizations, alloc.payoffs])
+    members = np.array([contracts, realizations, payoffs])
     ok_all, worst, witness, checked = True, -math.inf, None, 0
     for sums, coalition in _coalition_blocks(members):
-        ok, block_worst, col = _scan(sums, snapshot.prices)
+        ok, block_worst, col = _scan(sums, prices)
         ok_all = ok_all and ok
         checked += sums.shape[1]
         if block_worst > worst:
             worst, witness = block_worst, coalition(col)
     return CoreResult(ok_all, worst, witness, checked, n <= EXHAUSTIVE_LIMIT)
+
+
+def _audit(contracts, realizations, payoffs, prices, check_core: bool) -> PropertyReport:
+    """The five-property audit of one pool's ``payoffs`` (1-D arrays of one
+    length); the core is audited only when ``check_core`` is set."""
+    pool = settle(float(contracts.sum()), float(realizations.sum()), prices)
+    residual = float(payoffs.sum()) - pool
+    budget = BudgetBalanceResult(abs(residual) <= DEFAULT_TOLERANCE * max(1.0, abs(pool)), residual)
+    if len(payoffs) == 0:
+        ir = IndividualRationalityResult(True, math.inf, None)
+    else:
+        standalone = settle(contracts, realizations, prices)
+        margins = payoffs - standalone
+        allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.abs(standalone))
+        worst = int(np.argmin(margins))
+        ir = IndividualRationalityResult(
+            bool(np.all(margins >= -allowance)), float(margins[worst]), worst
+        )
+    day_ahead = prices.day_ahead
+    # a producer that delivers its contract exactly gets exactly the forward revenue
+    no_exploitation = all(
+        approx_equal(p_i, day_ahead * c_i)
+        for c_i, x_i, p_i in zip(contracts.tolist(), realizations.tolist(), payoffs.tolist())
+        if approx_equal(x_i, c_i)
+    )
+    return PropertyReport(
+        budget=budget,
+        ir=ir,
+        fairness=_fair(contracts - realizations, payoffs - day_ahead * contracts),
+        no_exploitation=no_exploitation,
+        core=_core(contracts, realizations, payoffs, prices) if check_core else None,
+    )
 
 
 def run_property_checks(
@@ -345,17 +333,15 @@ def run_property_checks(
     *,
     check_core: bool = True,
 ) -> PropertyReport:
-    """Run the full five-property audit on one allocation.
-
-    The core audit enumerates or samples as ``check_core_membership``
-    decides from the pool size.
-    """
-    return PropertyReport(
-        budget=check_budget_balance(alloc, snapshot),
-        ir=check_individual_rationality(alloc, snapshot),
-        fairness=check_fairness(alloc, snapshot),
-        no_exploitation=check_no_exploitation(alloc, snapshot),
-        core=check_core_membership(alloc, snapshot) if check_core else None,
+    """Run the five-property audit on one allocation of ``snapshot``; the
+    core audit, unless ``check_core`` is False, enumerates or samples as the
+    pool size decides."""
+    if alloc.n != snapshot.n:
+        raise ValueError(
+            f"allocation covers {alloc.n} producers but snapshot has {snapshot.n}"
+        )
+    return _audit(
+        snapshot.contracts, snapshot.realizations, alloc.payoffs, snapshot.prices, check_core
     )
 
 

@@ -137,7 +137,9 @@ def settle(contract, realization, prices: PriceTriple):
     shortfall, plus the sale value of any surplus. Written with operators
     that act alike on Python floats and numpy arrays, so one expression
     settles a single producer, a coalition, or a whole vector of either;
-    ``(s + abs(s)) * 0.5`` is the shortfall ``max(s, 0)`` exactly.
+    ``(s + abs(s)) * 0.5`` is the shortfall ``max(s, 0)`` exactly. The
+    three prices may be arrays too, such as per-hour columns against an
+    (hours x producers) block.
     """
     s = contract - realization
     shortfall = (s + abs(s)) * 0.5
@@ -198,6 +200,11 @@ def excess_profit(snapshot: ScenarioSnapshot) -> float:
     ``0.0``, never ``-0.0``: the shortfall is subtracted from ``0.0``, not
     negated.
     """
-    dev = snapshot.realizations - snapshot.contracts
+    return _pooling_gain(snapshot.realizations - snapshot.contracts, snapshot.prices.spread)
+
+
+def _pooling_gain(dev: np.ndarray, spread: float) -> float:
+    """``excess_profit`` of deviations ``dev = realization - contract``. Each
+    side is summed compacted: the other side's cells as zeros would regroup it."""
     surplus = dev >= 0.0
-    return snapshot.prices.spread * min(float(dev[surplus].sum()), 0.0 - float(dev[~surplus].sum()))
+    return spread * min(float(dev[surplus].sum()), 0.0 - float(dev[~surplus].sum()))

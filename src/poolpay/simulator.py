@@ -13,18 +13,13 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .allocation import PayoffAllocation, PropertyReport, allocate, run_property_checks
+from .allocation import PayoffAllocation, PropertyReport, _audit, _marginal, _pam
 from .contracts import critical_quantile, error_spread, optimal_contracts
-from .market import (
-    PriceTriple,
-    ScenarioSnapshot,
-    aggregator_payoff,
-    excess_profit,
-    separate_payoffs,
-)
+from .market import PriceTriple, ScenarioSnapshot, _pooling_gain, aggregator_payoff, settle
 
 
 class TimeseriesFormatError(ValueError):
@@ -41,9 +36,7 @@ HOURLY_HEADER = [
     "hour", "producer_id", "contract_mwh", "actual_mwh", "payoff_pooled", "payoff_separate",
     "aggregator_payoff", "excess_profit", "all_properties_pass",
 ]
-SUMMARY_HEADER = [
-    "producer_id", "total_payoff_pooled", "total_payoff_separate", "total_payoff_exante"
-]
+SUMMARY_HEADER = ["producer_id", "total_payoff_pooled", "total_payoff_separate"]
 TRACE_HEADER = ["hour", "payoff_pooled", "payoff_separate"]
 
 
@@ -102,7 +95,7 @@ def _read_rows(path, *headers: list[str]):
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -178,11 +171,11 @@ class GenerationSeries:
         return len(self.producer_ids)
 
 
-def _first_missing(block: np.ndarray, hours, producer_ids):
-    """(hour, producer) of the first NaN cell of an (hours x producers)
-    block in row-major order, or None when every cell holds a value."""
-    missing = np.argwhere(np.isnan(block))
-    return (hours[missing[0, 0]], producer_ids[missing[0, 1]]) if missing.size else None
+def _first_cell(mask: np.ndarray, hours, producer_ids):
+    """(hour, producer) of the first set cell of an (hours x producers)
+    mask in row-major order, or None when no cell is set."""
+    cells = np.argwhere(mask)
+    return (hours[cells[0, 0]], producer_ids[cells[0, 1]]) if cells.size else None
 
 
 def load_timeseries(path) -> GenerationSeries:
@@ -233,7 +226,7 @@ def load_timeseries(path) -> GenerationSeries:
     actuals = forecasts.copy()
     forecasts[cells] = forecast_col
     actuals[cells] = actual_col
-    gap = _first_missing(forecasts, hours, producers)
+    gap = _first_cell(np.isnan(forecasts), hours, producers)
     if gap is not None:
         raise TimeseriesFormatError(
             f"{path}: missing hour {_format_hour(gap[0])} for producer {gap[1]!r}; "
@@ -357,6 +350,16 @@ def load_payoffs(path, snapshot: ScenarioSnapshot) -> PayoffAllocation:
     return PayoffAllocation(payoffs, aggregator_payoff(snapshot))
 
 
+def _in_order(rows: np.ndarray) -> np.ndarray:
+    """The sum of ``rows``, added one row at a time, in order, from zeros.
+    Never ``sum(axis=0)``: that sums a lone producer's column pairwise, and
+    a total started from the first row would keep its ``-0.0``."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return total
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """A settled simulation window, held as columns.
@@ -365,8 +368,8 @@ class SimulationReport:
     ``payoffs_pooled`` and ``payoffs_separate`` have one row per entry of
     ``hours`` and one column per entry of ``producer_ids``;
     ``aggregator_payoff``, ``excess_profit`` and ``properties`` have one
-    entry per hour. Per-producer totals are summed hour by hour, in order,
-    starting from zero.
+    entry per hour. The totals and ``violation_counts`` are derived from
+    them on each access; totals add the hours in order, starting from zero.
     """
 
     producer_ids: tuple[str, ...]
@@ -378,16 +381,41 @@ class SimulationReport:
     aggregator_payoff: np.ndarray
     excess_profit: np.ndarray
     properties: tuple[PropertyReport, ...]
-    totals_pooled: np.ndarray
-    totals_separate: np.ndarray
-    grand_total_pooled: float
-    grand_total_separate: float
-    total_excess_profit: float
-    violation_counts: dict[str, int]
 
     @property
     def n_hours(self) -> int:
         return len(self.hours)
+
+    @property
+    def totals_pooled(self) -> np.ndarray:
+        return _in_order(self.payoffs_pooled)
+
+    @property
+    def totals_separate(self) -> np.ndarray:
+        return _in_order(self.payoffs_separate)
+
+    @property
+    def grand_total_pooled(self) -> float:
+        return float(self.totals_pooled.sum())
+
+    @property
+    def grand_total_separate(self) -> float:
+        return float(self.totals_separate.sum())
+
+    @property
+    def total_excess_profit(self) -> float:
+        return float(_in_order(self.excess_profit))
+
+    @property
+    def violation_counts(self) -> dict[str, int]:
+        properties = self.properties
+        return {
+            "budget_balance": sum(not p.budget.ok for p in properties),
+            "individual_rationality": sum(not p.ir.ok for p in properties),
+            "fairness": sum(not p.fairness for p in properties),
+            "no_exploitation": sum(not p.no_exploitation for p in properties),
+            "core": sum(p.in_core is False for p in properties),
+        }
 
 
 def _check_ranges(train_range, sim_range, n_hours: int) -> None:
@@ -416,7 +444,7 @@ def _contract_block(
                 f"contract schedule must be (hours x producers) {data.forecasts.shape}"
             )
         block = np.array(schedule[s0:s1], dtype=float)
-        gap = _first_missing(block, data.hours[s0:s1], data.producer_ids)
+        gap = _first_cell(np.isnan(block), data.hours[s0:s1], data.producer_ids)
         if gap is not None:
             raise ValueError(
                 f"contract schedule missing hour {_format_hour(gap[0])} for producer {gap[1]!r}"
@@ -447,10 +475,12 @@ def run_simulation(
     returns it; otherwise from news-vendor sizing on the training window's
     error spread.
 
-    The contract block is built first, for the whole window. Then, per
-    hour: assemble the snapshot, split the pool payoff with the
-    marginal-price mechanism, evaluate the separate baseline, and run the
-    property audit (core membership included when enabled).
+    Contracts and realizations must be finite and >= 0 in every cell of the
+    window. The whole (hours x producers) block is settled at once: each
+    hour's marginal price comes from its totals, as ``marginal_price``
+    decides it, and the pooled, separate and pool payoffs and the pooling
+    gain equal the one-shot functions' bit for bit. Each hour's payoffs are
+    then audited (core membership included when enabled).
     """
     _check_ranges(train_range, sim_range, data.n_hours)
     if len(prices) != data.n_hours:
@@ -464,54 +494,38 @@ def run_simulation(
         if hour_prices is None:
             raise ValueError(f"no prices supplied for hour {_format_hour(hour)}")
     contracts = _contract_block(data, window, train_range, sim_range, contracts)
+    # C order: each row total then adds its cells as a one-hour vector would
+    contracts = np.ascontiguousarray(contracts)
     realizations = data.actuals[s0:s1].copy()
-    pooled = np.empty_like(contracts)
-    separate = np.empty_like(contracts)
-    aggregator = np.empty(len(hours))
-    excess = np.empty(len(hours))
-    properties: list[PropertyReport] = []
-    totals_pooled = np.zeros(data.n_producers)
-    totals_separate = np.zeros(data.n_producers)
-    total_excess = 0.0
+    for name, block in (("contracts", contracts), ("realizations", realizations)):
+        bad = _first_cell(~(np.isfinite(block) & (block >= 0.0)), hours, data.producer_ids)
+        if bad is not None:
+            raise ValueError(
+                f"{name} of hour {_format_hour(bad[0])}, producer {bad[1]!r} must be finite, >= 0"
+            )
 
-    for row, hour_prices in enumerate(window):
-        snapshot = ScenarioSnapshot(
-            data.producer_ids, contracts[row], realizations[row], hour_prices
-        )
-        alloc = allocate(snapshot)
-        pooled[row] = alloc.payoffs
-        separate[row] = separate_payoffs(snapshot)
-        aggregator[row] = alloc.aggregator_total
-        excess[row] = excess_profit(snapshot)
-        properties.append(run_property_checks(alloc, snapshot, check_core=check_core))
-        # one row at a time from zero, never sum(axis=0): that sums a single
-        # column pairwise and would change the totals' last bits
-        totals_pooled += pooled[row]
-        totals_separate += separate[row]
-        total_excess += excess[row]
-
+    pf, rb, rs = np.array([(p.day_ahead, p.rt_buy, p.rt_sell) for p in window]).T[..., None]
+    columns = SimpleNamespace(day_ahead=pf, rt_buy=rb, rt_sell=rs)  # (hours x 1) each
+    total_c = contracts.sum(axis=1, keepdims=True)
+    total_x = realizations.sum(axis=1, keepdims=True)
+    totals = zip(total_c.ravel().tolist(), total_x.ravel().tolist(), window)
+    marginal = np.array([_marginal(c, x, p)[0] for c, x, p in totals])[:, None]
+    pooled = _pam(contracts, realizations, pf, marginal)
     return SimulationReport(
         producer_ids=data.producer_ids,
         hours=hours,
         contracts=contracts,
         realizations=realizations,
         payoffs_pooled=pooled,
-        payoffs_separate=separate,
-        aggregator_payoff=aggregator,
-        excess_profit=excess,
-        properties=tuple(properties),
-        totals_pooled=totals_pooled,
-        totals_separate=totals_separate,
-        grand_total_pooled=float(totals_pooled.sum()),
-        grand_total_separate=float(totals_separate.sum()),
-        total_excess_profit=float(total_excess),
-        violation_counts={
-            "budget_balance": sum(not p.budget.ok for p in properties),
-            "individual_rationality": sum(not p.ir.ok for p in properties),
-            "fairness": sum(not p.fairness for p in properties),
-            "no_exploitation": sum(not p.no_exploitation for p in properties),
-            "core": sum(p.in_core is False for p in properties),
-        },
+        payoffs_separate=settle(contracts, realizations, columns),
+        aggregator_payoff=settle(total_c, total_x, columns).ravel(),
+        excess_profit=np.array(
+            [_pooling_gain(dev, p.spread) for dev, p in zip(realizations - contracts, window)]
+        ),
+        properties=tuple(
+            _audit(c, x, paid, p, check_core)
+            for c, x, paid, p in zip(contracts, realizations, pooled, window)
+        ),
     )
 
 
@@ -547,10 +561,8 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
 
     Floats are written with their shortest exact representation, so a
     reload reproduces every payoff bit for bit and two runs with the same
-    inputs produce byte-identical files. The ex-ante comparison column in
-    summary.csv is a placeholder and stays empty; that mechanism is outside
-    this package's scope. Two producers whose ids map to the same trace file
-    name are an error, raised before any file is written.
+    inputs produce byte-identical files. Two producers whose ids map to the
+    same trace file name are an error, raised before any file is written.
     """
     trace_names = trace_file_names(report.producer_ids)
     out_dir = Path(out_dir)
@@ -581,14 +593,14 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
 
     summary_path = out_dir / "summary.csv"
     summary_rows = [
-        [producer, repr(total_pooled), repr(total_separate), ""]
+        [producer, repr(total_pooled), repr(total_separate)]
         for producer, total_pooled, total_separate in zip(
             report.producer_ids, report.totals_pooled.tolist(), report.totals_separate.tolist()
         )
     ]
     if report.producer_ids:
         grand_totals = [report.grand_total_pooled, report.grand_total_separate]
-        summary_rows.append(["TOTAL", *map(repr, grand_totals), ""])
+        summary_rows.append(["TOTAL", *map(repr, grand_totals)])
     _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
     written.append(summary_path)
 

@@ -13,11 +13,6 @@ from poolpay import (
     aggregator_payoff,
     allocate,
     approx_equal,
-    check_budget_balance,
-    check_core_membership,
-    check_fairness,
-    check_individual_rationality,
-    check_no_exploitation,
     coalition_value,
     contract_mismatch_counterexample,
     excess_profit,
@@ -47,7 +42,11 @@ def test_public_names_resolve_and_removed_names_are_gone():
     for name in poolpay.__all__:
         assert hasattr(poolpay, name), name
     removed = {
-        "allocation": ("PamConfig", "ConfigurationError", "resolve_balance_price"),
+        "allocation": (
+            "PamConfig", "ConfigurationError", "resolve_balance_price", "check_budget_balance",
+            "check_individual_rationality", "check_fairness", "check_no_exploitation",
+            "check_core_membership",
+        ),
         "market": ("SurplusPartition", "partition_surplus_shortfall"),
         "equilibrium": ("ProductionFunction", "Redistribution"),
         "contracts": ("expected_separate_payoff", "GenerationDistribution", "optimal_contract"),
@@ -103,7 +102,7 @@ class TestAllocate:
 class TestBudgetBalance:
     def test_mechanism_output_balances(self):
         s = snap([100, 50, 50], [80, 60, 40])
-        result = check_budget_balance(allocate(s), s)
+        result = run_property_checks(allocate(s), s).budget
         assert result.ok
         assert result.residual == 0.0
 
@@ -111,20 +110,20 @@ class TestBudgetBalance:
         s = snap([100, 50, 50], [80, 60, 40])
         alloc = allocate(s)
         tampered = PayoffAllocation(alloc.payoffs + np.array([1.0, 0.0, 0.0]), alloc.aggregator_total)
-        result = check_budget_balance(tampered, s)
+        result = run_property_checks(tampered, s).budget
         assert not result.ok
         assert result.residual == pytest.approx(1.0)
 
     def test_zero_producer_snapshot(self):
         s = ScenarioSnapshot.from_arrays([], [], P)
-        result = check_budget_balance(PayoffAllocation(np.array([]), 0.0), s)
+        result = run_property_checks(PayoffAllocation(np.array([]), 0.0), s).budget
         assert result.ok
         assert result.residual == 0.0
 
     def test_length_mismatch(self):
         s = snap([100, 50], [80, 70])
         with pytest.raises(ValueError, match="producers"):
-            check_budget_balance(PayoffAllocation(np.array([1.0]), 1.0), s)
+            run_property_checks(PayoffAllocation(np.array([1.0]), 1.0), s).budget
 
 
 class TestIndividualRationality:
@@ -133,7 +132,7 @@ class TestIndividualRationality:
         # surplus member pockets the spread on its own deviation
         s = snap([100, 50, 50], [80, 60, 40])
         alloc = allocate(s)
-        result = check_individual_rationality(alloc, s)
+        result = run_property_checks(alloc, s).ir
         assert result.ok
         margins = alloc.payoffs - separate_payoffs(s)
         assert margins[0] == 0.0
@@ -142,7 +141,7 @@ class TestIndividualRationality:
 
     def test_equal_split_can_fail(self):
         s = snap([100, 0], [0, 0])
-        result = check_individual_rationality(equal_split(s), s)
+        result = run_property_checks(equal_split(s), s).ir
         assert not result.ok
         assert result.worst_index == 1
         assert result.worst_margin == pytest.approx(-250.0)
@@ -152,50 +151,50 @@ class TestFairness:
     def test_equal_deviations_equal_margins(self):
         s = snap([100, 50], [90, 40])
         alloc = allocate(s)
-        assert check_fairness(alloc, s)
+        assert run_property_checks(alloc, s).fairness
         margins = alloc.payoffs - P.day_ahead * s.contracts
         np.testing.assert_allclose(margins, [-150.0, -150.0])
 
     def test_unequal_margins_flagged(self):
         s = snap([100, 50], [90, 40])
         uneven = PayoffAllocation(np.array([850.0, 500.0 - 200.0]), aggregator_payoff(s))
-        assert not check_fairness(uneven, s)
+        assert not run_property_checks(uneven, s).fairness
 
     def test_vacuous_without_equal_deviations(self):
         s = snap([100, 50], [90, 45])  # deviations 10 and 5
         lopsided = PayoffAllocation(np.array([0.0, 1290.0]), aggregator_payoff(s))
-        assert check_fairness(lopsided, s)
+        assert run_property_checks(lopsided, s).fairness
 
 
 class TestNoExploitation:
     def test_mechanism_pays_forward_revenue(self):
         s = snap([100, 50, 30], [80, 50, 40])  # producer 1 delivers exactly
         alloc = allocate(s)
-        assert check_no_exploitation(alloc, s)
+        assert run_property_checks(alloc, s).no_exploitation
         assert alloc.payoffs[1] == pytest.approx(500.0)
 
     def test_bonus_detected(self):
         s = snap([100, 50], [80, 50])
         alloc = allocate(s)
         bonus = PayoffAllocation(alloc.payoffs + np.array([-1.0, 1.0]), alloc.aggregator_total)
-        assert not check_no_exploitation(bonus, s)
+        assert not run_property_checks(bonus, s).no_exploitation
 
     def test_vacuous_without_exact_deliverers(self):
         s = snap([100, 50], [90, 45])
         anything = PayoffAllocation(np.array([0.0, 1300.0]), aggregator_payoff(s))
-        assert check_no_exploitation(anything, s)
+        assert run_property_checks(anything, s).no_exploitation
 
 
 class TestCoreMembership:
     def test_mechanism_in_core(self):
         s = snap([100, 50, 50], [80, 60, 40])
-        result = check_core_membership(allocate(s), s)
+        result = run_property_checks(allocate(s), s).core
         assert result.in_core
         assert result.coalitions_checked == 7
 
     def test_equal_split_blocked_by_strong_producer(self):
         s = snap([100, 0], [100, 0])
-        result = check_core_membership(equal_split(s), s)
+        result = run_property_checks(equal_split(s), s).core
         assert not result.in_core
         assert result.worst_coalition == (0,)
         assert result.worst_violation == pytest.approx(500.0)
@@ -203,16 +202,16 @@ class TestCoreMembership:
     def test_singleton_forced_by_budget(self):
         s = snap([100], [80])
         good = PayoffAllocation(np.array([700.0]), 700.0)
-        assert check_core_membership(good, s).in_core
+        assert run_property_checks(good, s).in_core
         bad = PayoffAllocation(np.array([699.0]), 700.0)
-        assert not check_core_membership(bad, s).in_core
+        assert not run_property_checks(bad, s).in_core
 
     def test_exhaustive_refuses_large_pools(self, monkeypatch):
         # a pool of EXHAUSTIVE_LIMIT + 1 producers is sampled, not refused
         rng = np.random.default_rng(0)
         n = allocation.EXHAUSTIVE_LIMIT + 1
         s = random_snapshot(rng, n_min=n, n_max=n)
-        result = check_core_membership(allocate(s), s)
+        result = run_property_checks(allocate(s), s).core
         assert result.in_core
         assert not result.exhaustive
         assert result.coalitions_checked == allocation.CORE_SAMPLES
@@ -220,13 +219,13 @@ class TestCoreMembership:
         monkeypatch.setattr(allocation, "EXHAUSTIVE_LIMIT", 8)
         for n, exhaustive in ((8, True), (9, False)):
             s = random_snapshot(rng, n_min=n, n_max=n)
-            assert check_core_membership(allocate(s), s).exhaustive is exhaustive
+            assert run_property_checks(allocate(s), s).core.exhaustive is exhaustive
 
     def test_sampled_mode(self, monkeypatch):
         monkeypatch.setattr(allocation, "CORE_SAMPLES", 2000)
         rng = np.random.default_rng(1)
         s = random_snapshot(rng, n_min=22, n_max=22)
-        result = check_core_membership(allocate(s), s)
+        result = run_property_checks(allocate(s), s).core
         assert result.in_core
         assert not result.exhaustive
         assert result.coalitions_checked == 2000
@@ -239,7 +238,7 @@ class TestCoreMembership:
         # first such draw is the witness
         s = snap([100] + [0] * 20, [100] + [0] * 20)
         alloc = PayoffAllocation(np.array([800.0, 200.0] + [0.0] * 19), 1000.0)
-        result = check_core_membership(alloc, s)
+        result = run_property_checks(alloc, s).core
         assert not result.in_core
         assert not result.exhaustive
         assert result.coalitions_checked == 500
@@ -258,7 +257,7 @@ class TestCoreMembership:
         ]
         for s, alloc in cases:
             alloc = alloc or equal_split(s)
-            result = check_core_membership(alloc, s)
+            result = run_property_checks(alloc, s).core
             assert not result.in_core
             assert result.exhaustive
             assert result.coalitions_checked == 2**s.n - 1
@@ -270,7 +269,7 @@ class TestCoreMembership:
         monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64)
         s = snap([210] + [0] * 20, [210] + [0] * 20)
         alloc = equal_split(s)
-        result = check_core_membership(alloc, s)
+        result = run_property_checks(alloc, s).core
         assert not result.in_core
         assert result.coalitions_checked == 500
         members = list(result.worst_coalition)
@@ -291,7 +290,7 @@ class TestCoreMembership:
             alloc = allocate(s)
             tracemalloc.start()
             try:
-                result = check_core_membership(alloc, s)
+                result = allocation._core(s.contracts, s.realizations, alloc.payoffs, s.prices)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -339,7 +338,7 @@ MIXED = snap([3, 2, 0, 4], [1, 2, 0, 5])
 def test_core_scan_matches_loop_oracle_bit_for_bit(case, chunk_rows):
     s, alloc = case
     with mock.patch.object(allocation, "_CHUNK_ROWS", chunk_rows):
-        result = check_core_membership(alloc, s)
+        result = run_property_checks(alloc, s).core
     ok, worst, witness = core_scan(s.contracts, s.realizations, alloc.payoffs, s.prices)
     assert result.exhaustive
     assert result.coalitions_checked == 2**s.n - 1
@@ -406,8 +405,9 @@ def pair_audit_cases(draw):
 def test_pair_audits_match_loop_oracles(case):
     s, alloc = case
     args = (s.contracts, s.realizations, alloc.payoffs, s.prices)
-    assert check_fairness(alloc, s) is fairness_scan(*args)
-    assert check_no_exploitation(alloc, s) is no_exploitation_scan(*args)
+    report = run_property_checks(alloc, s, check_core=False)
+    assert report.fairness is fairness_scan(*args)
+    assert report.no_exploitation is no_exploitation_scan(*args)
 
 
 def test_fairness_on_an_all_idle_pool_of_20000():
@@ -421,8 +421,8 @@ def test_fairness_on_an_all_idle_pool_of_20000():
     unfair = PayoffAllocation(moved, fair.aggregator_total)
     tracemalloc.start()
     try:
-        assert check_fairness(fair, s)
-        assert not check_fairness(unfair, s)
+        assert run_property_checks(fair, s, check_core=False).fairness
+        assert not run_property_checks(unfair, s, check_core=False).fairness
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,17 +433,19 @@ def test_fairness_on_an_all_idle_pool_of_20000():
 # 0) that is off by ``m``; with totals of 0 the allowance is exactly 1e-9.
 # Fairness compares two idle producers, one of them off by ``m``.
 IDLE = snap([0.0], [0.0])
+
+
+def audit(payoffs, s=IDLE):
+    return run_property_checks(PayoffAllocation(payoffs, 0.0), s)
+
+
 OFF_BY = {
-    "budget-balance": lambda m: check_budget_balance(PayoffAllocation([m], 0.0), IDLE).ok,
-    "individual-rationality": lambda m: check_individual_rationality(
-        PayoffAllocation([-m], 0.0), IDLE
-    ).ok,
-    "core": lambda m: check_core_membership(PayoffAllocation([-m], 0.0), IDLE).in_core,
+    "budget-balance": lambda m: audit([m]).budget.ok,
+    "individual-rationality": lambda m: audit([-m]).ir.ok,
+    "core": lambda m: audit([-m]).in_core,
     "balance-band": lambda m: allocation.marginal_price(snap([0.0], [m]))[1],
-    "no-exploitation": lambda m: check_no_exploitation(PayoffAllocation([m], 0.0), IDLE),
-    "fairness": lambda m: check_fairness(
-        PayoffAllocation([0.0, m], 0.0), snap([0.0, 0.0], [0.0, 0.0])
-    ),
+    "no-exploitation": lambda m: audit([m]).no_exploitation,
+    "fairness": lambda m: audit([0.0, m], snap([0.0, 0.0], [0.0, 0.0])).fairness,
 }
 
 
@@ -481,11 +483,22 @@ def test_report_holds_what_each_check_returns():
         if k % 2:  # an external split: the mechanism's payoffs, shuffled
             alloc = PayoffAllocation(rng.permutation(alloc.payoffs), aggregator_payoff(s))
         report = run_property_checks(alloc, s)
-        assert report.budget == check_budget_balance(alloc, s)
-        assert report.ir == check_individual_rationality(alloc, s)
-        assert report.fairness == check_fairness(alloc, s)
-        assert report.no_exploitation == check_no_exploitation(alloc, s)
-        assert report.core == check_core_membership(alloc, s)
+        pool = aggregator_payoff(s)
+        residual = alloc.total - pool
+        assert report.budget.residual == residual
+        assert report.budget.ok is (abs(residual) <= 1e-9 * max(1.0, abs(pool)))
+        margins = alloc.payoffs - separate_payoffs(s)
+        assert report.ir.worst_index == int(np.argmin(margins))
+        assert report.ir.worst_margin == margins.min()
+        scale = np.maximum(1.0, np.abs(separate_payoffs(s)))
+        assert report.ir.ok is bool(np.all(margins >= -1e-9 * scale))
+        args = (s.contracts, s.realizations, alloc.payoffs, s.prices)
+        assert report.fairness is fairness_scan(*args)
+        assert report.no_exploitation is no_exploitation_scan(*args)
+        assert (report.core.in_core, report.core.worst_violation, report.core.worst_coalition) == (
+            core_scan(*args)
+        )
+        assert report.core.coalitions_checked == 2**s.n - 1 and report.core.exhaustive
         assert report.in_core == report.core.in_core
         four = report.budget.ok and report.ir.ok and report.fairness and report.no_exploitation
         assert report.all_pass == (four and report.core.in_core)

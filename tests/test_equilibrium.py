@@ -10,9 +10,9 @@ from poolpay import (
     allocate,
     approx_equal,
     best_response_set,
-    check_core_membership,
     coalition_value,
     optimal_redistribution,
+    run_property_checks,
     separate_payoff,
     solve_competitive_equilibrium,
     verify_game_equivalence,
@@ -229,7 +229,7 @@ class TestCompetitiveEquilibrium:
             s = random_snapshot(rng, n_max=8)
             ce = solve_competitive_equilibrium(s)
             alloc = PayoffAllocation(ce.payoffs, aggregator_payoff(s))
-            assert check_core_membership(alloc, s).in_core
+            assert run_property_checks(alloc, s).in_core
 
 
 @settings(max_examples=200, deadline=None)

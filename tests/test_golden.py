@@ -59,7 +59,7 @@ SKEWED_PAYOFFS = [("a", 640.0), ("b", 659.0), ("c", 0.0), ("d", 310.0), ("e", 23
 EXPECTED = {
     "simulate.stdout": "ef3dadbd6ef0fa9769d5b7612f20a02c2db08e7600450d1f2becb2ca06e604bf",
     "hourly.csv": "8919ae78373d2c2452be635cf87dc0f7810e88cf77cc7ce546a7adf49ba7c4e2",
-    "summary.csv": "44c02aad6b2b7f9f1e7d17bb6a2997ae92b9749f76db88adbd80f4d373ab6100",
+    "summary.csv": "cb511caad7d7c3f9d12a595cfa1166175f68c6fcba223d78a72b176769976640",
     "trace_a.csv": "c2cd64888e98088a6d08d764d7e927c3f6665c453fa70a5b91064ff62aa124a1",
     "trace_b.csv": "3046de7a4bfe8182ba4be5777d14a5ff310cb6c53c283dd3f502403ce5fd0edd",
     "trace_c.csv": "e850a189b58645e4c79c9b8191f737d49a29e1ff3509402355b1a13076f84431",

@@ -5,17 +5,27 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolpay import (
+    GenerationSeries,
     PriceTriple,
+    ScenarioSnapshot,
     TimeseriesFormatError,
+    aggregator_payoff,
+    allocate,
     emit_report,
+    excess_profit,
     load_prices,
     load_timeseries,
+    run_property_checks,
     run_simulation,
+    separate_payoffs,
 )
-from poolpay.simulator import load_contract_schedule
+from poolpay.simulator import load_contract_schedule, load_snapshot
 
+from conftest import price_triples
 from oracles import newsvendor_contract
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
@@ -111,6 +121,24 @@ class TestLoadTimeseries:
         path.write_text("")
         with pytest.raises(TimeseriesFormatError, match="empty"):
             load_timeseries(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # a spreadsheet saves UTF-8 CSV with a byte-order mark in front
+        bom = "\ufeff".encode()
+        gen = tmp_path / "gen.csv"
+        gen.write_bytes(bom + b"hour,producer_id,forecast_mwh,actual_mwh\n0,w1,10,12\n1,w1,11,9\n")
+        data = load_timeseries(gen)
+        assert data.producer_ids == ("w1",)
+        np.testing.assert_array_equal(data.actuals[:, 0], [12.0, 9.0])
+        snap = tmp_path / "snap.csv"
+        snap.write_bytes(bom + b"producer_id,contract_mwh,actual_mwh,p_f,p_rb,p_rs\na,100,80,10,15,5\n")
+        snapshot = load_snapshot(snap)
+        assert snapshot.producer_ids == ("a",)
+        assert snapshot.prices == P
+        # a bad byte after the mark is still named by its line
+        gen.write_bytes(bom + b"hour,producer_id,forecast_mwh,actual_mwh\n0,w1,10,12\n1,\xffw1,11,9\n")
+        with pytest.raises(TimeseriesFormatError, match=r"gen.csv:3: byte 0xff is not valid UTF-8"):
+            load_timeseries(gen)
 
 
 class TestLoadPrices:
@@ -293,6 +321,88 @@ class TestRunSimulation:
             )
 
 
+@pytest.mark.parametrize(
+    "block, value",
+    [("contracts", -1.0), ("contracts", np.inf), ("realizations", -1.0), ("realizations", np.nan)],
+    ids=["negative-contract", "inf-contract", "negative-actual", "nan-actual"],
+)
+def test_window_rejects_invalid_energy(tmp_path, block, value):
+    data = two_producer_data(tmp_path)
+    schedule = scheduled(data, {1: [1.0, 1.0], 2: [100.0, 50.0]})
+    actuals = data.actuals.copy()
+    (schedule if block == "contracts" else actuals)[2, 1] = value
+    data = GenerationSeries(data.producer_ids, data.hours, data.forecasts, actuals)
+    with pytest.raises(ValueError, match=block):
+        run_simulation(data, every_hour(data), (0, 1), (1, 3), contracts=schedule)
+
+
+_WHOLE = st.integers(0, 4).map(float)
+_ENERGY = st.one_of(_WHOLE, st.floats(0.0, 300.0).map(lambda v: round(v, 6)))
+_PRICES = st.one_of(
+    price_triples(),
+    # a zero spread, and a negative rt_sell
+    st.tuples(st.floats(-10.0, 40.0), st.floats(-20.0, 20.0)).map(
+        lambda t: PriceTriple(day_ahead=t[0], rt_buy=t[1], rt_sell=t[1])
+    ),
+    st.sampled_from([PriceTriple(-3.0, 6.0, -8.0), PriceTriple(10.0, 15.0, 5.0)]),
+)
+
+
+@st.composite
+def windows(draw):
+    """A generation series with one training hour and 1-8 settled hours of
+    1-12 producers, its contract schedule and one price triple per hour.
+    Cells are idle, exact deliveries or free; a balanced hour delivers its
+    contracts in another order. Either block may be Fortran-ordered."""
+    n = draw(st.integers(1, 12))
+    n_hours = draw(st.integers(1, 8)) + 1
+    contracts = np.empty((n_hours, n))
+    actuals = np.empty((n_hours, n))
+    for h in range(n_hours):
+        for p in range(n):
+            kind = draw(st.sampled_from(["idle", "exact", "free", "free"]))
+            c = 0.0 if kind == "idle" else draw(_ENERGY)
+            contracts[h, p] = c
+            actuals[h, p] = c if kind in ("idle", "exact") else draw(_ENERGY)
+        if draw(st.booleans()):
+            actuals[h] = draw(st.permutations(contracts[h].tolist()))
+    if draw(st.booleans()):
+        contracts = np.asfortranarray(contracts)
+    if draw(st.booleans()):
+        actuals = np.asfortranarray(actuals)
+    prices = tuple(draw(_PRICES) for _ in range(n_hours))
+    ids = tuple(f"p{i:02d}" for i in range(n))
+    data = GenerationSeries(ids, tuple(range(n_hours)), actuals, actuals)
+    return data, prices, contracts
+
+
+def _same_bytes(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows())
+def test_window_matches_one_shot_path_bit_for_bit(window):
+    data, prices, contracts = window
+    report = run_simulation(
+        data, prices, (0, 1), (1, data.n_hours), contracts=contracts, check_core=True
+    )
+    for row in range(report.n_hours):
+        hour = row + 1
+        snapshot = ScenarioSnapshot(
+            data.producer_ids, contracts[hour], data.actuals[hour], prices[hour]
+        )
+        alloc = allocate(snapshot)
+        assert _same_bytes(report.contracts[row], snapshot.contracts)
+        assert _same_bytes(report.realizations[row], snapshot.realizations)
+        assert _same_bytes(report.payoffs_pooled[row], alloc.payoffs)
+        assert _same_bytes(report.payoffs_separate[row], separate_payoffs(snapshot))
+        assert _same_bytes(report.aggregator_payoff[row], aggregator_payoff(snapshot))
+        assert _same_bytes(report.aggregator_payoff[row], alloc.aggregator_total)
+        assert _same_bytes(report.excess_profit[row], excess_profit(snapshot))
+        assert report.properties[row] == run_property_checks(alloc, snapshot, check_core=True)
+
+
 class TestEmitReport:
     def _report(self, tmp_path):
         data = two_producer_data(tmp_path)
@@ -366,11 +476,14 @@ class TestEmitReport:
             )
 
     def test_exante_column_is_placeholder(self, tmp_path):
+        # the placeholder column is gone: summary.csv holds the two totals
         report = self._report(tmp_path)
         emit_report(report, tmp_path / "out")
         with (tmp_path / "out" / "summary.csv").open(newline="") as fh:
-            for row in csv.DictReader(fh):
-                assert row["total_payoff_exante"] == ""
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["producer_id", "total_payoff_pooled", "total_payoff_separate"]
+        assert [row[0] for row in rows[1:]] == ["a", "b", "TOTAL"]
+        assert all(len(row) == 3 for row in rows)
 
     def test_trace_columns(self, tmp_path):
         report = self._report(tmp_path)
@@ -393,12 +506,6 @@ class TestEmitReport:
             aggregator_payoff=np.zeros(0),
             excess_profit=np.zeros(0),
             properties=(),
-            totals_pooled=np.zeros(0),
-            totals_separate=np.zeros(0),
-            grand_total_pooled=0.0,
-            grand_total_separate=0.0,
-            total_excess_profit=0.0,
-            violation_counts={},
         )
         files = emit_report(empty, tmp_path / "out")
         assert sorted(p.name for p in files) == ["hourly.csv", "summary.csv"]

@@ -27,6 +27,7 @@ from .market import (
     ScenarioSnapshot,
     aggregator_payoff,
     approx_equal,
+    separate_payoffs,
     settle,
 )
 
@@ -115,8 +116,8 @@ class CoreResult:
 class PropertyReport:
     """Outcome of the five-property audit for one allocation.
 
-    ``core`` is None when the core check was skipped (``check_core=False``);
-    a skipped check never counts as a violation.
+    ``core`` is None when ``run_simulation(check_core=False)`` skipped the
+    core check; a skipped check never counts as a violation.
     """
 
     budget: BudgetBalanceResult
@@ -295,16 +296,18 @@ def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
     return CoreResult(ok_all, worst, witness, checked, n <= EXHAUSTIVE_LIMIT)
 
 
-def _audit(contracts, realizations, payoffs, prices, check_core: bool) -> PropertyReport:
-    """The five-property audit of one pool's ``payoffs`` (1-D arrays of one
-    length); the core is audited only when ``check_core`` is set."""
-    pool = settle(float(contracts.sum()), float(realizations.sum()), prices)
+def _audit(
+    contracts, realizations, payoffs, standalone, pool, prices, check_core
+) -> PropertyReport:
+    """The five-property audit of one pool's ``payoffs`` against the settlement
+    it is handed: budget balance against the ``pool`` payoff, a float, and
+    individual rationality against the ``standalone`` payoffs. The arrays are
+    1-D, of one length; the core is audited only when ``check_core`` is set."""
     residual = float(payoffs.sum()) - pool
     budget = BudgetBalanceResult(abs(residual) <= DEFAULT_TOLERANCE * max(1.0, abs(pool)), residual)
     if len(payoffs) == 0:
         ir = IndividualRationalityResult(True, math.inf, None)
     else:
-        standalone = settle(contracts, realizations, prices)
         margins = payoffs - standalone
         allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.abs(standalone))
         worst = int(np.argmin(margins))
@@ -327,21 +330,17 @@ def _audit(contracts, realizations, payoffs, prices, check_core: bool) -> Proper
     )
 
 
-def run_property_checks(
-    alloc: PayoffAllocation,
-    snapshot: ScenarioSnapshot,
-    *,
-    check_core: bool = True,
-) -> PropertyReport:
-    """Run the five-property audit on one allocation of ``snapshot``; the
-    core audit, unless ``check_core`` is False, enumerates or samples as the
-    pool size decides."""
+def run_property_checks(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> PropertyReport:
+    """Run the five-property audit on one allocation of ``snapshot``, against
+    its ``separate_payoffs`` and ``aggregator_payoff``; the core audit
+    enumerates or samples as the pool size decides."""
     if alloc.n != snapshot.n:
         raise ValueError(
             f"allocation covers {alloc.n} producers but snapshot has {snapshot.n}"
         )
     return _audit(
-        snapshot.contracts, snapshot.realizations, alloc.payoffs, snapshot.prices, check_core
+        snapshot.contracts, snapshot.realizations, alloc.payoffs, separate_payoffs(snapshot),
+        aggregator_payoff(snapshot), snapshot.prices, check_core=True,
     )
 
 

@@ -93,33 +93,24 @@ def best_response_set(contract: float, prices: PriceTriple, price: float) -> Res
 def _greedy_reallocation(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Move excess power onto members in deficit, in index order.
 
-    Short side members get topped up toward their contracts, long side
-    members get drained toward theirs; whichever side runs out first pins
-    to its contracts exactly. The result holds every member inside the
-    interval between its realization and its contract, which is where its
-    production function runs at the relevant real-time slope.
+    The side that runs out first (the surplus side of a short pool, the
+    deficit side of a long one) pins to its contracts exactly; the other
+    side's members move toward theirs in index order until the pinned
+    side's deviation is spent. Every member ends between its realization
+    and its contract, where its production function runs at the relevant
+    real-time slope.
     """
-    z = x.astype(float).copy()
-    surplus = x >= c
-    total_dev = float(x.sum() - c.sum())
-    if total_dev < 0.0:
-        pool = float((x[surplus] - c[surplus]).sum())
-        z[surplus] = c[surplus]
-        for i in np.nonzero(~surplus)[0]:
-            if pool <= 0.0:
-                break
-            take = min(pool, float(c[i] - x[i]))
-            z[i] = x[i] + take
-            pool -= take
-    else:
-        need = float((c[~surplus] - x[~surplus]).sum())
-        z[~surplus] = c[~surplus]
-        for i in np.nonzero(surplus)[0]:
-            if need <= 0.0:
-                break
-            give = min(need, float(x[i] - c[i]))
-            z[i] = x[i] - give
-            need -= give
+    dev = x - c
+    pinned = dev >= 0.0 if float(x.sum() - c.sum()) < 0.0 else dev < 0.0
+    z = x.astype(float)
+    z[pinned] = c[pinned]
+    budget = abs(float(dev[pinned].sum()))
+    for i in np.flatnonzero(~pinned).tolist():
+        if budget <= 0.0:
+            break  # the rest keep their realizations, a -0.0 included
+        step = min(budget, abs(float(dev[i])))
+        z[i] = x[i] - math.copysign(step, dev[i])
+        budget -= step
     return z
 
 

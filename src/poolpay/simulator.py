@@ -480,7 +480,8 @@ def run_simulation(
     hour's marginal price comes from its totals, as ``marginal_price``
     decides it, and the pooled, separate and pool payoffs and the pooling
     gain equal the one-shot functions' bit for bit. Each hour's payoffs are
-    then audited (core membership included when enabled).
+    then audited against that hour's separate and pool payoffs as the report
+    holds them (core membership included when enabled).
     """
     _check_ranges(train_range, sim_range, data.n_hours)
     if len(prices) != data.n_hours:
@@ -511,21 +512,21 @@ def run_simulation(
     totals = zip(total_c.ravel().tolist(), total_x.ravel().tolist(), window)
     marginal = np.array([_marginal(c, x, p)[0] for c, x, p in totals])[:, None]
     pooled = _pam(contracts, realizations, pf, marginal)
+    separate = settle(contracts, realizations, columns)
+    pool = settle(total_c, total_x, columns).ravel()
+    per_hour = zip(contracts, realizations, pooled, separate, pool.tolist(), window)
     return SimulationReport(
         producer_ids=data.producer_ids,
         hours=hours,
         contracts=contracts,
         realizations=realizations,
         payoffs_pooled=pooled,
-        payoffs_separate=settle(contracts, realizations, columns),
-        aggregator_payoff=settle(total_c, total_x, columns).ravel(),
+        payoffs_separate=separate,
+        aggregator_payoff=pool,
         excess_profit=np.array(
             [_pooling_gain(dev, p.spread) for dev, p in zip(realizations - contracts, window)]
         ),
-        properties=tuple(
-            _audit(c, x, paid, p, check_core)
-            for c, x, paid, p in zip(contracts, realizations, pooled, window)
-        ),
+        properties=tuple(_audit(*row, check_core) for row in per_hour),
     )
 
 
@@ -534,14 +535,16 @@ def _safe_filename(producer_id: str) -> str:
 
 
 def trace_file_names(producer_ids) -> list[str]:
-    """Each producer's ``trace_<id>.csv`` name; two ids giving one name are an error."""
-    names: dict[str, str] = {}
-    for producer in producer_ids:
-        name = f"trace_{_safe_filename(producer)}.csv"
-        if name in names:
-            raise ValueError(f"producers {names[name]!r} and {producer!r} would both write {name}")
-        names[name] = producer
-    return list(names)
+    """Each producer's ``trace_<id>.csv`` name; two ids whose names differ only
+    in letter case, one file on a case-insensitive filesystem, are an error."""
+    names = [f"trace_{_safe_filename(producer)}.csv" for producer in producer_ids]
+    first: dict[str, int] = {}  # casefolded name: position of the first id to claim it
+    for i, name in enumerate(names):
+        j = first.setdefault(name.casefold(), i)
+        if j != i:
+            pair = producer_ids[j], producer_ids[i]
+            raise ValueError(f"producers {pair[0]!r} and {pair[1]!r} would both write {name}")
+    return names
 
 
 def _repr_rows(block: np.ndarray) -> list[list[str]]:
@@ -570,24 +573,24 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
     written: list[Path] = []
 
     labels = [_format_hour(hour) for hour in report.hours]
-    pooled = _repr_rows(report.payoffs_pooled)
-    separate = _repr_rows(report.payoffs_separate)
+    pooled = _repr_rows(report.payoffs_pooled.T)  # one list per producer
+    separate = _repr_rows(report.payoffs_separate.T)
 
     hourly_path = out_dir / "hourly.csv"
-    hourly_rows = [
+    hourly_rows = (
         [label, producer, c, x, pp, ps, aggregator, excess, passed]
         for label, c_row, x_row, pp_row, ps_row, aggregator, excess, passed in zip(
             labels,
             _repr_rows(report.contracts),
             _repr_rows(report.realizations),
-            pooled,
-            separate,
+            zip(*pooled),
+            zip(*separate),
             map(repr, report.aggregator_payoff.tolist()),
             map(repr, report.excess_profit.tolist()),
             (str(p.all_pass) for p in report.properties),
         )
         for producer, c, x, pp, ps in zip(report.producer_ids, c_row, x_row, pp_row, ps_row)
-    ]
+    )
     _write_csv(hourly_path, HOURLY_HEADER, hourly_rows)
     written.append(hourly_path)
 
@@ -604,13 +607,9 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
     _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
     written.append(summary_path)
 
-    for pi, name in enumerate(trace_names):
+    for name, pp_column, ps_column in zip(trace_names, pooled, separate):
         trace_path = out_dir / name
-        trace_rows = [
-            [label, pp_row[pi], ps_row[pi]]
-            for label, pp_row, ps_row in zip(labels, pooled, separate)
-        ]
-        _write_csv(trace_path, TRACE_HEADER, trace_rows)
+        _write_csv(trace_path, TRACE_HEADER, zip(labels, pp_column, ps_column))
         written.append(trace_path)
 
     return written

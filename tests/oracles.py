@@ -5,7 +5,8 @@ evaluated from raw samples via sorted prefix sums, or by direct quadrature
 against the distribution's pdf, so the closed-form contract formula is
 checked against something it cannot share a bug with; the core, fairness
 and no-exploitation audits are checked against plain loops over every
-coalition, pair or producer.
+coalition, pair or producer, and the exchange market's one greedy sweep
+against a loop per pool side.
 """
 import math
 
@@ -151,3 +152,33 @@ def no_exploitation_scan(contracts, realizations, payoffs, prices):
         if _close(x, c) and not _close(p, prices.day_ahead * c):
             return False
     return True
+
+
+def greedy_reallocation(c, x):
+    """The exchange market's greedy holdings with one loop per pool side: a
+    short pool pins its surplus members to their contracts and tops up its
+    deficit members in index order; a long or balanced pool pins its deficit
+    members and drains its surplus members in index order. Each loop stops
+    once the pinned side's total deviation is spent."""
+    z = x.astype(float).copy()
+    surplus = x >= c
+    total_dev = float(x.sum() - c.sum())
+    if total_dev < 0.0:
+        pool = float((x[surplus] - c[surplus]).sum())
+        z[surplus] = c[surplus]
+        for i in np.nonzero(~surplus)[0]:
+            if pool <= 0.0:
+                break
+            take = min(pool, float(c[i] - x[i]))
+            z[i] = x[i] + take
+            pool -= take
+    else:
+        need = float((c[~surplus] - x[~surplus]).sum())
+        z[~surplus] = c[~surplus]
+        for i in np.nonzero(surplus)[0]:
+            if need <= 0.0:
+                break
+            give = min(need, float(x[i] - c[i]))
+            z[i] = x[i] - give
+            need -= give
+    return z

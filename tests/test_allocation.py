@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from unittest import mock
 
@@ -38,6 +39,20 @@ def equal_split(snapshot):
     return PayoffAllocation(np.full(snapshot.n, total / snapshot.n), total)
 
 
+def audit_skipping_core(alloc, s):
+    """The audit of ``alloc`` as ``run_simulation(check_core=False)`` runs it
+    on one hour, against that hour's separate and pool payoffs."""
+    return allocation._audit(
+        s.contracts,
+        s.realizations,
+        alloc.payoffs,
+        separate_payoffs(s),
+        aggregator_payoff(s),
+        s.prices,
+        check_core=False,
+    )
+
+
 def test_public_names_resolve_and_removed_names_are_gone():
     for name in poolpay.__all__:
         assert hasattr(poolpay, name), name
@@ -57,6 +72,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
             assert name not in poolpay.__all__
             assert not hasattr(poolpay, name)
             assert not hasattr(getattr(poolpay, module), name)
+    # the one-shot audit always audits the core
+    assert "check_core" not in inspect.signature(run_property_checks).parameters
 
 
 class TestAllocate:
@@ -405,7 +422,7 @@ def pair_audit_cases(draw):
 def test_pair_audits_match_loop_oracles(case):
     s, alloc = case
     args = (s.contracts, s.realizations, alloc.payoffs, s.prices)
-    report = run_property_checks(alloc, s, check_core=False)
+    report = audit_skipping_core(alloc, s)
     assert report.fairness is fairness_scan(*args)
     assert report.no_exploitation is no_exploitation_scan(*args)
 
@@ -421,8 +438,8 @@ def test_fairness_on_an_all_idle_pool_of_20000():
     unfair = PayoffAllocation(moved, fair.aggregator_total)
     tracemalloc.start()
     try:
-        assert run_property_checks(fair, s, check_core=False).fairness
-        assert not run_property_checks(unfair, s, check_core=False).fairness
+        assert audit_skipping_core(fair, s).fairness
+        assert not audit_skipping_core(unfair, s).fairness
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,14 +519,14 @@ def test_report_holds_what_each_check_returns():
         assert report.in_core == report.core.in_core
         four = report.budget.ok and report.ir.ok and report.fairness and report.no_exploitation
         assert report.all_pass == (four and report.core.in_core)
-        skipped = run_property_checks(alloc, s, check_core=False)
+        skipped = audit_skipping_core(alloc, s)
         assert skipped.core is None and skipped.in_core is None
         assert skipped.all_pass == four
     # the other four properties hold and coalition {0, 2} blocks: a skipped
     # core audit passes the split, a run one fails it
     s = snap([100, 100, 0, 0], [60, 70, 40, 30])
     alloc = PayoffAllocation([750.0, 900.0, 200.0, 150.0], aggregator_payoff(s))
-    assert run_property_checks(alloc, s, check_core=False).all_pass
+    assert audit_skipping_core(alloc, s).all_pass
     report = run_property_checks(alloc, s)
     assert report.core.worst_coalition == (0, 2)
     assert not report.all_pass

@@ -344,22 +344,29 @@ class TestSimulateCommand:
         assert code == EXIT_INPUT_ERROR
         assert f"contracts.csv:{len(rows) + 2}:" in capsys.readouterr().err
 
-    def test_trace_name_collision_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # "w 1" and "w_1" both map to trace_w_1.csv; the clash is known once
-        # the series is loaded, so the window is never settled
+    @pytest.mark.parametrize(
+        "ids, name",
+        [(("w 1", "w_1"), "trace_w_1.csv"), (("W1", "w1"), "trace_w1.csv")],
+        ids=["same-name", "letter-case"],
+    )
+    def test_trace_name_collision_writes_nothing(self, tmp_path, capsys, monkeypatch, ids, name):
+        # "w 1" and "w_1" both map to trace_w_1.csv, and a case-insensitive
+        # filesystem opens one file for trace_W1.csv and trace_w1.csv; the
+        # clash is known once the series is loaded, so the window is never
+        # settled
         def run_simulation(*args, **kwargs):
             raise AssertionError("settled a window whose report cannot be written")
 
         monkeypatch.setattr("poolpay.cli.run_simulation", run_simulation)
         gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
-                        [[h, p, 50.0, 40.0 + h] for h in range(4) for p in ("w 1", "w_1")])
+                        [[h, p, 50.0, 40.0 + h] for h in range(4) for p in ids])
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         code = main(["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
                      "--train", "0:2", "--sim", "2:4", "--out", str(out_dir)])
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
-        assert "'w 1'" in err and "'w_1'" in err and "trace_w_1.csv" in err
+        assert all(f"{p!r}" in err for p in ids) and name in err
         assert list(out_dir.iterdir()) == []
 
     def test_bad_price_file_is_input_error(self, generation_file, tmp_path, capsys):

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolpay import (
     PriceTriple,
@@ -20,7 +21,9 @@ from poolpay import (
     aggregator_payoff,
 )
 
+from poolpay import equilibrium
 from conftest import random_snapshot, snapshots
+from oracles import greedy_reallocation
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
 
@@ -166,6 +169,40 @@ class TestOptimalRedistribution:
             resolution = step * (abs(s.prices.rt_buy) + abs(s.prices.rt_sell))
             assert value >= grid_value - 1e-9 * max(1.0, abs(grid_value))
             assert value <= grid_value + resolution + 1e-9
+
+
+_ENERGY = st.one_of(
+    st.integers(0, 4).map(float), st.floats(0.0, 300.0).map(lambda v: round(v, 6))
+)
+
+
+@st.composite
+def greedy_cases(draw):
+    """Contracts and realizations of 1-12 members: idle members, exact
+    deliveries and free draws, with short, long or balanced totals (a
+    balanced pool delivers its contracts in another order), and some zero
+    realizations written as -0.0."""
+    n = draw(st.integers(1, 12))
+    contracts, realizations = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["idle", "exact", "free", "free"]))
+        c = 0.0 if kind == "idle" else draw(_ENERGY)
+        contracts.append(c)
+        realizations.append(c if kind in ("idle", "exact") else draw(_ENERGY))
+    if draw(st.booleans()):
+        realizations = draw(st.permutations(contracts))
+    realizations = [-0.0 if x == 0.0 and draw(st.booleans()) else x for x in realizations]
+    return np.array(contracts), np.array(realizations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_cases())
+@example((np.array([0.0, 0.0]), np.array([1.0, -0.0])))  # spent at once: -0.0 stays
+@example((np.array([3.0, 1.0, 0.0]), np.array([1.0, 2.0, -0.0])))
+def test_greedy_sweep_matches_two_loop_oracle_bit_for_bit(case):
+    c, x = case
+    # bytes, so the sign of every zero counts
+    assert equilibrium._greedy_reallocation(c, x).tobytes() == greedy_reallocation(c, x).tobytes()
 
 
 class TestGameEquivalence:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import operator
 import re
@@ -23,7 +24,8 @@ from poolpay import (
     run_simulation,
     separate_payoffs,
 )
-from poolpay.simulator import load_contract_schedule, load_snapshot
+from poolpay import simulator
+from poolpay.simulator import load_contract_schedule, load_snapshot, trace_file_names
 
 from conftest import price_triples
 from oracles import newsvendor_contract
@@ -400,7 +402,50 @@ def test_window_matches_one_shot_path_bit_for_bit(window):
         assert _same_bytes(report.aggregator_payoff[row], aggregator_payoff(snapshot))
         assert _same_bytes(report.aggregator_payoff[row], alloc.aggregator_total)
         assert _same_bytes(report.excess_profit[row], excess_profit(snapshot))
-        assert report.properties[row] == run_property_checks(alloc, snapshot, check_core=True)
+        assert report.properties[row] == run_property_checks(alloc, snapshot)
+
+
+def test_audit_judges_the_settlement_the_report_holds(monkeypatch):
+    """Each hour's audit judges the ``payoff_separate`` and
+    ``aggregator_payoff`` the report holds, not a settlement of its own:
+    with either shifted by 1.0, every hour fails budget balance or
+    individual rationality."""
+    contracts = np.array(
+        [[0.0, 0.0, 0.0], [100.0, 50.0, 50.0], [100.0, 50.0, 50.0], [80.0, 20.0, 40.0],
+         [10.0, 60.0, 30.0]]
+    )
+    actuals = np.array(
+        [[0.0, 0.0, 0.0], [80.0, 60.0, 40.0], [110.0, 60.0, 50.0], [70.0, 30.0, 20.0],
+         [20.0, 50.0, 40.0]]
+    )
+    data = GenerationSeries(("a", "b", "c"), tuple(range(5)), actuals, actuals)
+    run = functools.partial(
+        run_simulation, data, every_hour(data), (0, 1), (1, 5), contracts=contracts
+    )
+    honest = run()
+    assert all(p.all_pass for p in honest.properties)
+    settle = simulator.settle
+
+    def shift(pool_column):
+        def shifted(contract, realization, prices):
+            value = settle(contract, realization, prices)
+            # the pool column is (hours x 1), the stand-alone block (hours x 3)
+            return value + 1.0 if (value.shape[1] == 1) is pool_column else value
+
+        monkeypatch.setattr("poolpay.simulator.settle", shifted)
+        return run()
+
+    report = shift(pool_column=True)
+    assert _same_bytes(report.aggregator_payoff, honest.aggregator_payoff + 1.0)
+    assert _same_bytes(report.payoffs_separate, honest.payoffs_separate)
+    assert not any(p.budget.ok for p in report.properties)
+    assert all(p.ir.ok for p in report.properties)
+
+    report = shift(pool_column=False)
+    assert _same_bytes(report.payoffs_separate, honest.payoffs_separate + 1.0)
+    assert _same_bytes(report.aggregator_payoff, honest.aggregator_payoff)
+    assert not any(p.ir.ok for p in report.properties)
+    assert all(p.budget.ok for p in report.properties)
 
 
 class TestEmitReport:
@@ -511,3 +556,26 @@ class TestEmitReport:
         assert sorted(p.name for p in files) == ["hourly.csv", "summary.csv"]
         for path in files:
             assert len(path.read_text().strip().splitlines()) == 1  # header only
+        # producers but no hours: one header-only trace file per producer
+        no_hours = dataclasses.replace(
+            empty,
+            producer_ids=("a", "b"),
+            **{
+                name: np.zeros((0, 2))
+                for name in ("contracts", "realizations", "payoffs_pooled", "payoffs_separate")
+            },
+        )
+        files = emit_report(no_hours, tmp_path / "out2")
+        assert sorted(p.name for p in files) == [
+            "hourly.csv", "summary.csv", "trace_a.csv", "trace_b.csv"
+        ]
+        for path in files:  # summary.csv holds a, b and TOTAL
+            lines = path.read_text().splitlines()
+            assert len(lines) == (4 if path.name == "summary.csv" else 1)
+
+
+def test_trace_file_names_must_differ_in_more_than_letter_case():
+    assert trace_file_names(("a", "b.1")) == ["trace_a.csv", "trace_b.1.csv"]
+    # a case-insensitive filesystem would open one file for both
+    with pytest.raises(ValueError, match=r"'W1' and 'w1' would both write trace_w1\.csv"):
+        trace_file_names(("W1", "w1"))

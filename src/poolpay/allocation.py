@@ -106,38 +106,30 @@ class IndividualRationalityResult:
 @dataclass(frozen=True)
 class CoreResult:
     in_core: bool
-    worst_violation: float  # max over coalitions of v(T) - allocated sum
+    worst_violation: float  # max scanned v(T) - allocated(T); with none scanned, the bound
     worst_coalition: tuple[int, ...] | None
     coalitions_checked: int
-    exhaustive: bool
+    exhaustive: bool  # the verdict covers every coalition, enumerated or bounded
 
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of the five-property audit for one allocation.
-
-    ``core`` is None when ``run_simulation(check_core=False)`` skipped the
-    core check; a skipped check never counts as a violation.
-    """
+    """Outcome of the five-property audit for one allocation."""
 
     budget: BudgetBalanceResult
     ir: IndividualRationalityResult
     fairness: bool
     no_exploitation: bool
-    core: CoreResult | None
+    core: CoreResult
 
     @property
-    def in_core(self) -> bool | None:
-        return None if self.core is None else self.core.in_core
+    def in_core(self) -> bool:
+        return self.core.in_core
 
     @property
     def all_pass(self) -> bool:
         return (
-            self.budget.ok
-            and self.ir.ok
-            and self.fairness
-            and self.no_exploitation
-            and self.in_core is not False
+            self.budget.ok and self.ir.ok and self.fairness and self.no_exploitation and self.in_core
         )
 
 
@@ -203,10 +195,10 @@ def _fair(dev: np.ndarray, margin: np.ndarray) -> bool:
     return True
 
 
-#: Largest pool the core audit enumerates (2^20 - 1 coalitions); larger
-#: pools are screened with CORE_SAMPLES coalitions drawn from seed 0.
+#: Largest pool the core audit enumerates (2^20 - 1 coalitions); a larger
+#: pool is bounded, and screened with CORE_SAMPLES coalitions if undecided.
 EXHAUSTIVE_LIMIT = 20
-#: Coalitions the core audit draws on a pool above EXHAUSTIVE_LIMIT.
+#: Coalitions the core audit draws on a larger pool the bound cannot prove.
 CORE_SAMPLES = 100_000
 
 # The enumeration is checked _CHUNK_ROWS coalitions at a time, so each
@@ -271,20 +263,31 @@ def _coalition_blocks(members: np.ndarray):
 def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
     """Can any coalition beat its allocated share ``payoffs`` by seceding?
 
-    A pool of at most ``EXHAUSTIVE_LIMIT`` producers is audited exactly: all
-    2^n - 1 nonempty coalitions are enumerated from one (3 x 2^n) table of
-    coalition sums, and the worst violation ``v(T) - allocated(T)`` is
-    reported with its coalition (ties broken toward the lowest subset
-    bitmask). A larger pool is screened with ``CORE_SAMPLES`` random
-    coalitions drawn from seed 0 and reports ``exhaustive=False``; sampling
-    can only ever certify "no violation found", which is what auditing a
-    third-party allocation on a large pool realistically gets. The table is
-    checked ``_CHUNK_ROWS`` coalitions at a time, and a sampled chunk holds
-    at most ``_CHUNK_CELLS`` membership cells, so memory stays bounded.
+    Up to ``EXHAUSTIVE_LIMIT`` producers, all 2^n - 1 nonempty coalitions are
+    enumerated from one (3 x 2^n) table of coalition sums, and the worst
+    violation ``v(T) - allocated(T)`` is reported with its coalition (ties
+    broken toward the lowest subset bitmask). Above it, as rt_sell <= rt_buy,
+    v(T) - allocated(T) is min(alpha(T), beta(T)) for additive per-producer
+    excesses alpha at rt_buy and beta at rt_sell, so at most the pool's sum
+    of max(0, lam * alpha + (1 - lam) * beta) for any lam. A least sum at
+    lam = 1, 0, 1/2 of at most half the smallest allowance proves the pool in
+    the core. Failing that, ``CORE_SAMPLES`` coalitions drawn from seed 0 are
+    screened (``exhaustive=False``), which can only find no violation. Table
+    chunks of ``_CHUNK_ROWS`` coalitions, and sampled ones of at most
+    ``_CHUNK_CELLS`` cells, keep memory bounded.
     """
     n = len(payoffs)
     if n == 0:
         return CoreResult(True, 0.0, None, 0, True)
+    if n > EXHAUSTIVE_LIMIT:
+        # alpha is exactly 0 on the mechanism's short split, beta on its long one
+        alpha = _pam(contracts, realizations, prices.day_ahead, prices.rt_buy) - payoffs
+        beta = _pam(contracts, realizations, prices.day_ahead, prices.rt_sell) - payoffs
+        bound = min(float(np.maximum(u, 0.0).sum()) for u in (alpha, beta, 0.5 * (alpha + beta)))
+        # half the allowance: the coalition sums of a scan round too, and at
+        # the full allowance the bound passed splits that the scan flags
+        if bound <= DEFAULT_TOLERANCE / 2:
+            return CoreResult(True, bound, None, 0, True)
     members = np.array([contracts, realizations, payoffs])
     ok_all, worst, witness, checked = True, -math.inf, None, 0
     for sums, coalition in _coalition_blocks(members):
@@ -296,13 +299,11 @@ def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
     return CoreResult(ok_all, worst, witness, checked, n <= EXHAUSTIVE_LIMIT)
 
 
-def _audit(
-    contracts, realizations, payoffs, standalone, pool, prices, check_core
-) -> PropertyReport:
+def _audit(contracts, realizations, payoffs, standalone, pool, prices) -> PropertyReport:
     """The five-property audit of one pool's ``payoffs`` against the settlement
     it is handed: budget balance against the ``pool`` payoff, a float, and
     individual rationality against the ``standalone`` payoffs. The arrays are
-    1-D, of one length; the core is audited only when ``check_core`` is set."""
+    1-D, of one length."""
     residual = float(payoffs.sum()) - pool
     budget = BudgetBalanceResult(abs(residual) <= DEFAULT_TOLERANCE * max(1.0, abs(pool)), residual)
     if len(payoffs) == 0:
@@ -326,7 +327,7 @@ def _audit(
         ir=ir,
         fairness=_fair(contracts - realizations, payoffs - day_ahead * contracts),
         no_exploitation=no_exploitation,
-        core=_core(contracts, realizations, payoffs, prices) if check_core else None,
+        core=_core(contracts, realizations, payoffs, prices),
     )
 
 
@@ -340,7 +341,7 @@ def run_property_checks(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> 
         )
     return _audit(
         snapshot.contracts, snapshot.realizations, alloc.payoffs, separate_payoffs(snapshot),
-        aggregator_payoff(snapshot), snapshot.prices, check_core=True,
+        aggregator_payoff(snapshot), snapshot.prices,
     )
 
 
@@ -363,8 +364,11 @@ def contract_mismatch_counterexample(
     always at least matches the separate payoffs.
     """
     contracts = np.asarray(list(contracts), dtype=float)
-    if np.any(contracts < 0.0):
-        raise ValueError("contracts must be >= 0")
+    bad = contracts[~(contracts >= 0.0)]
+    if bad.size:
+        raise ValueError(f"contracts must be >= 0, got {bad[0]}")
+    if not (np.isfinite(aggregate_contract) and aggregate_contract >= 0.0):
+        raise ValueError(f"aggregate contract must be finite and >= 0, got {aggregate_contract}")
     total = float(contracts.sum())
     if approx_equal(aggregate_contract, total):
         raise ValueError(

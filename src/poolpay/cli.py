@@ -78,9 +78,7 @@ def _cmd_simulate(args) -> int:
             raise TimeseriesFormatError("either --prices or --pf/--prb/--prs is required")
         prices = (constant,) * data.n_hours
     contracts = None if args.contracts is None else load_contract_schedule(args.contracts, data)
-    report = run_simulation(
-        data, prices, args.train, args.sim, contracts=contracts, check_core=args.check_core
-    )
+    report = run_simulation(data, prices, args.train, args.sim, contracts=contracts)
     files = emit_report(report, args.out)
     print(f"simulated {report.n_hours} hours x {len(report.producer_ids)} producers")
     print(f"total pooled payoff   : {report.grand_total_pooled:.6f}")
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sim", type=_parse_range, required=True,
                      help="simulated hours as half-open positions, e.g. 744:1416")
     sim.add_argument("--check-core", action="store_true",
-                     help="audit core membership every hour")
+                     help="no effect: every hour's core is audited")
     sim.add_argument("--contracts", default=None,
                      help="optional contract CSV (hour,producer_id,contract_mwh) "
                           "instead of news-vendor sizing")

@@ -83,7 +83,9 @@ def error_spread(forecasts, actuals) -> np.ndarray:
         raise ValueError("forecasts and actuals must be matching (hours x producers) arrays")
     if forecasts.shape[0] < 2:
         raise ValueError("need at least 2 training hours to estimate the error spread")
-    if np.any(forecasts < 0.0) or np.any(actuals < 0.0):
-        raise ValueError("forecasts and actuals must be >= 0")
+    for name, block in (("forecasts", forecasts), ("actuals", actuals)):
+        bad = block[~(np.isfinite(block) & (block >= 0.0))]
+        if bad.size:
+            raise ValueError(f"{name} must be finite and >= 0, got {bad[0]}")
     return np.std(actuals - forecasts, axis=0, ddof=1)
 

@@ -70,7 +70,7 @@ def best_response_set(contract: float, prices: PriceTriple, price: float) -> Res
     member either dumps everything (argmax {0}) or would buy without limit
     (no argmax, the empty interval).
     """
-    if contract < 0.0:
+    if not contract >= 0.0:
         raise ValueError(f"contract must be >= 0, got {contract}")
     buy, sell, c = prices.rt_buy, prices.rt_sell, contract
     if approx_equal(buy, sell):

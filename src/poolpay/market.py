@@ -152,9 +152,9 @@ def settle(contract, realization, prices: PriceTriple):
 
 def separate_payoff(contract: float, realization: float, prices: PriceTriple) -> float:
     """Settlement payoff of a single producer participating on its own."""
-    if contract < 0.0:
+    if not contract >= 0.0:
         raise ValueError(f"contract must be >= 0, got {contract}")
-    if realization < 0.0:
+    if not realization >= 0.0:
         raise ValueError(f"realization must be >= 0, got {realization}")
     return float(settle(contract, realization, prices))
 

@@ -414,7 +414,7 @@ class SimulationReport:
             "individual_rationality": sum(not p.ir.ok for p in properties),
             "fairness": sum(not p.fairness for p in properties),
             "no_exploitation": sum(not p.no_exploitation for p in properties),
-            "core": sum(p.in_core is False for p in properties),
+            "core": sum(not p.in_core for p in properties),
         }
 
 
@@ -462,7 +462,7 @@ def _contract_block(
 
 
 def run_simulation(
-    data: GenerationSeries, prices, train_range, sim_range, *, contracts=None, check_core=False
+    data: GenerationSeries, prices, train_range, sim_range, *, contracts=None
 ) -> SimulationReport:
     """Settle every hour of the simulation window and audit each allocation.
 
@@ -481,7 +481,7 @@ def run_simulation(
     decides it, and the pooled, separate and pool payoffs and the pooling
     gain equal the one-shot functions' bit for bit. Each hour's payoffs are
     then audited against that hour's separate and pool payoffs as the report
-    holds them (core membership included when enabled).
+    holds them, core membership included.
     """
     _check_ranges(train_range, sim_range, data.n_hours)
     if len(prices) != data.n_hours:
@@ -526,7 +526,7 @@ def run_simulation(
         excess_profit=np.array(
             [_pooling_gain(dev, p.spread) for dev, p in zip(realizations - contracts, window)]
         ),
-        properties=tuple(_audit(*row, check_core) for row in per_hour),
+        properties=tuple(_audit(*row) for row in per_hour),
     )
 
 

@@ -293,7 +293,7 @@ def test_criterion_7_monthlong_run_orders_mechanisms():
     """
     data = synthetic_series()
     prices = (PriceTriple(10.0, 15.0, 5.0),) * data.n_hours
-    report_out = run_simulation(data, prices, (0, 744), (744, 1416), check_core=True)
+    report_out = run_simulation(data, prices, (0, 744), (744, 1416))
     violations = sum(report_out.violation_counts.values())
     gap = report_out.grand_total_pooled - report_out.grand_total_separate
     gap_matches = math.isclose(
@@ -350,7 +350,7 @@ def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
 
     loaded = load_timeseries(gen_path)
     prices = (PriceTriple(10.0, 15.0, 5.0),) * loaded.n_hours
-    reference = run_simulation(loaded, prices, (0, 48), (48, 120), check_core=True)
+    reference = run_simulation(loaded, prices, (0, 48), (48, 120))
     with (tmp_path / "run1" / "hourly.csv").open(newline="") as fh:
         rows = {(r["hour"], r["producer_id"]): r for r in csv.DictReader(fh)}
     round_trip_ok = True

@@ -18,13 +18,14 @@ from poolpay import (
     contract_mismatch_counterexample,
     excess_profit,
     run_property_checks,
+    run_simulation,
     separate_payoff,
     separate_payoffs,
 )
 
 import poolpay
 from poolpay import allocation
-from conftest import price_triples, random_snapshot, snapshots
+from conftest import price_triples, random_prices, random_snapshot, snapshots
 from oracles import core_scan, fairness_scan, no_exploitation_scan
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
@@ -39,18 +40,23 @@ def equal_split(snapshot):
     return PayoffAllocation(np.full(snapshot.n, total / snapshot.n), total)
 
 
-def audit_skipping_core(alloc, s):
-    """The audit of ``alloc`` as ``run_simulation(check_core=False)`` runs it
-    on one hour, against that hour's separate and pool payoffs."""
-    return allocation._audit(
-        s.contracts,
-        s.realizations,
-        alloc.payoffs,
-        separate_payoffs(s),
-        aggregator_payoff(s),
-        s.prices,
-        check_core=False,
-    )
+def inside_core(n, rng):
+    """A split of ``n >= 3`` producers that lies in the core with room to
+    spare, yet beyond what the bound proves. The pool is balanced: producer
+    0's surplus of 40 offsets producer 1's shortfall, and the others deviate
+    in +/- pairs of less than 20 / n each. On the mechanism's split a
+    coalition with 0 and without 1 deviates by more than 20, so it falls
+    short of its share by more than 100; then 1e-7 of producer 0's payoff,
+    at least 900, moves to producer 1, whose payoff is at least 100."""
+    half = rng.uniform(0.0, 20.0 / n, (n - 2) // 2)
+    dev = np.concatenate([[40.0, -40.0], half, -half, [0.0] * (n % 2)])
+    contracts = rng.uniform(50.0, 100.0, n)
+    s = snap(contracts, contracts + dev)
+    payoffs = allocate(s).payoffs.copy()
+    move = 1e-7 * payoffs[0]
+    payoffs[0] -= move
+    payoffs[1] += move
+    return s, PayoffAllocation(payoffs, aggregator_payoff(s))
 
 
 def test_public_names_resolve_and_removed_names_are_gone():
@@ -72,8 +78,9 @@ def test_public_names_resolve_and_removed_names_are_gone():
             assert name not in poolpay.__all__
             assert not hasattr(poolpay, name)
             assert not hasattr(getattr(poolpay, module), name)
-    # the one-shot audit always audits the core
+    # both audits always audit the core
     assert "check_core" not in inspect.signature(run_property_checks).parameters
+    assert "check_core" not in inspect.signature(run_simulation).parameters
 
 
 class TestAllocate:
@@ -224,28 +231,41 @@ class TestCoreMembership:
         assert not run_property_checks(bad, s).in_core
 
     def test_exhaustive_refuses_large_pools(self, monkeypatch):
-        # a pool of EXHAUSTIVE_LIMIT + 1 producers is sampled, not refused
+        # a pool of EXHAUSTIVE_LIMIT + 1 producers is bounded, then sampled,
+        # not refused
         rng = np.random.default_rng(0)
         n = allocation.EXHAUSTIVE_LIMIT + 1
-        s = random_snapshot(rng, n_min=n, n_max=n)
-        result = run_property_checks(allocate(s), s).core
+        s, alloc = inside_core(n, rng)
+        result = run_property_checks(alloc, s).core
         assert result.in_core
         assert not result.exhaustive
         assert result.coalitions_checked == allocation.CORE_SAMPLES
+        # the bound proves the mechanism's own split, with no coalition checked
+        result = run_property_checks(allocate(s), s).core
+        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, True, 0)
+        assert result.worst_coalition is None
         # a pool of exactly EXHAUSTIVE_LIMIT producers is still enumerated
         monkeypatch.setattr(allocation, "EXHAUSTIVE_LIMIT", 8)
         for n, exhaustive in ((8, True), (9, False)):
-            s = random_snapshot(rng, n_min=n, n_max=n)
-            assert run_property_checks(allocate(s), s).core.exhaustive is exhaustive
+            s, alloc = inside_core(n, rng)
+            result = run_property_checks(alloc, s).core
+            assert result.in_core
+            assert result.exhaustive is exhaustive
+            assert result.coalitions_checked == (255 if exhaustive else allocation.CORE_SAMPLES)
 
     def test_sampled_mode(self, monkeypatch):
         monkeypatch.setattr(allocation, "CORE_SAMPLES", 2000)
         rng = np.random.default_rng(1)
-        s = random_snapshot(rng, n_min=22, n_max=22)
-        result = run_property_checks(allocate(s), s).core
+        s, alloc = inside_core(22, rng)
+        result = run_property_checks(alloc, s).core
         assert result.in_core
         assert not result.exhaustive
         assert result.coalitions_checked == 2000
+        # the mechanism's split of a random pool is proven instead
+        s = random_snapshot(rng, n_min=22, n_max=22)
+        result = run_property_checks(allocate(s), s).core
+        assert result.in_core and result.exhaustive
+        assert result.coalitions_checked == 0
 
     def test_sampled_mode_finds_planted_violation(self, monkeypatch):
         monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
@@ -303,8 +323,7 @@ class TestCoreMembership:
         monkeypatch.setattr(allocation, "CORE_SAMPLES", 4000)
         peaks = []
         for n in (500, 2000):
-            s = random_snapshot(np.random.default_rng(n), n_min=n, n_max=n)
-            alloc = allocate(s)
+            s, alloc = inside_core(n, np.random.default_rng(n))
             tracemalloc.start()
             try:
                 result = allocation._core(s.contracts, s.realizations, alloc.payoffs, s.prices)
@@ -313,6 +332,9 @@ class TestCoreMembership:
                 tracemalloc.stop()
             assert result.in_core
             assert result.coalitions_checked == 4000
+            # the mechanism's split is proven without a sample
+            proven = run_property_checks(allocate(s), s).core
+            assert proven.in_core and proven.coalitions_checked == 0
         # a float64 chunk, the int64 draw it is cast from, and the previous
         # chunk, which its witness lookup keeps alive
         assert max(peaks) < 4 * 8 * allocation._CHUNK_CELLS
@@ -362,6 +384,80 @@ def test_core_scan_matches_loop_oracle_bit_for_bit(case, chunk_rows):
     assert result.in_core is ok
     assert np.float64(result.worst_violation).tobytes() == np.float64(worst).tobytes()
     assert result.worst_coalition == witness
+
+
+@st.composite
+def bound_cases(draw):
+    """Pools of 1-10 producers at contract scales from 1e-3 to 1e5, with idle
+    producers, exact deliveries, short, long and balanced totals and zero
+    spreads. The payoffs are the mechanism's, shuffled, or with 0.4-2 times
+    the allowance ``1e-9 * max(1, |p_i|)`` of one producer's payoff moved
+    to another."""
+    n = draw(st.integers(1, 10))
+    scale = draw(st.sampled_from([1e-3, 1.0, 120.0, 1e5]))
+    unit = st.floats(0.0, 1.0).map(lambda v: round(v, 6))
+    contracts = [0.0 if draw(st.integers(0, 4)) == 0 else scale * draw(unit) for _ in range(n)]
+    if draw(st.booleans()):  # balanced: the contracts, delivered in another order
+        realizations = draw(st.permutations(contracts))
+    else:
+        realizations = [c if draw(st.integers(0, 3)) == 0 else 2.0 * scale * draw(unit)
+                        for c in contracts]
+    flat = st.tuples(st.integers(-5, 20), st.integers(-5, 20)).map(
+        lambda t: PriceTriple(float(t[0]), float(t[1]), float(t[1]))
+    )
+    s = snap(contracts, realizations, draw(st.one_of(price_triples(), flat)))
+    payoffs = allocate(s).payoffs.tolist()
+    style = draw(st.sampled_from(["mechanism", "shuffled", "moved"]))
+    if style == "shuffled":
+        payoffs = draw(st.permutations(payoffs))
+    elif style == "moved" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        move = draw(st.sampled_from([0.4, 0.5, 0.6, 1.0, 2.0])) * 1e-9 * max(1.0, abs(payoffs[i]))
+        payoffs[i] -= move
+        payoffs[j] += move
+    return s, np.array(payoffs), style
+
+
+# The mechanism's split of a long pool with 1e-9 moved from producer 3 to
+# producer 2. Its bound, 1e-9 less 2.8e-11, is within the full allowance,
+# but the enumeration's own sums put coalition (1, 3) at 1.0000002e-9, a
+# violation: a bound at the full allowance would pass a split the scan fails.
+EDGE = snap([0.243, 0.257, 0.073, 0.258], [1.526, 1.396, 0.257, 0.752], PriceTriple(4.0, 1.0, -1.0))
+EDGE_PAYOFFS = allocate(EDGE).payoffs + np.array([0.0, 0.0, 1e-9, -1e-9])
+
+
+@settings(max_examples=400, deadline=None)
+@given(bound_cases())
+@example((EDGE, EDGE_PAYOFFS, "moved"))
+def test_bound_proves_only_pools_in_the_core(case):
+    s, payoffs, style = case
+    with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", 0), mock.patch.object(
+        allocation, "CORE_SAMPLES", 16
+    ):
+        result = allocation._core(s.contracts, s.realizations, payoffs, s.prices)
+    proven = result.coalitions_checked == 0
+    if proven:
+        assert core_scan(s.contracts, s.realizations, payoffs, s.prices)[0]
+        assert (result.in_core, result.worst_coalition, result.exhaustive) == (True, None, True)
+    else:
+        assert (result.coalitions_checked, result.exhaustive) == (16, False)
+    # the mechanism's short and long splits are proven with a bound of exactly 0
+    if style == "mechanism" and not allocation.marginal_price(s)[1]:
+        assert proven and result.worst_violation == 0.0
+
+
+@pytest.mark.parametrize("n", [21, 500, 2000])
+def test_bound_proves_the_mechanism_on_short_and_long_pools(n):
+    rng = np.random.default_rng(n)
+    contracts = rng.uniform(0.0, 120.0, n)
+    realizations = rng.uniform(0.0, 120.0, n)
+    for factor in (0.8, 1.25):  # short, then long
+        s = snap(contracts, realizations * (factor * contracts.sum() / realizations.sum()),
+                 random_prices(rng))
+        assert allocation.marginal_price(s)[1] is False
+        result = run_property_checks(allocate(s), s).core
+        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, True, 0)
+        assert result.worst_violation == 0.0
 
 
 @st.composite
@@ -422,7 +518,7 @@ def pair_audit_cases(draw):
 def test_pair_audits_match_loop_oracles(case):
     s, alloc = case
     args = (s.contracts, s.realizations, alloc.payoffs, s.prices)
-    report = audit_skipping_core(alloc, s)
+    report = run_property_checks(alloc, s)
     assert report.fairness is fairness_scan(*args)
     assert report.no_exploitation is no_exploitation_scan(*args)
 
@@ -438,8 +534,8 @@ def test_fairness_on_an_all_idle_pool_of_20000():
     unfair = PayoffAllocation(moved, fair.aggregator_total)
     tracemalloc.start()
     try:
-        assert audit_skipping_core(fair, s).fairness
-        assert not audit_skipping_core(unfair, s).fairness
+        assert run_property_checks(fair, s).fairness
+        assert not run_property_checks(unfair, s).fairness
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -519,15 +615,12 @@ def test_report_holds_what_each_check_returns():
         assert report.in_core == report.core.in_core
         four = report.budget.ok and report.ir.ok and report.fairness and report.no_exploitation
         assert report.all_pass == (four and report.core.in_core)
-        skipped = audit_skipping_core(alloc, s)
-        assert skipped.core is None and skipped.in_core is None
-        assert skipped.all_pass == four
-    # the other four properties hold and coalition {0, 2} blocks: a skipped
-    # core audit passes the split, a run one fails it
+    # the other four properties hold and coalition {0, 2} blocks: the core
+    # audit alone fails the split
     s = snap([100, 100, 0, 0], [60, 70, 40, 30])
     alloc = PayoffAllocation([750.0, 900.0, 200.0, 150.0], aggregator_payoff(s))
-    assert audit_skipping_core(alloc, s).all_pass
     report = run_property_checks(alloc, s)
+    assert report.budget.ok and report.ir.ok and report.fairness and report.no_exploitation
     assert report.core.worst_coalition == (0, 2)
     assert not report.all_pass
 
@@ -623,6 +716,11 @@ class TestContractMismatchCounterexample:
     def test_matched_commitment_rejected(self):
         with pytest.raises(ValueError, match="no counterexample"):
             contract_mismatch_counterexample([100.0], 100.0, P)
+
+    @pytest.mark.parametrize("aggregate", [np.nan, np.inf, -50.0], ids=["nan", "inf", "negative"])
+    def test_commitment_must_be_finite_and_nonnegative(self, aggregate):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {aggregate}"):
+            contract_mismatch_counterexample([100.0, 50.0], aggregate, P)
 
     def test_price_preconditions(self):
         rich_forward = PriceTriple(day_ahead=20.0, rt_buy=15.0, rt_sell=5.0)

@@ -147,15 +147,29 @@ class TestCheckCoreCommand:
         assert "False" in capsys.readouterr().out
 
     def test_pool_above_exhaustive_limit_is_sampled(self, tmp_path, capsys):
+        # a balanced pool of 21: p00's surplus offsets p01's shortfall, the
+        # rest deliver exactly. Each coalition with p00 and without p01 is
+        # 10 MWh long and falls 50 short of its share under the mechanism's
+        # split, so moving 3e-5 from p00 to p01 stays in the core, but
+        # beyond what the bound proves: the audit samples
         ids = [f"p{i:02d}" for i in range(21)]
+        actual = {"p00": 30.0, "p01": 10.0}
         snapshot = write_csv(tmp_path / "snap.csv", ["producer_id", "contract_mwh", "actual_mwh"],
-                             [[p, 10.0, 10.0] for p in ids])
-        payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"],
-                            [[p, 100.0] for p in ids])
-        code = main(["check-core", "--snapshot", str(snapshot), "--payoffs", str(payoffs),
-                     "--pf", "10", "--prb", "15", "--prs", "5"])
-        assert code == EXIT_OK
-        assert "in_core               : True" in capsys.readouterr().out
+                             [[p, 20.0, actual.get(p, 20.0)] for p in ids])
+        mechanism = {"p00": 300.0, "p01": 100.0}
+        moved = {"p00": 300.0 - 3e-5, "p01": 100.0 + 3e-5}
+        flags = ["--pf", "10", "--prb", "15", "--prs", "5"]
+        for payoff, coalition in ((moved, "coalition ("), (mechanism, "coalition None")):
+            payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"],
+                                [[p, payoff.get(p, 200.0)] for p in ids])
+            code = main(["check-core", "--snapshot", str(snapshot), "--payoffs", str(payoffs),
+                         *flags])
+            out = capsys.readouterr().out
+            assert code == EXIT_OK
+            assert "in_core               : True" in out
+            assert coalition in out
+        # the mechanism's split is proven with a bound of exactly 0.0
+        assert "(worst violation 0.0, coalition None)" in out
 
     def test_payoff_row_for_unknown_producer_rejected(self, snapshot_file, tmp_path, capsys):
         payoffs = write_csv(
@@ -281,12 +295,16 @@ class TestSimulateCommand:
         assert (out_dir / "summary.csv").exists()
         assert "violations[core]: 0" in out
 
-    def test_byte_identical_reruns(self, generation_file, tmp_path):
-        args = lambda out: ["simulate", "--data", str(generation_file),
-                            "--pf", "10", "--prb", "15", "--prs", "5",
-                            "--train", "0:4", "--sim", "4:10", "--out", str(out)]
-        assert main(args(tmp_path / "out1")) == EXIT_OK
-        assert main(args(tmp_path / "out2")) == EXIT_OK
+    def test_byte_identical_reruns(self, generation_file, tmp_path, capsys):
+        # --check-core is accepted and has no effect: every hour's core is audited
+        args = lambda out, *flags: ["simulate", "--data", str(generation_file),
+                                    "--pf", "10", "--prb", "15", "--prs", "5",
+                                    "--train", "0:4", "--sim", "4:10", *flags, "--out", str(out)]
+        stdout = []
+        for out, flags in (("out1", []), ("out2", ["--check-core"])):
+            assert main(args(tmp_path / out, *flags)) == EXIT_OK
+            stdout.append(capsys.readouterr().out.replace(str(tmp_path / out), "<out>"))
+        assert stdout[0] == stdout[1]
         for name in ("hourly.csv", "summary.csv", "trace_w1.csv", "trace_w2.csv"):
             assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 

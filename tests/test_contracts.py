@@ -243,6 +243,14 @@ class TestFitDistribution:
         with pytest.raises(ValueError):
             error_spread([[100.0], [100.0]], [[100.0], [-1.0]])
 
+    @pytest.mark.parametrize("block", ["forecasts", "actuals"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, block, value):
+        forecasts, actuals = [[100.0], [100.0]], [[90.0], [110.0]]
+        (forecasts if block == "forecasts" else actuals)[1][0] = value
+        with pytest.raises(ValueError, match=f"{block} must be finite and >= 0, got {value}"):
+            error_spread(forecasts, actuals)
+
     def test_one_spread_per_producer_column(self):
         forecasts = np.array([[10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
         actuals = np.array([[12.0, 1.0], [18.0, 2.0], [30.0, 6.0]])

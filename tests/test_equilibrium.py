@@ -64,6 +64,11 @@ class TestProductionFunction:
         with pytest.raises(ValueError, match="contract must be >= 0"):
             best_response_set(-1.0, P, 10.0)
 
+    @pytest.mark.parametrize("contract", [math.nan, -math.inf], ids=["nan", "minus-inf"])
+    def test_rejects_contract_not_at_least_zero(self, contract):
+        with pytest.raises(ValueError, match=f"contract must be >= 0, got {contract}"):
+            best_response_set(contract, P, 10.0)
+
 
 class TestBestResponseSet:
     def test_at_buy_price_any_holding_up_to_contract(self):

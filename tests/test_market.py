@@ -65,6 +65,15 @@ class TestSeparatePayoff:
         with pytest.raises(ValueError):
             separate_payoff(0.0, -1.0, P)
 
+    @pytest.mark.parametrize(
+        "contract, realization, name",
+        [(math.nan, 1.0, "contract"), (1.0, math.nan, "realization")],
+        ids=["nan-contract", "nan-realization"],
+    )
+    def test_rejects_nan_quantities(self, contract, realization, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got nan"):
+            separate_payoff(contract, realization, P)
+
     def test_piecewise_slopes_by_finite_difference(self):
         # slope rt_buy below the contract, rt_sell above, away from the kink
         h = 1e-6

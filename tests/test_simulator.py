@@ -196,8 +196,7 @@ class TestRunSimulation:
             generation_file(tmp_path, [[0, "w1", 100.0, 100.0], [1, "w1", 100.0, 100.0]])
         )
         report = run_simulation(
-            data, every_hour(data), (0, 1), (1, 2),
-            contracts=scheduled(data, {1: [100.0]}), check_core=True,
+            data, every_hour(data), (0, 1), (1, 2), contracts=scheduled(data, {1: [100.0]})
         )
         assert report.payoffs_pooled[0, 0] == 1000.0
         assert report.payoffs_separate[0, 0] == 1000.0
@@ -207,8 +206,7 @@ class TestRunSimulation:
     def test_offsetting_deviations_capture_the_spread(self, tmp_path):
         data = two_producer_data(tmp_path)
         report = run_simulation(
-            data, every_hour(data), (0, 2), (2, 3),
-            contracts=scheduled(data, {2: [100.0, 50.0]}), check_core=True,
+            data, every_hour(data), (0, 2), (2, 3), contracts=scheduled(data, {2: [100.0, 50.0]})
         )
         assert report.excess_profit[0] == pytest.approx(200.0)
         gap = report.payoffs_pooled[0].sum() - report.payoffs_separate[0].sum()
@@ -386,9 +384,7 @@ def _same_bytes(a, b):
 @given(windows())
 def test_window_matches_one_shot_path_bit_for_bit(window):
     data, prices, contracts = window
-    report = run_simulation(
-        data, prices, (0, 1), (1, data.n_hours), contracts=contracts, check_core=True
-    )
+    report = run_simulation(data, prices, (0, 1), (1, data.n_hours), contracts=contracts)
     for row in range(report.n_hours):
         hour = row + 1
         snapshot = ScenarioSnapshot(
@@ -448,10 +444,37 @@ def test_audit_judges_the_settlement_the_report_holds(monkeypatch):
     assert all(p.budget.ok for p in report.properties)
 
 
+def test_window_audits_the_core_in_every_hour(monkeypatch):
+    """``run_simulation`` has no core switch: every hour's report holds a
+    core verdict, and a split that a coalition blocks fails it. Every
+    producer delivers its contract exactly; moving 1.0 of payoff from
+    producer a to producer b leaves a short of what it earns alone."""
+    contracts = np.array([[0.0, 0.0, 0.0], [100.0, 50.0, 50.0], [80.0, 20.0, 40.0]] * 2)
+    data = GenerationSeries(("a", "b", "c"), tuple(range(6)), contracts, contracts)
+    run = functools.partial(
+        run_simulation, data, every_hour(data), (0, 1), (1, 6), contracts=contracts
+    )
+    honest = run()
+    assert all(p.core.exhaustive and p.in_core is True for p in honest.properties)
+    pam = simulator._pam
+
+    def moved(*args):
+        payoffs = pam(*args)
+        payoffs[:, 0] -= 1.0
+        payoffs[:, 1] += 1.0
+        return payoffs
+
+    monkeypatch.setattr("poolpay.simulator._pam", moved)
+    report = run()
+    assert all(p.in_core is False for p in report.properties)
+    assert all(p.core.worst_coalition == (0,) for p in report.properties)
+    assert report.violation_counts["core"] == report.n_hours == 5
+
+
 class TestEmitReport:
     def _report(self, tmp_path):
         data = two_producer_data(tmp_path)
-        return run_simulation(data, every_hour(data), (0, 2), (2, 3), check_core=True)
+        return run_simulation(data, every_hour(data), (0, 2), (2, 3))
 
     def test_files_written(self, tmp_path):
         report = self._report(tmp_path)

@@ -25,6 +25,7 @@ from .market import (
     DEFAULT_TOLERANCE,
     PriceTriple,
     ScenarioSnapshot,
+    _approx_equal_array,
     aggregator_payoff,
     approx_equal,
     separate_payoffs,
@@ -260,33 +261,52 @@ def _coalition_blocks(members: np.ndarray):
         )
 
 
+# A bound at most this proves the core. Half the allowance: the coalition
+# sums of a scan round too, and at the full allowance the bound passed
+# splits that the scan flags.
+_BOUND_MARGIN = DEFAULT_TOLERANCE / 2
+
+
+def _core_bound(contracts, realizations, payoffs, prices):
+    """Upper bound on every coalition's ``v(T) - allocated(T)``.
+
+    alpha_i and beta_i are producer i's settlement at rt_buy and at rt_sell
+    less its payoff. As rt_sell <= rt_buy, each coalition's excess is
+    min(alpha(T), beta(T)), so at most the sum over producers of max(0,
+    lam * alpha_i + (1 - lam) * beta_i) for any lam; the least of the sums
+    at lam = 1, 0, 1/2 is returned, chosen as Python's ``min`` chooses. The
+    arrays are one pool's vectors with a PriceTriple, a float back, or
+    (hours x producers) blocks with (hours x 1) price columns, one bound per
+    row back; each row is summed as its own vector would be.
+    """
+    # alpha is exactly 0 on the mechanism's short split, beta on its long one
+    alpha = _pam(contracts, realizations, prices.day_ahead, prices.rt_buy) - payoffs
+    beta = _pam(contracts, realizations, prices.day_ahead, prices.rt_sell) - payoffs
+    bound, *rest = (np.maximum(u, 0.0).sum(axis=-1) for u in (alpha, beta, 0.5 * (alpha + beta)))
+    for other in rest:
+        bound = np.where(other < bound, other, bound)
+    return bound
+
+
 def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
     """Can any coalition beat its allocated share ``payoffs`` by seceding?
 
     Up to ``EXHAUSTIVE_LIMIT`` producers, all 2^n - 1 nonempty coalitions are
     enumerated from one (3 x 2^n) table of coalition sums, and the worst
     violation ``v(T) - allocated(T)`` is reported with its coalition (ties
-    broken toward the lowest subset bitmask). Above it, as rt_sell <= rt_buy,
-    v(T) - allocated(T) is min(alpha(T), beta(T)) for additive per-producer
-    excesses alpha at rt_buy and beta at rt_sell, so at most the pool's sum
-    of max(0, lam * alpha + (1 - lam) * beta) for any lam. A least sum at
-    lam = 1, 0, 1/2 of at most half the smallest allowance proves the pool in
-    the core. Failing that, ``CORE_SAMPLES`` coalitions drawn from seed 0 are
-    screened (``exhaustive=False``), which can only find no violation. Table
-    chunks of ``_CHUNK_ROWS`` coalitions, and sampled ones of at most
-    ``_CHUNK_CELLS`` cells, keep memory bounded.
+    broken toward the lowest subset bitmask). Above it, a ``_core_bound`` of
+    at most half the smallest allowance proves the pool in the core, and the
+    bound is reported. Failing that, ``CORE_SAMPLES`` coalitions drawn from
+    seed 0 are screened (``exhaustive=False``), which can only find no
+    violation. Table chunks of ``_CHUNK_ROWS`` coalitions, and sampled ones
+    of at most ``_CHUNK_CELLS`` cells, keep memory bounded.
     """
     n = len(payoffs)
     if n == 0:
         return CoreResult(True, 0.0, None, 0, True)
     if n > EXHAUSTIVE_LIMIT:
-        # alpha is exactly 0 on the mechanism's short split, beta on its long one
-        alpha = _pam(contracts, realizations, prices.day_ahead, prices.rt_buy) - payoffs
-        beta = _pam(contracts, realizations, prices.day_ahead, prices.rt_sell) - payoffs
-        bound = min(float(np.maximum(u, 0.0).sum()) for u in (alpha, beta, 0.5 * (alpha + beta)))
-        # half the allowance: the coalition sums of a scan round too, and at
-        # the full allowance the bound passed splits that the scan flags
-        if bound <= DEFAULT_TOLERANCE / 2:
+        bound = float(_core_bound(contracts, realizations, payoffs, prices))
+        if bound <= _BOUND_MARGIN:
             return CoreResult(True, bound, None, 0, True)
     members = np.array([contracts, realizations, payoffs])
     ok_all, worst, witness, checked = True, -math.inf, None, 0
@@ -331,10 +351,77 @@ def _audit(contracts, realizations, payoffs, standalone, pool, prices) -> Proper
     )
 
 
+def _audit_window(contracts, realizations, payoffs, standalone, pool, prices) -> dict:
+    """The five-property audit of a window of (hours x producers) blocks: each
+    hour's verdicts and figures equal ``_audit``'s on that hour's rows.
+
+    ``pool`` holds one pool payoff per hour and ``prices`` holds (hours x 1)
+    price columns. The blocks are C-ordered, so each row sum adds its cells
+    as that hour's own vector would. The kernels of one pool run only on the
+    hours the block screens leave open: ``_fair`` where two equal sorted
+    deviations carry unequal margins, and ``_core`` where ``_core_bound``
+    exceeds its margin. Only those hours carry a worst coalition; elsewhere
+    ``core_worst`` is the bound. The result maps each per-hour column of
+    ``simulator.SimulationReport`` to its values.
+    """
+    hours, n = payoffs.shape
+    residual = payoffs.sum(axis=1) - pool
+    # Each (hours x producers) block is reduced to per-hour columns and
+    # dropped before the next is made, so the audit holds few at a time.
+    core_worst = _core_bound(contracts, realizations, payoffs, prices)
+    margins = payoffs - standalone
+    ir_ok = np.all(margins >= -(DEFAULT_TOLERANCE * np.maximum(1.0, np.abs(standalone))), axis=1)
+    if n:
+        worst = np.argmin(margins, axis=1)
+        worst_margin = margins[np.arange(hours), worst]
+    else:
+        worst, worst_margin = np.full(hours, -1), np.full(hours, math.inf)
+    del margins
+    order = np.argsort(contracts - realizations, axis=1)
+    sorted_dev = np.take_along_axis(contracts - realizations, order, axis=1)
+    tied = _approx_equal_array(sorted_dev[:, :-1], sorted_dev[:, 1:])
+    del sorted_dev
+    sorted_margin = np.take_along_axis(payoffs - prices.day_ahead * contracts, order, axis=1)
+    # Equal deviations lie in one run of equal sorted neighbours (see _fair),
+    # so an hour whose every such run holds one margin is fair.
+    tied &= sorted_margin[:, :-1] != sorted_margin[:, 1:]
+    del sorted_margin, order
+    fair = np.ones(hours, dtype=bool)
+    for h in np.flatnonzero(tied.any(axis=1)).tolist():
+        c, x = contracts[h], realizations[h]
+        fair[h] = _fair(c - x, payoffs[h] - prices.day_ahead[h] * c)
+    # a producer that delivers its contract exactly gets exactly the forward revenue
+    exploited = _approx_equal_array(realizations, contracts)
+    exploited &= ~_approx_equal_array(payoffs, prices.day_ahead * contracts)
+    in_core = core_worst <= _BOUND_MARGIN
+    coalitions = [None] * hours
+    for h in np.flatnonzero(~in_core).tolist():
+        triple = PriceTriple(
+            *(float(col[h, 0]) for col in (prices.day_ahead, prices.rt_buy, prices.rt_sell))
+        )
+        core = _core(contracts[h], realizations[h], payoffs[h], triple)
+        in_core[h], core_worst[h] = core.in_core, core.worst_violation
+        coalitions[h] = core.worst_coalition
+    return dict(
+        budget_ok=np.abs(residual) <= DEFAULT_TOLERANCE * np.maximum(1.0, np.abs(pool)),
+        budget_residual=residual,
+        ir_ok=ir_ok,
+        ir_worst_margin=worst_margin,
+        ir_worst_index=worst,
+        fair=fair,
+        no_exploitation=~exploited.any(axis=1),
+        in_core=in_core,
+        core_worst=core_worst,
+        core_coalition=tuple(coalitions),
+    )
+
+
 def run_property_checks(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> PropertyReport:
     """Run the five-property audit on one allocation of ``snapshot``, against
-    its ``separate_payoffs`` and ``aggregator_payoff``; the core audit
-    enumerates or samples as the pool size decides."""
+    its ``separate_payoffs`` and ``aggregator_payoff``. The core audit
+    enumerates every coalition up to ``EXHAUSTIVE_LIMIT`` producers; above
+    it the bound runs first, and coalitions are sampled only where it
+    cannot prove the pool in the core."""
     if alloc.n != snapshot.n:
         raise ValueError(
             f"allocation covers {alloc.n} producers but snapshot has {snapshot.n}"

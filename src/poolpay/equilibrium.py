@@ -72,6 +72,9 @@ def best_response_set(contract: float, prices: PriceTriple, price: float) -> Res
     """
     if not contract >= 0.0:
         raise ValueError(f"contract must be >= 0, got {contract}")
+    for name, value in (("contract", contract), ("price", price)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     buy, sell, c = prices.rt_buy, prices.rt_sell, contract
     if approx_equal(buy, sell):
         if approx_equal(price, buy):

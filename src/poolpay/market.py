@@ -30,6 +30,16 @@ def approx_equal(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=DEFAULT_TOLERANCE, abs_tol=DEFAULT_TOLERANCE)
 
 
+def _approx_equal_array(a, b) -> np.ndarray:
+    """``approx_equal`` cell by cell, for arrays that broadcast together:
+    ``|a - b| <= DEFAULT_TOLERANCE * max(1, |a|, |b|)``. Equal to it on finite
+    inputs: ``math.isclose`` compares the gap with each of the three
+    allowances, and a product with a positive constant rounds monotonically,
+    so the largest allowance is the tolerance times the largest scale."""
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return np.abs(a - b) <= DEFAULT_TOLERANCE * scale
+
+
 @dataclass(frozen=True)
 class PriceTriple:
     """Prices for one settlement hour, all in currency per MWh.
@@ -156,6 +166,9 @@ def separate_payoff(contract: float, realization: float, prices: PriceTriple) ->
         raise ValueError(f"contract must be >= 0, got {contract}")
     if not realization >= 0.0:
         raise ValueError(f"realization must be >= 0, got {realization}")
+    for name, value in (("contract", contract), ("realization", realization)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return float(settle(contract, realization, prices))
 
 

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .allocation import PayoffAllocation, PropertyReport, _audit, _marginal, _pam
+from .allocation import PayoffAllocation, _audit_window, _marginal, _pam
 from .contracts import critical_quantile, error_spread, optimal_contracts
 from .market import PriceTriple, ScenarioSnapshot, _pooling_gain, aggregator_payoff, settle
 
@@ -362,14 +362,23 @@ def _in_order(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """A settled simulation window, held as columns.
+    """A settled and audited simulation window, held as columns.
 
     The (hours x producers) blocks ``contracts``, ``realizations``,
     ``payoffs_pooled`` and ``payoffs_separate`` have one row per entry of
-    ``hours`` and one column per entry of ``producer_ids``;
-    ``aggregator_payoff``, ``excess_profit`` and ``properties`` have one
-    entry per hour. The totals and ``violation_counts`` are derived from
-    them on each access; totals add the hours in order, starting from zero.
+    ``hours`` and one column per entry of ``producer_ids``. Every other
+    field has one entry per hour: the pool's ``aggregator_payoff`` and
+    ``excess_profit``, then the audit of that hour's pooled payoffs, each
+    equal to the field of ``run_property_checks``'s ``PropertyReport`` it is
+    named after: ``budget_ok`` and ``budget_residual``; ``ir_ok``,
+    ``ir_worst_margin`` and ``ir_worst_index`` (-1 with no producers);
+    ``fair``; ``no_exploitation``; and ``in_core``. The core is proven by
+    the three-point bound first, and coalitions are enumerated only in the
+    hours it leaves open: ``core_coalition`` holds their worst coalition and
+    is None elsewhere, and ``core_worst`` is the worst violation found where
+    coalitions were scanned and the bound where the bound decided. The
+    totals and ``violation_counts`` are derived from these on each access;
+    totals add the hours in order, starting from zero.
     """
 
     producer_ids: tuple[str, ...]
@@ -380,7 +389,16 @@ class SimulationReport:
     payoffs_separate: np.ndarray
     aggregator_payoff: np.ndarray
     excess_profit: np.ndarray
-    properties: tuple[PropertyReport, ...]
+    budget_ok: np.ndarray
+    budget_residual: np.ndarray
+    ir_ok: np.ndarray
+    ir_worst_margin: np.ndarray
+    ir_worst_index: np.ndarray
+    fair: np.ndarray
+    no_exploitation: np.ndarray
+    in_core: np.ndarray
+    core_worst: np.ndarray
+    core_coalition: tuple
 
     @property
     def n_hours(self) -> int:
@@ -407,15 +425,20 @@ class SimulationReport:
         return float(_in_order(self.excess_profit))
 
     @property
+    def all_pass(self) -> np.ndarray:
+        """Per hour, whether all five properties hold."""
+        return self.budget_ok & self.ir_ok & self.fair & self.no_exploitation & self.in_core
+
+    @property
     def violation_counts(self) -> dict[str, int]:
-        properties = self.properties
-        return {
-            "budget_balance": sum(not p.budget.ok for p in properties),
-            "individual_rationality": sum(not p.ir.ok for p in properties),
-            "fairness": sum(not p.fairness for p in properties),
-            "no_exploitation": sum(not p.no_exploitation for p in properties),
-            "core": sum(not p.in_core for p in properties),
+        columns = {
+            "budget_balance": self.budget_ok,
+            "individual_rationality": self.ir_ok,
+            "fairness": self.fair,
+            "no_exploitation": self.no_exploitation,
+            "core": self.in_core,
         }
+        return {name: len(ok) - int(np.count_nonzero(ok)) for name, ok in columns.items()}
 
 
 def _check_ranges(train_range, sim_range, n_hours: int) -> None:
@@ -479,9 +502,11 @@ def run_simulation(
     window. The whole (hours x producers) block is settled at once: each
     hour's marginal price comes from its totals, as ``marginal_price``
     decides it, and the pooled, separate and pool payoffs and the pooling
-    gain equal the one-shot functions' bit for bit. Each hour's payoffs are
-    then audited against that hour's separate and pool payoffs as the report
-    holds them, core membership included.
+    gain equal the one-shot functions' bit for bit. The whole window's
+    payoffs are then audited at once against the separate and pool payoffs
+    the report holds, core membership included: each hour's verdicts equal
+    ``run_property_checks``'s, but its core is proven by the three-point
+    bound, and coalitions are enumerated only in the hours it leaves open.
     """
     _check_ranges(train_range, sim_range, data.n_hours)
     if len(prices) != data.n_hours:
@@ -514,7 +539,6 @@ def run_simulation(
     pooled = _pam(contracts, realizations, pf, marginal)
     separate = settle(contracts, realizations, columns)
     pool = settle(total_c, total_x, columns).ravel()
-    per_hour = zip(contracts, realizations, pooled, separate, pool.tolist(), window)
     return SimulationReport(
         producer_ids=data.producer_ids,
         hours=hours,
@@ -526,7 +550,7 @@ def run_simulation(
         excess_profit=np.array(
             [_pooling_gain(dev, p.spread) for dev, p in zip(realizations - contracts, window)]
         ),
-        properties=tuple(_audit(*row) for row in per_hour),
+        **_audit_window(contracts, realizations, pooled, separate, pool, columns),
     )
 
 
@@ -587,7 +611,7 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
             zip(*separate),
             map(repr, report.aggregator_payoff.tolist()),
             map(repr, report.excess_profit.tolist()),
-            (str(p.all_pass) for p in report.properties),
+            map(str, report.all_pass.tolist()),
         )
         for producer, c, x, pp, ps in zip(report.producer_ids, c_row, x_row, pp_row, ps_row)
     )

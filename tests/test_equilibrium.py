@@ -69,6 +69,17 @@ class TestProductionFunction:
         with pytest.raises(ValueError, match=f"contract must be >= 0, got {contract}"):
             best_response_set(contract, P, 10.0)
 
+    @pytest.mark.parametrize(
+        "contract, price, name, value",
+        [(math.inf, 12.0, "contract", "inf"), (50.0, math.nan, "price", "nan"),
+         (50.0, math.inf, "price", "inf"), (50.0, -math.inf, "price", "-inf")],
+        ids=["inf-contract", "nan-price", "inf-price", "minus-inf-price"],
+    )
+    def test_rejects_non_finite_arguments(self, contract, price, name, value):
+        # a NaN price fails every comparison and fell through to the in-band answer
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}$"):
+            best_response_set(contract, P, price)
+
 
 class TestBestResponseSet:
     def test_at_buy_price_any_holding_up_to_contract(self):

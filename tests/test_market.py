@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from poolpay.market import _approx_equal_array
 from poolpay import (
     PriceTriple,
     ScenarioSnapshot,
@@ -23,6 +24,29 @@ P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
 
 def snap(contracts, realizations, prices=P):
     return ScenarioSnapshot.from_arrays(contracts, realizations, prices)
+
+
+def test_array_rule_equals_approx_equal_cell_by_cell():
+    """``_approx_equal_array`` decides every pair as ``approx_equal`` does:
+    pairs a few ulps either side of the 1e-9 edge, pairs of opposite signs,
+    both zeros, and magnitudes from 0 to 1e12."""
+    rng = np.random.default_rng(11)
+    size = 20_000
+    sign = rng.choice([-1.0, 1.0], size)
+    a = sign * 10.0 ** rng.uniform(-12.0, 12.0, size)
+    a[:8] = [0.0, -0.0, 0.0, -0.0, 1e12, -1e12, 1.0, -1.0]
+    a[8 : size // 10] = rng.choice([0.0, -0.0], size // 10 - 8)
+    # near-ties: one allowance away from a, then a few ulps either way
+    edge = a + rng.choice([-1.0, 1.0], size) * 1e-9 * np.maximum(1.0, np.abs(a))
+    near = edge + rng.integers(-3, 4, size) * np.spacing(edge)
+    far = -a + rng.choice([0.0, 1e-9, -1e-9], size)  # opposite signs, zeros among them
+    cases = {"near": near, "far": far, "zeros": rng.choice([0.0, -0.0], size)}
+    for name, b in cases.items():
+        expect = [approx_equal(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert _approx_equal_array(a, b).tolist() == expect, name
+        assert _approx_equal_array(b, a).tolist() == expect, name
+        if name == "near":  # the edge is crossed both ways
+            assert 0.2 * size < sum(expect) < 0.8 * size
 
 
 class TestPriceTriple:
@@ -72,6 +96,16 @@ class TestSeparatePayoff:
     )
     def test_rejects_nan_quantities(self, contract, realization, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 0, got nan"):
+            separate_payoff(contract, realization, P)
+
+    @pytest.mark.parametrize(
+        "contract, realization, name",
+        [(math.inf, 1.0, "contract"), (1.0, math.inf, "realization")],
+        ids=["inf-contract", "inf-realization"],
+    )
+    def test_rejects_infinite_quantities(self, contract, realization, name):
+        # settled, an infinite quantity gives inf - inf, a NaN payoff
+        with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
             separate_payoff(contract, realization, P)
 
     def test_piecewise_slopes_by_finite_difference(self):

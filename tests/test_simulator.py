@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from poolpay import (
     GenerationSeries,
+    PayoffAllocation,
     PriceTriple,
     ScenarioSnapshot,
     TimeseriesFormatError,
@@ -24,7 +25,7 @@ from poolpay import (
     run_simulation,
     separate_payoffs,
 )
-from poolpay import simulator
+from poolpay import allocation, simulator
 from poolpay.simulator import load_contract_schedule, load_snapshot, trace_file_names
 
 from conftest import price_triples
@@ -200,7 +201,7 @@ class TestRunSimulation:
         )
         assert report.payoffs_pooled[0, 0] == 1000.0
         assert report.payoffs_separate[0, 0] == 1000.0
-        assert report.properties[0].all_pass
+        assert report.all_pass.tolist() == [True]
         assert sum(report.violation_counts.values()) == 0
 
     def test_offsetting_deviations_capture_the_spread(self, tmp_path):
@@ -398,7 +399,19 @@ def test_window_matches_one_shot_path_bit_for_bit(window):
         assert _same_bytes(report.aggregator_payoff[row], aggregator_payoff(snapshot))
         assert _same_bytes(report.aggregator_payoff[row], alloc.aggregator_total)
         assert _same_bytes(report.excess_profit[row], excess_profit(snapshot))
-        assert report.properties[row] == run_property_checks(alloc, snapshot)
+        audit = run_property_checks(alloc, snapshot)
+        assert report.budget_ok[row] == audit.budget.ok
+        assert _same_bytes(report.budget_residual[row], audit.budget.residual)
+        assert report.ir_ok[row] == audit.ir.ok
+        assert _same_bytes(report.ir_worst_margin[row], audit.ir.worst_margin)
+        assert report.ir_worst_index[row] == audit.ir.worst_index
+        assert report.fair[row] == audit.fairness
+        assert report.no_exploitation[row] == audit.no_exploitation
+        assert report.in_core[row] == audit.in_core
+        assert report.all_pass[row] == audit.all_pass
+        if report.core_coalition[row] is not None:  # the bound left the hour open
+            assert _same_bytes(report.core_worst[row], audit.core.worst_violation)
+            assert report.core_coalition[row] == audit.core.worst_coalition
 
 
 def test_audit_judges_the_settlement_the_report_holds(monkeypatch):
@@ -419,7 +432,7 @@ def test_audit_judges_the_settlement_the_report_holds(monkeypatch):
         run_simulation, data, every_hour(data), (0, 1), (1, 5), contracts=contracts
     )
     honest = run()
-    assert all(p.all_pass for p in honest.properties)
+    assert honest.all_pass.all()
     settle = simulator.settle
 
     def shift(pool_column):
@@ -434,14 +447,14 @@ def test_audit_judges_the_settlement_the_report_holds(monkeypatch):
     report = shift(pool_column=True)
     assert _same_bytes(report.aggregator_payoff, honest.aggregator_payoff + 1.0)
     assert _same_bytes(report.payoffs_separate, honest.payoffs_separate)
-    assert not any(p.budget.ok for p in report.properties)
-    assert all(p.ir.ok for p in report.properties)
+    assert not report.budget_ok.any()
+    assert report.ir_ok.all()
 
     report = shift(pool_column=False)
     assert _same_bytes(report.payoffs_separate, honest.payoffs_separate + 1.0)
     assert _same_bytes(report.aggregator_payoff, honest.aggregator_payoff)
-    assert not any(p.ir.ok for p in report.properties)
-    assert all(p.budget.ok for p in report.properties)
+    assert not report.ir_ok.any()
+    assert report.budget_ok.all()
 
 
 def test_window_audits_the_core_in_every_hour(monkeypatch):
@@ -455,7 +468,10 @@ def test_window_audits_the_core_in_every_hour(monkeypatch):
         run_simulation, data, every_hour(data), (0, 1), (1, 6), contracts=contracts
     )
     honest = run()
-    assert all(p.core.exhaustive and p.in_core is True for p in honest.properties)
+    # the bound proves every honest hour, so no coalition is enumerated
+    assert honest.in_core.all()
+    assert honest.core_coalition == (None,) * 5
+    assert (honest.core_worst == 0.0).all()
     pam = simulator._pam
 
     def moved(*args):
@@ -466,9 +482,93 @@ def test_window_audits_the_core_in_every_hour(monkeypatch):
 
     monkeypatch.setattr("poolpay.simulator._pam", moved)
     report = run()
-    assert all(p.in_core is False for p in report.properties)
-    assert all(p.core.worst_coalition == (0,) for p in report.properties)
+    assert not report.in_core.any()
+    assert report.core_coalition == ((0,),) * 5
     assert report.violation_counts["core"] == report.n_hours == 5
+
+
+_VERDICTS = ("budget_ok", "ir_ok", "fair", "no_exploitation", "in_core")
+
+
+@pytest.mark.parametrize("limit", [None, 2], ids=["enumerated", "limit-2"])
+def test_window_audit_falls_back_to_the_one_pool_kernels(monkeypatch, limit):
+    """The block screens hand an hour to ``_fair`` only on a deviation tie,
+    and to ``_core`` only where the bound is open; every verdict, and the
+    violation counts, still equal the one-shot audit's. Three producers
+    contract 10 each at prices 10 / 15 / 5; 1.0 of payoff moves between
+    them in every hour but the first:
+
+    - a balanced hour with a tie: a and b both deliver 12, b is paid 2.0
+      more than a, so fairness fails; the bound is open, the core holds;
+    - c delivers its contract exactly and is paid a bonus of 1.0;
+    - a blocked split: a pays c 1.0, and {a, b}, long in total, earns more
+      on its own than it is paid, though every producer gets more than it
+      earns alone.
+
+    With ``EXHAUSTIVE_LIMIT`` at 2 the open hours are sampled instead."""
+    if limit is not None:
+        monkeypatch.setattr(allocation, "EXHAUSTIVE_LIMIT", limit)
+    actuals = np.array(
+        [[10.0, 10.0, 10.0], [8.0, 14.0, 9.0], [12.0, 12.0, 6.0], [8.0, 14.0, 10.0],
+         [8.0, 14.0, 11.0]]
+    )
+    contracts = np.full_like(actuals, 10.0)
+    data = GenerationSeries(("a", "b", "c"), tuple(range(5)), actuals, actuals)
+    moved = np.array([[0.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+    pam = simulator._pam
+    monkeypatch.setattr("poolpay.simulator._pam", lambda *args: pam(*args) + moved)
+    calls = {"_fair": 0, "_core": 0}
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(allocation, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(allocation, name, counted)
+
+    report = run_simulation(data, every_hour(data), (0, 1), (1, 5), contracts=contracts)
+    assert calls == {"_fair": 1, "_core": 3}
+    assert report.core_coalition[0] is None
+    assert report.core_coalition[3] == (0, 1)
+    one_shot = []
+    for row in range(report.n_hours):
+        snapshot = ScenarioSnapshot(data.producer_ids, contracts[row + 1], actuals[row + 1], P)
+        alloc = PayoffAllocation(report.payoffs_pooled[row], aggregator_payoff(snapshot))
+        audit = run_property_checks(alloc, snapshot)
+        one_shot.append((audit.budget.ok, audit.ir.ok, audit.fairness, audit.no_exploitation,
+                         audit.in_core))
+        assert [getattr(report, name)[row] for name in _VERDICTS] == list(one_shot[-1])
+    # the counts are in _VERDICTS order: each is the hours one-shot audits fail
+    failed = (len(one_shot) - np.sum(one_shot, axis=0)).tolist()
+    assert list(report.violation_counts.values()) == failed
+    assert report.violation_counts == {
+        "budget_balance": 0, "individual_rationality": 0, "fairness": 1, "no_exploitation": 1,
+        "core": 2,
+    }
+    assert report.all_pass.tolist() == [True, False, False, False]
+
+
+def test_window_proves_an_hour_only_within_half_the_allowance(monkeypatch):
+    """The edge split of ``test_allocation.py``: a long pool with 1e-9 of
+    payoff moved from producer 3 to producer 2. Its bound, 1e-9 less
+    2.8e-11, is within the full allowance but above half of it, so the hour
+    is left open, and the enumeration finds the violation of coalition
+    (1, 3) that the one-shot audit finds."""
+    prices = PriceTriple(4.0, 1.0, -1.0)
+    contracts = np.array([[0.0] * 4, [0.243, 0.257, 0.073, 0.258]])
+    actuals = np.array([[0.0] * 4, [1.526, 1.396, 0.257, 0.752]])
+    data = GenerationSeries(("a", "b", "c", "d"), (0, 1), actuals, actuals)
+    pam = simulator._pam
+    monkeypatch.setattr(
+        "poolpay.simulator._pam", lambda *args: pam(*args) + np.array([0.0, 0.0, 1e-9, -1e-9])
+    )
+    report = run_simulation(data, (prices,) * 2, (0, 1), (1, 2), contracts=contracts)
+    snapshot = ScenarioSnapshot(data.producer_ids, contracts[1], actuals[1], prices)
+    core = run_property_checks(
+        PayoffAllocation(report.payoffs_pooled[0], aggregator_payoff(snapshot)), snapshot
+    ).core
+    assert (core.in_core, core.worst_coalition) == (False, (1, 3))
+    assert (report.in_core[0], report.core_coalition[0]) == (False, (1, 3))
+    assert _same_bytes(report.core_worst[0], core.worst_violation)
 
 
 class TestEmitReport:
@@ -573,7 +673,12 @@ class TestEmitReport:
             payoffs_separate=np.zeros((0, 0)),
             aggregator_payoff=np.zeros(0),
             excess_profit=np.zeros(0),
-            properties=(),
+            **{name: np.zeros(0, dtype=bool) for name in _VERDICTS},
+            budget_residual=np.zeros(0),
+            ir_worst_margin=np.zeros(0),
+            ir_worst_index=np.zeros(0, dtype=int),
+            core_worst=np.zeros(0),
+            core_coalition=(),
         )
         files = emit_report(empty, tmp_path / "out")
         assert sorted(p.name for p in files) == ["hourly.csv", "summary.csv"]

@@ -44,15 +44,22 @@ def marginal_price(snapshot: ScenarioSnapshot) -> tuple[float, bool]:
     band is kept tiny because the balanced branch is payoff-discontinuous
     against its neighbours.
     """
-    return _marginal(snapshot.total_contract, snapshot.total_realization, snapshot.prices)
-
-
-def _marginal(total_c: float, total_x: float, prices: PriceTriple) -> tuple[float, bool]:
-    """``marginal_price`` of a pool with these total contract and realization."""
-    total_dev = total_x - total_c
+    total_c, prices = snapshot.total_contract, snapshot.prices
+    total_dev = snapshot.total_realization - total_c
     if abs(total_dev) <= DEFAULT_TOLERANCE * max(1.0, total_c):
         return 0.5 * (prices.rt_buy + prices.rt_sell), True
     return (prices.rt_buy if total_dev < 0.0 else prices.rt_sell), False
+
+
+def _marginal_array(total_c, total_x, rt_buy, rt_sell) -> np.ndarray:
+    """``marginal_price``'s price for pools given by their totals and prices in
+    arrays that broadcast together, such as a window's (hours x 1) columns.
+    Equal to it bit for bit: each step is the same IEEE operation on the same
+    operands (``np.maximum`` differs from ``max`` only on a NaN total, which
+    fails the band test either way)."""
+    total_dev = total_x - total_c
+    balanced = np.abs(total_dev) <= DEFAULT_TOLERANCE * np.maximum(1.0, total_c)
+    return np.where(balanced, 0.5 * (rt_buy + rt_sell), np.where(total_dev < 0.0, rt_buy, rt_sell))
 
 
 def _pam(contracts, realizations, day_ahead, marginal):

@@ -10,14 +10,16 @@ generation distribution's quantile at
 
 clamped to [0, 1]. ``optimal_contracts`` sizes a whole (hours x producers)
 block with one broadcast quantile call; one producer's hour is its 1 x 1
-block.
+block. The quantile is scipy's truncated-normal ``ppf``, ported onto
+``scipy.special`` so that importing this module does not import
+``scipy.stats``.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy import stats
+import scipy.special as sc
 
 from .market import PriceTriple
 
@@ -36,6 +38,47 @@ def critical_quantile(prices: PriceTriple) -> float:
         return 0.0 if prices.day_ahead <= prices.rt_buy else 1.0
     q = (prices.day_ahead - prices.rt_sell) / spread
     return min(1.0, max(0.0, q))
+
+
+def _log_gauss_mass(a, b) -> np.ndarray:
+    """Log of the standard normal's mass on [a, b], as scipy 1.17.1's
+    ``_log_gauss_mass`` computes it: an interval in the right tail is mirrored
+    into the left, a difference of logs is a ``logsumexp`` with -e^x written
+    as e^(x + pi i), and an interval around 0 is ``log1p`` of minus its tails."""
+    out = np.full_like(a, np.nan, dtype=np.complex128)
+    left, right = b <= 0, a > 0
+    central = ~(left | right)
+    for case, hi, lo in ((left, b, a), (right, -a, -b)):
+        if case.any():  # log(Phi(hi) - Phi(lo))
+            terms = [sc.log_ndtr(hi[case]), sc.log_ndtr(lo[case]) + np.pi * 1j]
+            out[case] = sc.logsumexp(terms, axis=0)
+    if central.any():
+        out[central] = sc.log1p(-sc.ndtr(a[central]) - sc.ndtr(-b[central]))
+    return np.real(out)
+
+
+def _truncnorm_ppf(q, a, b, loc, scale) -> np.ndarray:
+    """``scipy.stats.truncnorm.ppf(q, a, b, loc, scale)`` on 1-D arrays with
+    0 < q < 1 and scale > 0, bit for bit, from ``scipy.special`` alone.
+
+    A port of scipy 1.17.1's ``truncnorm._ppf`` on ``_log_gauss_mass``, with
+    the generic ``ppf`` wrapper's NaN where a >= b and its ``x * scale + loc``.
+    """
+    x = np.full_like(q, np.nan)
+    valid = a < b
+    q, a, b = q[valid], a[valid], b[valid]
+    z = np.empty_like(q)
+    left = a < 0
+    right = ~left
+    if left.any():
+        terms = [sc.log_ndtr(a[left]), np.log(q[left]) + _log_gauss_mass(a[left], b[left])]
+        z[left] = sc.ndtri_exp(sc.logsumexp(terms, axis=0))
+    if right.any():
+        terms = [sc.log_ndtr(-b[right]),
+                 np.log1p(-q[right]) + _log_gauss_mass(a[right], b[right])]
+        z[right] = -sc.ndtri_exp(sc.logsumexp(terms, axis=0))
+    x[valid] = z * scale[valid] + loc[valid]
+    return x
 
 
 def optimal_contracts(means, std_devs, prices, upper_bound: float = math.inf) -> np.ndarray:
@@ -63,10 +106,11 @@ def optimal_contracts(means, std_devs, prices, upper_bound: float = math.inf) ->
     contracts[point] = np.minimum(np.maximum(means[point], 0.0), upper_bound)
     cells = interior & (std_devs > 0.0)
     m, s = means[cells], std_devs[cells]
-    a, b = (0.0 - m) / s, (upper_bound - m) / s
-    contracts[cells] = stats.truncnorm.ppf(q[cells], a, b, loc=m, scale=s)
-    # not np.maximum: like max(0.0, x), this maps NaN (scipy's answer when
-    # the truncation interval is empty) and -0.0 to +0.0
+    with np.errstate(over="ignore"):  # a spread near 0 sends a z-score to +-inf
+        a, b = (0.0 - m) / s, (upper_bound - m) / s
+    contracts[cells] = _truncnorm_ppf(q[cells], a, b, m, s)
+    # not np.maximum: like max(0.0, x), this maps NaN (the port's answer,
+    # as scipy's, when the truncation interval is empty) and -0.0 to +0.0
     return np.where(contracts > 0.0, contracts, 0.0)
 
 

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .allocation import PayoffAllocation, _audit_window, _marginal, _pam
+from .allocation import PayoffAllocation, _audit_window, _marginal_array, _pam
 from .contracts import critical_quantile, error_spread, optimal_contracts
 from .market import PriceTriple, ScenarioSnapshot, _pooling_gain, aggregator_payoff, settle
 
@@ -534,9 +534,7 @@ def run_simulation(
     columns = SimpleNamespace(day_ahead=pf, rt_buy=rb, rt_sell=rs)  # (hours x 1) each
     total_c = contracts.sum(axis=1, keepdims=True)
     total_x = realizations.sum(axis=1, keepdims=True)
-    totals = zip(total_c.ravel().tolist(), total_x.ravel().tolist(), window)
-    marginal = np.array([_marginal(c, x, p)[0] for c, x, p in totals])[:, None]
-    pooled = _pam(contracts, realizations, pf, marginal)
+    pooled = _pam(contracts, realizations, pf, _marginal_array(total_c, total_x, rb, rs))
     separate = settle(contracts, realizations, columns)
     pool = settle(total_c, total_x, columns).ravel()
     return SimulationReport(

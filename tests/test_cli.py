@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poolpay
 from poolpay.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 
 
@@ -84,6 +89,31 @@ class TestContractCommand:
                      "--pf", "10", "--prb", "15", "--prs", "5"])
         assert code == EXIT_INPUT_ERROR
         assert f"{flag} must be {rule}, got {float(value)}" in capsys.readouterr().err
+
+
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this poolpay."""
+    path = [str(Path(poolpay.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_leaves_scipy_stats_out():
+    """``import poolpay.cli`` must not pay for ``scipy.stats``: contract
+    sizing needs ``scipy.special`` alone."""
+    run = fresh_python("-c", "import sys, poolpay, poolpay.cli; "
+                             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("mean, std_dev, printed", [
+    ("50", "1e-320", "50.0"), ("1e308", "1e-300", "1e+308"),
+])
+def test_contract_with_overflowing_z_score_runs_quietly(mean, std_dev, printed):
+    run = fresh_python("-m", "poolpay.cli", "contract", "--mean", mean, "--std", std_dev,
+                       "--pf", "10", "--prb", "15", "--prs", "5")
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    assert run.stdout.endswith(f"optimal_contract_mwh: {printed}\n")
 
 
 class TestAllocateCommand:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from poolpay import PriceTriple, critical_quantile, error_spread, optimal_contracts
 from poolpay.cli import EXIT_OK, main
+from poolpay.contracts import _truncnorm_ppf
 
 from conftest import price_triples
 from oracles import mc_payoff_curve, newsvendor_contract, quad_expected_payoff, truncated_normal
@@ -218,6 +220,87 @@ class TestOptimalContracts:
     def test_validation(self, means, std_devs, upper_bound):
         with pytest.raises(ValueError, match="must be"):
             optimal_contracts(means, std_devs, [P], upper_bound)
+
+
+def _z_scores(mean, std_dev, upper_bound):
+    """The truncation bounds in standard deviations, as ``optimal_contracts``
+    computes them; a spread near 0 sends them to +-inf."""
+    with np.errstate(over="ignore"):
+        return (0.0 - mean) / std_dev, (upper_bound - mean) / std_dev
+
+
+@st.composite
+def ppf_cells(draw):
+    """1-40 cells of the port's domain, as arrays (q, a, b, loc, scale):
+    levels in (0, 1) down to a few ulps from either end, means of either
+    sign, spreads from e^-8 to e^5, and caps of 0, finite or none."""
+    n = draw(st.integers(1, 40))
+    level = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([5e-324, 1.5e-323, 1.0 - 2.0**-53, 1.0 - 3 * 2.0**-53]),
+    )
+    mean = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-300.0, 300.0))
+    spread = st.floats(-8.0, 5.0).map(math.exp)
+    cap = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.0, 400.0))
+    cells = draw(st.lists(st.tuples(level, mean, spread, cap), min_size=n, max_size=n))
+    q, loc, scale, upper_bound = map(np.array, zip(*cells))
+    return (q, *_z_scores(loc, scale, upper_bound), loc, scale)
+
+
+def _cases(a, b):
+    """The port's branch, then ``_log_gauss_mass``'s case, for one cell."""
+    if not a < b:
+        return "empty"
+    mass = "left" if b <= 0 else "right" if a > 0 else "central"
+    return ("left" if a < 0 else "right") + "/" + mass
+
+
+class TestTruncnormPort:
+    """``_truncnorm_ppf`` against ``scipy.stats.truncnorm.ppf``, as bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ppf_cells())
+    def test_matches_scipy_bit_for_bit(self, cells):
+        q, a, b, loc, scale = cells
+        want = stats.truncnorm.ppf(q, a, b, loc=loc, scale=scale)
+        assert _truncnorm_ppf(q, a, b, loc, scale).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q, mean, std_dev, upper_bound, case", [
+        pytest.param(0.3, -5.0, 2.0, 0.0, "empty", id="cap-0-negative-mean"),
+        pytest.param(0.3, 50.0, 20.0, math.inf, "left/central", id="no-cap"),
+        pytest.param(0.3, 50.0, 20.0, 40.0, "left/left", id="a<0-left-mass"),
+        pytest.param(0.3, 30.0, 20.0, 40.0, "left/central", id="a<0-central-mass"),
+        pytest.param(0.3, -50.0, 20.0, 40.0, "right/right", id="a>0-right-mass"),
+        pytest.param(0.7, -50.0, 20.0, math.inf, "right/right", id="a>0-no-cap"),
+        pytest.param(0.3, 0.0, 20.0, 40.0, "right/central", id="a=-0-central-mass"),
+        pytest.param(0.5, 50.0, 1e-320, math.inf, "left/central", id="z-to-minus-and-plus-inf"),
+        pytest.param(0.5, 50.0, 1e-320, 100.0, "left/central", id="z-to-inf-with-cap"),
+        pytest.param(0.5, 1e308, 1e-300, 5.0, "empty", id="both-z-to-minus-inf"),
+        pytest.param(0.5, -50.0, 1e-320, math.inf, "empty", id="both-z-to-plus-inf"),
+        pytest.param(5e-324, 50.0, 20.0, 100.0, "left/central", id="q-1-ulp-above-0"),
+        pytest.param(1.5e-323, -50.0, 20.0, math.inf, "right/right", id="q-3-ulps-above-0"),
+        pytest.param(1.0 - 2.0**-53, 50.0, 20.0, 100.0, "left/central", id="q-1-ulp-below-1"),
+        pytest.param(1.0 - 3 * 2.0**-53, -50.0, 20.0, math.inf, "right/right",
+                     id="q-3-ulps-below-1"),
+    ])
+    def test_edge_cases_match_scipy_bit_for_bit(self, q, mean, std_dev, upper_bound, case):
+        q, mean, std_dev = np.array([q]), np.array([mean]), np.array([std_dev])
+        a, b = _z_scores(mean, std_dev, upper_bound)
+        assert _cases(a[0], b[0]) == case
+        want = stats.truncnorm.ppf(q, a, b, loc=mean, scale=std_dev)
+        got = _truncnorm_ppf(q, a, b, mean, std_dev)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[0]) == (case == "empty")
+
+    def test_empty_truncation_interval_commits_nothing(self):
+        # a cap of 0 under a negative mean: the port's NaN is floored to +0.0
+        value = contract(-5.0, 2.0, PriceTriple(12.0, 15.0, 5.0), upper_bound=0.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("mean, std_dev", [(50.0, 1e-320), (1e308, 1e-300)])
+    def test_overflowing_z_score_sizes_quietly(self, mean, std_dev):
+        # mean / std_dev overflows to inf: the normal is a point at the mean
+        assert contract(mean, std_dev, P) == mean
 
 
 class TestFitDistribution:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import math
 import operator
 import re
 
@@ -21,6 +22,7 @@ from poolpay import (
     excess_profit,
     load_prices,
     load_timeseries,
+    marginal_price,
     run_property_checks,
     run_simulation,
     separate_payoffs,
@@ -412,6 +414,40 @@ def test_window_matches_one_shot_path_bit_for_bit(window):
         if report.core_coalition[row] is not None:  # the bound left the hour open
             assert _same_bytes(report.core_worst[row], audit.core.worst_violation)
             assert report.core_coalition[row] == audit.core.worst_coalition
+
+
+def _ulps(value, count):
+    """``value`` moved ``count`` ulps up, or down for a negative count."""
+    for _ in range(abs(count)):
+        value = np.nextafter(value, math.copysign(math.inf, count))
+    return float(value)
+
+
+def test_window_marginal_price_on_the_balance_band_edge():
+    """An hour whose total deviation is exactly ``DEFAULT_TOLERANCE * max(1,
+    total contract)`` counts as balanced and is settled at the band
+    midpoint; one 3 ulps further out is settled at rt_sell (long) or rt_buy
+    (short). Contracts of 1e9 and 2e9 make the band 3.0, which the totals
+    hit exactly; zero contracts give the band its floor, 1e-9."""
+    big, small = 3e9, 1e-9
+    totals = [  # (total contract, total realization, balanced, price)
+        (big, big + 3.0, True, 10.0), (big, _ulps(big + 3.0, 3), False, 5.0),
+        (big, big - 3.0, True, 10.0), (big, _ulps(big - 3.0, -3), False, 15.0),
+        (0.0, small, True, 10.0), (0.0, _ulps(small, 3), False, 5.0),
+    ]
+    contracts = np.array([[0.0, 0.0]] + [[c / 3.0, 2.0 * c / 3.0] for c, *_ in totals])
+    actuals = contracts.copy()
+    actuals[1:, 0] = [x - contracts[row + 1, 1] for row, (_, x, *_) in enumerate(totals)]
+    data = GenerationSeries(("a", "b"), tuple(range(len(actuals))), actuals, actuals)
+    report = run_simulation(data, every_hour(data), (0, 1), (1, len(actuals)),
+                            contracts=contracts)
+    for row, (total_c, total_x, balanced, price) in enumerate(totals):
+        c, x = contracts[row + 1], actuals[row + 1]
+        snapshot = ScenarioSnapshot(data.producer_ids, c, x, P)
+        assert (snapshot.total_contract, snapshot.total_realization) == (total_c, total_x)
+        assert marginal_price(snapshot) == (price, balanced)
+        assert _same_bytes(report.payoffs_pooled[row], P.day_ahead * c + price * (x - c))
+        assert _same_bytes(report.payoffs_pooled[row], allocate(snapshot).payoffs)
 
 
 def test_audit_judges_the_settlement_the_report_holds(monkeypatch):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -204,31 +203,12 @@ def _fair(dev: np.ndarray, margin: np.ndarray) -> bool:
 
 
 #: Largest pool the core audit enumerates (2^20 - 1 coalitions); a larger
-#: pool is bounded, and screened with CORE_SAMPLES coalitions if undecided.
+#: pool is bounded, then certified by the bound's LP optimum.
 EXHAUSTIVE_LIMIT = 20
-#: Coalitions the core audit draws on a larger pool the bound cannot prove.
-CORE_SAMPLES = 100_000
 
 # The enumeration is checked _CHUNK_ROWS coalitions at a time, so each
-# temporary of the check stays cache-sized (128 KB); a sampled chunk holds
-# at most _CHUNK_CELLS membership cells, whatever the pool size.
+# temporary of the check stays cache-sized (128 KB).
 _CHUNK_ROWS = 1 << 14
-_CHUNK_CELLS = 1 << 20
-
-
-def _iter_sampled_masks(n: int, samples: int) -> Iterator[np.ndarray]:
-    """Yield random nonempty coalitions drawn from seed 0 as 0/1 rows, at
-    most ``_CHUNK_CELLS`` cells at a time. An empty draw gets one random
-    member, so every row is a real coalition."""
-    rng = np.random.default_rng(0)
-    step = max(1, _CHUNK_CELLS // n)
-    for start in range(0, samples, step):
-        rows = min(step, samples - start)
-        masks = rng.integers(0, 2, size=(rows, n)).astype(np.float64)
-        empty = masks.sum(axis=1) == 0
-        if np.any(empty):
-            masks[empty, rng.integers(0, n, size=int(empty.sum()))] = 1.0
-        yield masks
 
 
 def _scan(sums: np.ndarray, prices: PriceTriple) -> tuple[bool, float, int]:
@@ -244,30 +224,6 @@ def _scan(sums: np.ndarray, prices: PriceTriple) -> tuple[bool, float, int]:
     return bool(np.all(violation <= allowance)), worst, col
 
 
-def _coalition_blocks(members: np.ndarray):
-    """Yield (sums, coalition): a (3 x m) block of coalition sums of the
-    (3 x n) ``members`` rows, and a function naming column col's members.
-
-    Up to ``EXHAUSTIVE_LIMIT`` producers the blocks cover bitmasks 1 ..
-    2^n - 1 in order, cut from one subset-sum table whose column k is column
-    k - 2^i plus member i, for the top bit i of k: each sum adds its members
-    in increasing index order, from zero. Larger pools are sampled.
-    """
-    n = members.shape[1]
-    if n > EXHAUSTIVE_LIMIT:
-        for masks in _iter_sampled_masks(n, CORE_SAMPLES):
-            yield members @ masks.T, lambda col, masks=masks: tuple(np.flatnonzero(masks[col]).tolist())
-        return
-    table = np.empty((3, 1 << n))
-    table[:, 0] = 0.0
-    for i in range(n):
-        np.add(table[:, : 1 << i], members[:, i : i + 1], out=table[:, 1 << i : 2 << i])
-    for start in range(1, 1 << n, _CHUNK_ROWS):
-        yield table[:, start : start + _CHUNK_ROWS], lambda col, k=start: tuple(
-            i for i in range(n) if (k + col) >> i & 1
-        )
-
-
 # A bound at most this proves the core. Half the allowance: the coalition
 # sums of a scan round too, and at the full allowance the bound passed
 # splits that the scan flags.
@@ -275,55 +231,86 @@ _BOUND_MARGIN = DEFAULT_TOLERANCE / 2
 
 
 def _core_bound(contracts, realizations, payoffs, prices):
-    """Upper bound on every coalition's ``v(T) - allocated(T)``.
-
-    alpha_i and beta_i are producer i's settlement at rt_buy and at rt_sell
-    less its payoff. As rt_sell <= rt_buy, each coalition's excess is
-    min(alpha(T), beta(T)), so at most the sum over producers of max(0,
-    lam * alpha_i + (1 - lam) * beta_i) for any lam; the least of the sums
-    at lam = 1, 0, 1/2 is returned, chosen as Python's ``min`` chooses. The
-    arrays are one pool's vectors with a PriceTriple, a float back, or
-    (hours x producers) blocks with (hours x 1) price columns, one bound per
-    row back; each row is summed as its own vector would be.
-    """
-    # alpha is exactly 0 on the mechanism's short split, beta on its long one
+    """(bound, alpha, beta). alpha_i and beta_i are producer i's settlement
+    at rt_buy and at rt_sell less its payoff; as rt_sell <= rt_buy, each
+    coalition's excess min(alpha(T), beta(T)) is at most U(lam) = sum of
+    max(0, lam alpha_i + (1 - lam) beta_i). The bound is the least of U(1),
+    U(0), U(1/2) as ``min`` picks it; one per row of (hours x producers)."""
     alpha = _pam(contracts, realizations, prices.day_ahead, prices.rt_buy) - payoffs
     beta = _pam(contracts, realizations, prices.day_ahead, prices.rt_sell) - payoffs
     bound, *rest = (np.maximum(u, 0.0).sum(axis=-1) for u in (alpha, beta, 0.5 * (alpha + beta)))
     for other in rest:
         bound = np.where(other < bound, other, bound)
-    return bound
+    return bound, alpha, beta
+
+
+def _lp_optimum(alpha, beta) -> tuple[float, int | None]:
+    """The lam in [0, 1] minimizing U, and the producer whose breakpoint
+    beta_i / (beta_i - alpha_i) it is, if any. U's slope right of 0, the sum
+    of alpha_i - beta_i where beta_i > 0, rises by |alpha_i - beta_i| at each
+    breakpoint. min U is the LP max over t in [0, 1]^n of min(alpha . t,
+    beta . t); that producer is the LP optimum's one fractional member."""
+    d = alpha - beta
+    slope = float(d[beta > 0.0].sum())
+    if slope >= 0.0:
+        return 0.0, None
+    crossing = np.flatnonzero((alpha > 0.0) != (beta > 0.0))
+    breaks = beta[crossing] / (beta[crossing] - alpha[crossing])
+    order = np.argsort(breaks, kind="stable")
+    turned = np.flatnonzero(slope + np.cumsum(np.abs(d[crossing[order]])) >= 0.0)
+    if turned.size == 0:
+        return 1.0, None
+    first = int(order[turned[0]])
+    return float(breaks[first]), int(crossing[first])
+
+
+def _certify(members: np.ndarray, prices: PriceTriple) -> CoreResult:
+    """The core verdict of a pool above ``EXHAUSTIVE_LIMIT``, in O(n) memory.
+    The three-point bound, or else the LP minimum, proves it within
+    ``_BOUND_MARGIN``. Otherwise the LP optimum, rounded down and up, is
+    judged on its own sums: a violation proves ``in_core=False``, and none
+    leaves the pool undecided (``in_core=True``, ``exhaustive=False``)."""
+    bound, alpha, beta = _core_bound(*members, prices)
+    lam, fractional = _lp_optimum(alpha, beta)
+    value = lam * alpha + (1.0 - lam) * beta
+    if bound > _BOUND_MARGIN:  # a bound the three points prove keeps its bits
+        bound = np.maximum(value, 0.0).sum()
+    if bound <= _BOUND_MARGIN:
+        return CoreResult(True, float(bound), None, 0, True)
+    candidates = [value > 0.0]
+    if fractional is not None:
+        candidates.append(candidates[0].copy())
+        candidates[0][fractional], candidates[1][fractional] = False, True
+    # each sum adds its members in index order, as the table does; a
+    # violating candidate is reported first, else the larger excess
+    scans = [(*_scan(members[:, mask].cumsum(axis=1)[:, -1:], prices)[:2], mask)
+             for mask in candidates if mask.any()]
+    ok, excess, mask = max(scans, key=lambda scan: (not scan[0], scan[1]))
+    return CoreResult(ok, excess, tuple(np.flatnonzero(mask).tolist()), len(scans), False)
 
 
 def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
     """Can any coalition beat its allocated share ``payoffs`` by seceding?
-
-    Up to ``EXHAUSTIVE_LIMIT`` producers, all 2^n - 1 nonempty coalitions are
-    enumerated from one (3 x 2^n) table of coalition sums, and the worst
-    violation ``v(T) - allocated(T)`` is reported with its coalition (ties
-    broken toward the lowest subset bitmask). Above it, a ``_core_bound`` of
-    at most half the smallest allowance proves the pool in the core, and the
-    bound is reported. Failing that, ``CORE_SAMPLES`` coalitions drawn from
-    seed 0 are screened (``exhaustive=False``), which can only find no
-    violation. Table chunks of ``_CHUNK_ROWS`` coalitions, and sampled ones
-    of at most ``_CHUNK_CELLS`` cells, keep memory bounded.
-    """
+    Up to ``EXHAUSTIVE_LIMIT`` producers every coalition is scanned, from a
+    (3 x 2^n) table of sums whose column k adds member i, the top bit of k,
+    to column k - 2^i; the worst comes with its lowest-bitmask coalition."""
     n = len(payoffs)
     if n == 0:
         return CoreResult(True, 0.0, None, 0, True)
-    if n > EXHAUSTIVE_LIMIT:
-        bound = float(_core_bound(contracts, realizations, payoffs, prices))
-        if bound <= _BOUND_MARGIN:
-            return CoreResult(True, bound, None, 0, True)
     members = np.array([contracts, realizations, payoffs])
-    ok_all, worst, witness, checked = True, -math.inf, None, 0
-    for sums, coalition in _coalition_blocks(members):
-        ok, block_worst, col = _scan(sums, prices)
+    if n > EXHAUSTIVE_LIMIT:
+        return _certify(members, prices)
+    table = np.zeros((3, 1 << n))
+    for i in range(n):
+        np.add(table[:, : 1 << i], members[:, i : i + 1], out=table[:, 1 << i : 2 << i])
+    ok_all, worst, witness = True, -math.inf, None
+    for start in range(1, 1 << n, _CHUNK_ROWS):
+        ok, block_worst, col = _scan(table[:, start : start + _CHUNK_ROWS], prices)
         ok_all = ok_all and ok
-        checked += sums.shape[1]
         if block_worst > worst:
-            worst, witness = block_worst, coalition(col)
-    return CoreResult(ok_all, worst, witness, checked, n <= EXHAUSTIVE_LIMIT)
+            worst, witness = block_worst, start + col
+    coalition = None if witness is None else tuple(i for i in range(n) if witness >> i & 1)
+    return CoreResult(ok_all, worst, coalition, (1 << n) - 1, True)
 
 
 def _audit(contracts, realizations, payoffs, standalone, pool, prices) -> PropertyReport:
@@ -367,15 +354,14 @@ def _audit_window(contracts, realizations, payoffs, standalone, pool, prices) ->
     as that hour's own vector would. The kernels of one pool run only on the
     hours the block screens leave open: ``_fair`` where two equal sorted
     deviations carry unequal margins, and ``_core`` where ``_core_bound``
-    exceeds its margin. Only those hours carry a worst coalition; elsewhere
-    ``core_worst`` is the bound. The result maps each per-hour column of
+    exceeds its margin. The result maps each per-hour column of
     ``simulator.SimulationReport`` to its values.
     """
     hours, n = payoffs.shape
     residual = payoffs.sum(axis=1) - pool
     # Each (hours x producers) block is reduced to per-hour columns and
     # dropped before the next is made, so the audit holds few at a time.
-    core_worst = _core_bound(contracts, realizations, payoffs, prices)
+    core_worst = _core_bound(contracts, realizations, payoffs, prices)[0]
     margins = payoffs - standalone
     ir_ok = np.all(margins >= -(DEFAULT_TOLERANCE * np.maximum(1.0, np.abs(standalone))), axis=1)
     if n:
@@ -425,10 +411,8 @@ def _audit_window(contracts, realizations, payoffs, standalone, pool, prices) ->
 
 def run_property_checks(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> PropertyReport:
     """Run the five-property audit on one allocation of ``snapshot``, against
-    its ``separate_payoffs`` and ``aggregator_payoff``. The core audit
-    enumerates every coalition up to ``EXHAUSTIVE_LIMIT`` producers; above
-    it the bound runs first, and coalitions are sampled only where it
-    cannot prove the pool in the core."""
+    its ``separate_payoffs`` and ``aggregator_payoff``. The core is enumerated
+    up to ``EXHAUSTIVE_LIMIT`` producers, and bounded, then certified, above."""
     if alloc.n != snapshot.n:
         raise ValueError(
             f"allocation covers {alloc.n} producers but snapshot has {snapshot.n}"

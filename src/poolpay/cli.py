@@ -112,8 +112,9 @@ def _cmd_check_core(args) -> int:
     print(f"individual_rationality: {ir.ok} (worst margin {ir.worst_margin!r})")
     print(f"fairness              : {report.fairness}")
     print(f"no_exploitation       : {report.no_exploitation}")
-    print(f"in_core               : {core.in_core} "
-          f"(worst violation {core.worst_violation!r}, coalition {core.worst_coalition})")
+    unproven = ", not proven" if core.in_core and not core.exhaustive else ""
+    print(f"in_core               : {core.in_core} (worst violation "
+          f"{core.worst_violation!r}, coalition {core.worst_coalition}{unproven})")
     return EXIT_OK if report.all_pass else EXIT_VIOLATION
 
 

@@ -108,9 +108,11 @@ def optimal_contracts(means, std_devs, prices, upper_bound: float = math.inf) ->
     m, s = means[cells], std_devs[cells]
     with np.errstate(over="ignore"):  # a spread near 0 sends a z-score to +-inf
         a, b = (0.0 - m) / s, (upper_bound - m) / s
-    contracts[cells] = _truncnorm_ppf(q[cells], a, b, m, s)
-    # not np.maximum: like max(0.0, x), this maps NaN (the port's answer,
-    # as scipy's, when the truncation interval is empty) and -0.0 to +0.0
+    x = _truncnorm_ppf(q[cells], a, b, m, s)
+    # NaN (the port's, as scipy's) marks an interval empty in floats, the mean so
+    # far outside [0, upper_bound] that its z-scores round alike: the cap above it
+    contracts[cells] = np.where(np.isnan(x) & (m > upper_bound), upper_bound, x)
+    # not np.maximum: like max(0.0, x), this maps NaN (a mean below 0) and -0.0 to +0.0
     return np.where(contracts > 0.0, contracts, 0.0)
 
 

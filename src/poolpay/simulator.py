@@ -291,17 +291,26 @@ def load_contract_schedule(path, series: GenerationSeries) -> np.ndarray:
     return schedule
 
 
+def _check_money(scale: float, what: str) -> None:
+    """Reject a one-shot input unless 16 times ``scale`` is finite: then no
+    settlement or audit of it can overflow (README, "File formats")."""
+    if not math.isfinite(16.0 * scale):
+        raise TimeseriesFormatError(f"{what} could overflow a settlement")
+
+
 def load_snapshot(path, prices: PriceTriple | None = None) -> ScenarioSnapshot:
     """Load a one-hour snapshot CSV (producer_id, contract_mwh, actual_mwh).
 
     Prices come from ``prices`` or from optional p_f, p_rb, p_rs columns,
     which must then hold one admissible triple on every row (equal to
     ``prices`` when both are given). Energies must be finite and >= 0, and
-    producer ids nonempty and unique.
+    producer ids nonempty and unique. The row where max(1, |price|) *
+    max(1, energy total) leaves ``_check_money``'s range is an error.
     """
     path = Path(path)
     differ = "from --pf/--prb/--prs" if prices is not None else "between rows"
     cells: dict[str, tuple[float, float]] = {}
+    total_c = total_x = 0.0
     for line_no, row in _read_rows(path, SNAPSHOT_HEADER, SNAPSHOT_HEADER_PRICED):
         try:
             producer = _parse_producer(row[0], cells)
@@ -316,6 +325,10 @@ def load_snapshot(path, prices: PriceTriple | None = None) -> ScenarioSnapshot:
                     prices = row_prices
                 elif row_prices != prices:
                     raise TimeseriesFormatError(f"price columns differ {differ}")
+            total_c, total_x = total_c + contract, total_x + actual
+            if prices is not None:
+                price = max(1.0, abs(prices.day_ahead), abs(prices.rt_buy), abs(prices.rt_sell))
+                _check_money(price * max(1.0, total_c, total_x), "energy totals at these prices")
         except TimeseriesFormatError as exc:
             raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     if not cells:
@@ -330,17 +343,21 @@ def load_payoffs(path, snapshot: ScenarioSnapshot) -> PayoffAllocation:
     """Load an external payoff vector (producer_id, payoff) for ``snapshot``.
 
     Every snapshot producer needs exactly one finite payoff, and every row
-    must name a snapshot producer.
+    must name a snapshot producer. The row where the sum of |payoff| leaves
+    ``_check_money``'s range is an error.
     """
     path = Path(path)
     known = set(snapshot.producer_ids)
     by_id: dict[str, float] = {}
+    magnitude = 0.0
     for line_no, row in _read_rows(path, PAYOFF_HEADER):
         try:
             producer = _parse_producer(row[0], by_id)
             if producer not in known:
                 raise TimeseriesFormatError(f"producer {producer!r} is not in the snapshot")
             by_id[producer] = _parse_float(row[1], "payoff")
+            magnitude += abs(by_id[producer])
+            _check_money(magnitude, "the sum of |payoff|")
         except TimeseriesFormatError as exc:
             raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     missing = [p for p in snapshot.producer_ids if p not in by_id]
@@ -372,13 +389,11 @@ class SimulationReport:
     equal to the field of ``run_property_checks``'s ``PropertyReport`` it is
     named after: ``budget_ok`` and ``budget_residual``; ``ir_ok``,
     ``ir_worst_margin`` and ``ir_worst_index`` (-1 with no producers);
-    ``fair``; ``no_exploitation``; and ``in_core``. The core is proven by
-    the three-point bound first, and coalitions are enumerated only in the
-    hours it leaves open: ``core_coalition`` holds their worst coalition and
-    is None elsewhere, and ``core_worst`` is the worst violation found where
-    coalitions were scanned and the bound where the bound decided. The
-    totals and ``violation_counts`` are derived from these on each access;
-    totals add the hours in order, starting from zero.
+    ``fair``; ``no_exploitation``; and ``in_core``. ``core_coalition`` and
+    ``core_worst`` are ``_core``'s in the hours the three-point bound leaves
+    open; elsewhere they are None and the bound. The totals and
+    ``violation_counts`` are derived from these on each access; totals add
+    the hours in order, starting from zero.
     """
 
     producer_ids: tuple[str, ...]
@@ -499,14 +514,11 @@ def run_simulation(
     error spread.
 
     Contracts and realizations must be finite and >= 0 in every cell of the
-    window. The whole (hours x producers) block is settled at once: each
-    hour's marginal price comes from its totals, as ``marginal_price``
-    decides it, and the pooled, separate and pool payoffs and the pooling
-    gain equal the one-shot functions' bit for bit. The whole window's
-    payoffs are then audited at once against the separate and pool payoffs
-    the report holds, core membership included: each hour's verdicts equal
-    ``run_property_checks``'s, but its core is proven by the three-point
-    bound, and coalitions are enumerated only in the hours it leaves open.
+    window. The whole (hours x producers) block is settled at once, each
+    hour's marginal price from its totals, and the payoffs and pooling gain
+    equal the one-shot functions' bit for bit. The window is then audited
+    at once (see ``SimulationReport``); each hour's verdicts equal
+    ``run_property_checks``'s.
     """
     _check_ranges(train_range, sim_range, data.n_hours)
     if len(prices) != data.n_hours:

@@ -65,14 +65,19 @@ def newsvendor_contract(mean, std_dev, q, upper_bound=math.inf):
     """One cell of the news-vendor rule, sized on its own: the cap at level
     1, nothing at level 0, the clipped mean at zero spread, else a frozen
     ``stats.truncnorm(a, b, loc, scale).ppf(q)``, floored with Python's
-    ``max(0.0, .)`` (which maps NaN and -0.0 to 0.0)."""
+    ``max(0.0, .)`` (which maps NaN and -0.0 to 0.0). scipy's NaN for an
+    interval that is empty in floats becomes the cap when the mean lies
+    above it."""
     if q >= 1.0:
         return max(0.0, upper_bound)
     if q <= 0.0:
         return 0.0
     if std_dev == 0.0:
         return max(0.0, min(max(mean, 0.0), upper_bound))
-    return max(0.0, float(truncated_normal(mean, std_dev, upper_bound).ppf(q)))
+    quantile = float(truncated_normal(mean, std_dev, upper_bound).ppf(q))
+    if math.isnan(quantile) and mean > upper_bound:
+        return upper_bound
+    return max(0.0, quantile)
 
 
 def quad_expected_payoff(mean, std_dev, upper_bound, contract, prices):
@@ -95,11 +100,29 @@ def quad_expected_payoff(mean, std_dev, upper_bound, contract, prices):
     return prices.day_ahead * contract - prices.rt_buy * short + prices.rt_sell * long_
 
 
-def core_scan(contracts, realizations, payoffs, prices):
-    """Exhaustive core audit as a Python loop over bitmasks 1 .. 2^n - 1.
+def coalition_excess(contracts, realizations, payoffs, prices, members):
+    """``v(T) - allocated(T)`` of the coalition ``members`` and its allowance
+    ``1e-9 * max(1, |v(T)|, |allocated(T)|)``. The sums add the members with
+    ``+=`` in index order from 0.0 (not ``sum()``, which adds floats with
+    compensation on Python 3.12)."""
+    c = x = paid = 0.0
+    for i in sorted(members):
+        c += float(contracts[i])
+        x += float(realizations[i])
+        paid += float(payoffs[i])
+    shortfall = max(c - x, 0.0)
+    value = (
+        prices.day_ahead * c
+        - prices.rt_buy * shortfall
+        + prices.rt_sell * (shortfall - (c - x))
+    )
+    return value - paid, 1e-9 * max(1.0, abs(value), abs(paid))
 
-    Each coalition's sums add its members with ``+=`` in index order from
-    0.0 (not ``sum()``, which adds floats with compensation on Python 3.12).
+
+def core_scan(contracts, realizations, payoffs, prices):
+    """Exhaustive core audit as a Python loop over bitmasks 1 .. 2^n - 1,
+    each coalition judged by ``coalition_excess``.
+
     Returns (no violation, worst ``v(T) - allocated(T)``, its coalition),
     the worst being the first, lowest-bitmask coalition to reach it.
     """
@@ -107,23 +130,20 @@ def core_scan(contracts, realizations, payoffs, prices):
     ok, worst, witness = True, -math.inf, None
     for mask in range(1, 1 << n):
         members = tuple(i for i in range(n) if mask >> i & 1)
-        c = x = paid = 0.0
-        for i in members:
-            c += float(contracts[i])
-            x += float(realizations[i])
-            paid += float(payoffs[i])
-        shortfall = max(c - x, 0.0)
-        value = (
-            prices.day_ahead * c
-            - prices.rt_buy * shortfall
-            + prices.rt_sell * (shortfall - (c - x))
-        )
-        violation = value - paid
-        if violation > 1e-9 * max(1.0, abs(value), abs(paid)):
+        violation, allowance = coalition_excess(contracts, realizations, payoffs, prices, members)
+        if violation > allowance:
             ok = False
         if violation > worst:
             worst, witness = violation, members
     return ok, worst, witness
+
+
+def lp_minimum(alpha, beta):
+    """min over lam in [0, 1] of U(lam) = sum of max(0, lam * alpha_i + (1 -
+    lam) * beta_i), by brute force: U is convex and piecewise linear, so its
+    minimum lies at 0, at 1 or at a breakpoint beta_i / (beta_i - alpha_i)."""
+    points = [0.0, 1.0] + [b / (b - a) for a, b in zip(alpha, beta) if a != b and 0.0 < b / (b - a) < 1.0]
+    return min(sum(max(0.0, lam * a + (1.0 - lam) * b) for a, b in zip(alpha, beta)) for lam in points)
 
 
 def _close(a, b):

@@ -25,8 +25,10 @@ from poolpay import (
 
 import poolpay
 from poolpay import allocation
-from conftest import price_triples, random_prices, random_snapshot, snapshots
-from oracles import core_scan, fairness_scan, no_exploitation_scan
+from conftest import inside_core, price_triples, random_prices, random_snapshot, snapshots
+from oracles import (
+    coalition_excess, core_scan, fairness_scan, lp_minimum, no_exploitation_scan,
+)
 
 P = PriceTriple(day_ahead=10.0, rt_buy=15.0, rt_sell=5.0)
 
@@ -35,28 +37,14 @@ def snap(contracts, realizations, prices=P):
     return ScenarioSnapshot.from_arrays(contracts, realizations, prices)
 
 
+def arrays(snapshot, payoffs):
+    """The (contracts, realizations, payoffs, prices) a core audit takes."""
+    return snapshot.contracts, snapshot.realizations, payoffs, snapshot.prices
+
+
 def equal_split(snapshot):
     total = aggregator_payoff(snapshot)
     return PayoffAllocation(np.full(snapshot.n, total / snapshot.n), total)
-
-
-def inside_core(n, rng):
-    """A split of ``n >= 3`` producers that lies in the core with room to
-    spare, yet beyond what the bound proves. The pool is balanced: producer
-    0's surplus of 40 offsets producer 1's shortfall, and the others deviate
-    in +/- pairs of less than 20 / n each. On the mechanism's split a
-    coalition with 0 and without 1 deviates by more than 20, so it falls
-    short of its share by more than 100; then 1e-7 of producer 0's payoff,
-    at least 900, moves to producer 1, whose payoff is at least 100."""
-    half = rng.uniform(0.0, 20.0 / n, (n - 2) // 2)
-    dev = np.concatenate([[40.0, -40.0], half, -half, [0.0] * (n % 2)])
-    contracts = rng.uniform(50.0, 100.0, n)
-    s = snap(contracts, contracts + dev)
-    payoffs = allocate(s).payoffs.copy()
-    move = 1e-7 * payoffs[0]
-    payoffs[0] -= move
-    payoffs[1] += move
-    return s, PayoffAllocation(payoffs, aggregator_payoff(s))
 
 
 def test_public_names_resolve_and_removed_names_are_gone():
@@ -231,15 +219,13 @@ class TestCoreMembership:
         assert not run_property_checks(bad, s).in_core
 
     def test_exhaustive_refuses_large_pools(self, monkeypatch):
-        # a pool of EXHAUSTIVE_LIMIT + 1 producers is bounded, then sampled,
-        # not refused
+        # a pool of EXHAUSTIVE_LIMIT + 1 producers is bounded, then certified,
+        # not refused; this split is in the core, yet open to both
         rng = np.random.default_rng(0)
         n = allocation.EXHAUSTIVE_LIMIT + 1
         s, alloc = inside_core(n, rng)
         result = run_property_checks(alloc, s).core
-        assert result.in_core
-        assert not result.exhaustive
-        assert result.coalitions_checked == allocation.CORE_SAMPLES
+        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, False, 2)
         # the bound proves the mechanism's own split, with no coalition checked
         result = run_property_checks(allocate(s), s).core
         assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, True, 0)
@@ -251,41 +237,47 @@ class TestCoreMembership:
             result = run_property_checks(alloc, s).core
             assert result.in_core
             assert result.exhaustive is exhaustive
-            assert result.coalitions_checked == (255 if exhaustive else allocation.CORE_SAMPLES)
+            assert result.coalitions_checked == (255 if exhaustive else 2)
 
-    def test_sampled_mode(self, monkeypatch):
-        monkeypatch.setattr(allocation, "CORE_SAMPLES", 2000)
+    def test_certificate_leaves_a_split_inside_the_core_open(self):
+        # the LP minimum of this split is about 1.6e-5, above the margin, and
+        # neither rounding of the LP optimum is a violation
         rng = np.random.default_rng(1)
         s, alloc = inside_core(22, rng)
         result = run_property_checks(alloc, s).core
-        assert result.in_core
-        assert not result.exhaustive
-        assert result.coalitions_checked == 2000
+        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, False, 2)
+        excess, _ = coalition_excess(*arrays(s, alloc.payoffs), result.worst_coalition)
+        assert result.worst_violation == excess < 0.0
         # the mechanism's split of a random pool is proven instead
         s = random_snapshot(rng, n_min=22, n_max=22)
         result = run_property_checks(allocate(s), s).core
-        assert result.in_core and result.exhaustive
-        assert result.coalitions_checked == 0
+        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, True, 0)
 
-    def test_sampled_mode_finds_planted_violation(self, monkeypatch):
-        monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
-        monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64 * 21)
+    def test_certificate_finds_planted_violation(self):
         # only producer 0 delivers, and producer 1 is paid 200 of its 1000:
-        # every coalition with 0 and without 1 falls short by 200, and the
-        # first such draw is the witness
+        # every coalition with 0 and without 1 falls short by 200. The LP
+        # optimum takes producer 0 alone, the one producer with an excess
         s = snap([100] + [0] * 20, [100] + [0] * 20)
         alloc = PayoffAllocation(np.array([800.0, 200.0] + [0.0] * 19), 1000.0)
         result = run_property_checks(alloc, s).core
-        assert not result.in_core
-        assert not result.exhaustive
-        assert result.coalitions_checked == 500
-        assert result.worst_violation == 200.0
-        masks = np.concatenate(list(allocation._iter_sampled_masks(s.n, 500)))
-        first = masks[(masks[:, 0] == 1.0) & (masks[:, 1] == 0.0)][0]
-        assert result.worst_coalition == tuple(np.flatnonzero(first).tolist())
-        # pools up to EXHAUSTIVE_LIMIT are enumerated, even with more
-        # coalitions (511 for 9 producers) than CORE_SAMPLES; the 5-producer
-        # pool ties (0, 1) with (0, 1, 2), and the lowest bitmask wins
+        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (False, False, 1)
+        assert (result.worst_coalition, result.worst_violation) == ((0,), 200.0)
+        # equal shares of a 21-producer pool where one producer delivers
+        # all: producer 0, on its own, earns 2000 more than its share
+        s = snap([210] + [0] * 20, [210] + [0] * 20)
+        alloc = equal_split(s)
+        result = run_property_checks(alloc, s).core
+        assert (result.in_core, result.worst_coalition, result.worst_violation) == (False, (0,), 2000.0)
+        # a balanced pool where producer 1 takes 1.0 of producer 0's share:
+        # the LP optimum is fractional in producer 2, and only the rounding
+        # that adds it blocks the split, with the coalition {0, 2}
+        s = snap([10.0, 10.0, 10.0] + [5.0] * 19, [6.0, 10.0, 14.0] + [5.0] * 19)
+        payoffs = allocate(s).payoffs + np.array([-1.0, 1.0] + [0.0] * 20)
+        result = run_property_checks(PayoffAllocation(payoffs, aggregator_payoff(s)), s).core
+        assert (result.in_core, result.worst_coalition, result.coalitions_checked) == (False, (0, 2), 2)
+        assert result.worst_violation == coalition_value(s, [0, 2]) - payoffs[[0, 2]].sum() == 1.0
+        # pools up to EXHAUSTIVE_LIMIT are enumerated; the 5-producer pool
+        # ties (0, 1) with (0, 1, 2), and the lowest bitmask wins
         tied = snap([100, 50, 20, 30, 40], [100, 50, 20, 30, 40])
         cases = [
             (snap([100, 0], [100, 0]), None),
@@ -301,26 +293,10 @@ class TestCoreMembership:
         assert result.worst_coalition == (0, 1)
         assert result.worst_violation == 200.0
 
-    def test_sampled_mode_scans_in_chunks(self, monkeypatch):
-        monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
-        monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64)
-        s = snap([210] + [0] * 20, [210] + [0] * 20)
-        alloc = equal_split(s)
-        result = run_property_checks(alloc, s).core
-        assert not result.in_core
-        assert result.coalitions_checked == 500
-        members = list(result.worst_coalition)
-        assert result.worst_violation == coalition_value(s, members) - alloc.payoffs[members].sum()
-        # a one-producer pool draws the empty coalition half the time; each
-        # chunk repairs its own empty rows
-        chunks = list(allocation._iter_sampled_masks(1, 500))
-        assert [len(m) for m in chunks] == [64] * 7 + [52]
-        assert all(m.sum(axis=1).min() == 1.0 for m in chunks)
-
-    def test_sampled_memory_is_bounded_by_cells(self, monkeypatch):
-        # the sampled screen's peak must not grow with the pool: a chunk
-        # holds _CHUNK_CELLS membership cells, not a fixed number of rows
-        monkeypatch.setattr(allocation, "CORE_SAMPLES", 4000)
+    def test_certificate_memory_grows_linearly(self):
+        # the certificate holds a few n-vectors, never a coalition block, so
+        # its peak is linear in the pool: 4 times the producers, about 4
+        # times the peak
         peaks = []
         for n in (500, 2000):
             s, alloc = inside_core(n, np.random.default_rng(n))
@@ -330,15 +306,12 @@ class TestCoreMembership:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert result.in_core
-            assert result.coalitions_checked == 4000
-            # the mechanism's split is proven without a sample
+            assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, False, 2)
+            assert peaks[-1] < 40 * 8 * n
+            # the mechanism's split is proven without a coalition
             proven = run_property_checks(allocate(s), s).core
             assert proven.in_core and proven.coalitions_checked == 0
-        # a float64 chunk, the int64 draw it is cast from, and the previous
-        # chunk, which its witness lookup keeps alive
-        assert max(peaks) < 4 * 8 * allocation._CHUNK_CELLS
-        assert peaks[1] < 1.25 * peaks[0]
+        assert 3.0 * peaks[0] < peaks[1] < 5.0 * peaks[0]
 
 
 # Small whole numbers make exact ties between coalitions, and exact
@@ -431,19 +404,55 @@ EDGE_PAYOFFS = allocate(EDGE).payoffs + np.array([0.0, 0.0, 1e-9, -1e-9])
 @example((EDGE, EDGE_PAYOFFS, "moved"))
 def test_bound_proves_only_pools_in_the_core(case):
     s, payoffs, style = case
-    with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", 0), mock.patch.object(
-        allocation, "CORE_SAMPLES", 16
-    ):
-        result = allocation._core(s.contracts, s.realizations, payoffs, s.prices)
-    proven = result.coalitions_checked == 0
-    if proven:
-        assert core_scan(s.contracts, s.realizations, payoffs, s.prices)[0]
-        assert (result.in_core, result.worst_coalition, result.exhaustive) == (True, None, True)
-    else:
-        assert (result.coalitions_checked, result.exhaustive) == (16, False)
+    check_certificate(s, payoffs)
     # the mechanism's short and long splits are proven with a bound of exactly 0
     if style == "mechanism" and not allocation.marginal_price(s)[1]:
-        assert proven and result.worst_violation == 0.0
+        with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", 0):
+            result = allocation._core(*arrays(s, payoffs))
+        assert result.coalitions_checked == 0 and result.worst_violation == 0.0
+
+
+def check_certificate(s, payoffs):
+    """The certificate's verdict on ``payoffs``, with ``EXHAUSTIVE_LIMIT`` at
+    0, against the loop oracle: a proof means no coalition violates, and a
+    witness violates beyond its own allowance."""
+    with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", 0):
+        result = allocation._core(*arrays(s, payoffs))
+    ok = core_scan(*arrays(s, payoffs))[0]
+    if result.exhaustive:  # proven by the bound
+        assert ok
+        assert (result.in_core, result.worst_coalition, result.coalitions_checked) == (True, None, 0)
+        return
+    excess, allowance = coalition_excess(*arrays(s, payoffs), result.worst_coalition)
+    assert result.worst_violation == excess
+    assert result.coalitions_checked in (1, 2)
+    assert result.in_core is not (excess > allowance)
+    if not result.in_core:
+        assert not ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_cases())
+def test_certificate_is_sound(case):
+    s, alloc = case
+    check_certificate(s, alloc.payoffs)
+
+
+_EXCESS = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_EXCESS, _EXCESS), min_size=1, max_size=30))
+def test_lp_optimum_attains_the_minimum_of_u(pairs):
+    alpha, beta = (np.array(v) for v in zip(*pairs))
+    lam, fractional = allocation._lp_optimum(alpha, beta)
+    u = float(np.maximum(lam * alpha + (1.0 - lam) * beta, 0.0).sum())
+    scale = float(np.abs(alpha).sum() + np.abs(beta).sum())
+    assert 0.0 <= lam <= 1.0
+    assert abs(u - lp_minimum(alpha, beta)) <= 1e-13 * max(1.0, scale)
+    if fractional is not None:  # the producer crosses 0 at lam
+        a, b = alpha[fractional], beta[fractional]
+        assert (a > 0.0) != (b > 0.0) and lam == b / (b - a)
 
 
 @pytest.mark.parametrize("n", [21, 500, 2000])

@@ -10,6 +10,8 @@ import pytest
 import poolpay
 from poolpay.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 
+from conftest import inside_core
+
 
 def write_csv(path, header, rows):
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -176,12 +178,12 @@ class TestCheckCoreCommand:
         assert code == EXIT_VIOLATION
         assert "False" in capsys.readouterr().out
 
-    def test_pool_above_exhaustive_limit_is_sampled(self, tmp_path, capsys):
+    def test_pool_above_exhaustive_limit_is_certified(self, tmp_path, capsys):
         # a balanced pool of 21: p00's surplus offsets p01's shortfall, the
         # rest deliver exactly. Each coalition with p00 and without p01 is
         # 10 MWh long and falls 50 short of its share under the mechanism's
-        # split, so moving 3e-5 from p00 to p01 stays in the core, but
-        # beyond what the bound proves: the audit samples
+        # split, so moving 3e-5 from p00 to p01 stays in the core. The three
+        # points of the bound leave it open; the LP minimum proves it
         ids = [f"p{i:02d}" for i in range(21)]
         actual = {"p00": 30.0, "p01": 10.0}
         snapshot = write_csv(tmp_path / "snap.csv", ["producer_id", "contract_mwh", "actual_mwh"],
@@ -189,17 +191,30 @@ class TestCheckCoreCommand:
         mechanism = {"p00": 300.0, "p01": 100.0}
         moved = {"p00": 300.0 - 3e-5, "p01": 100.0 + 3e-5}
         flags = ["--pf", "10", "--prb", "15", "--prs", "5"]
-        for payoff, coalition in ((moved, "coalition ("), (mechanism, "coalition None")):
+        for payoff in (moved, mechanism):
             payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"],
                                 [[p, payoff.get(p, 200.0)] for p in ids])
             code = main(["check-core", "--snapshot", str(snapshot), "--payoffs", str(payoffs),
                          *flags])
             out = capsys.readouterr().out
             assert code == EXIT_OK
-            assert "in_core               : True" in out
-            assert coalition in out
-        # the mechanism's split is proven with a bound of exactly 0.0
-        assert "(worst violation 0.0, coalition None)" in out
+            # both splits are proven with a bound of exactly 0.0
+            assert "in_core               : True (worst violation 0.0, coalition None)\n" in out
+
+    def test_open_pool_is_reported_not_proven(self, tmp_path, capsys):
+        # in the core with room to spare, but neither the bound nor a
+        # rounding of the LP optimum decides it: in_core stays True, exit 0
+        s, alloc = inside_core(21, np.random.default_rng(0))
+        snapshot = write_csv(tmp_path / "snap.csv", ["producer_id", "contract_mwh", "actual_mwh"],
+                             zip(s.producer_ids, s.contracts.tolist(), s.realizations.tolist()))
+        payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"],
+                            zip(s.producer_ids, alloc.payoffs.tolist()))
+        code = main(["check-core", "--snapshot", str(snapshot), "--payoffs", str(payoffs),
+                     "--pf", "10", "--prb", "15", "--prs", "5"])
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert code == EXIT_OK
+        assert line.startswith("in_core               : True (worst violation -")
+        assert line.endswith("), not proven)")
 
     def test_payoff_row_for_unknown_producer_rejected(self, snapshot_file, tmp_path, capsys):
         payoffs = write_csv(
@@ -214,6 +229,46 @@ class TestCheckCoreCommand:
         assert code == EXIT_INPUT_ERROR
         assert f"{payoffs}:5:" in err
         assert "'zz'" in err
+
+
+@pytest.mark.parametrize("command", ["check-core", "allocate", "equilibrium"])
+@pytest.mark.parametrize(
+    "rows, prices, line",
+    [
+        ([["p2", "50", "60"], ["p1", "1e308", "80"], ["p3", "50", "40"]], ["10", "15", "5"], 3),
+        ([["p1", "5e305", "0"], ["p2", "5e305", "0"]], ["10", "15", "5"], 3),
+        ([["p1", "0", "5e305"], ["p2", "0", "5e305"]], ["10", "15", "5"], 3),
+        ([["p1", "100", "80"]], ["1e307", "1e307", "-1e307"], 2),
+        ([["p1", "0", "0"]], ["10", "1e308", "-1e308"], 2),
+    ],
+    ids=["contract-1e308", "contract-total", "actual-total", "prices-times-energy",
+         "price-spread"],
+)
+def test_snapshot_that_could_overflow_names_the_row(tmp_path, capsys, recwarn, command, rows,
+                                                     prices, line):
+    # the row where the energy totals, priced, leave the domain is named
+    # before anything is settled, with no numpy warning
+    snapshot = write_csv(tmp_path / "snap.csv", ["producer_id", "contract_mwh", "actual_mwh"], rows)
+    payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"],
+                        [[row[0], "0"] for row in rows])
+    extra = ["--payoffs", str(payoffs)] if command == "check-core" else []
+    flags = [f"--{name}={price}" for name, price in zip(("pf", "prb", "prs"), prices)]
+    code = main([command, "--snapshot", str(snapshot), *extra, *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert err == f"error: {snapshot}:{line}: energy totals at these prices could overflow a settlement\n"
+    assert not recwarn.list
+
+
+def test_payoffs_that_could_overflow_name_the_row(snapshot_file, tmp_path, capsys, recwarn):
+    payoffs = write_csv(tmp_path / "payoffs.csv", ["producer_id", "payoff"],
+                        [["a", "1e307"], ["b", "-1e307"], ["c", "0"]])
+    code = main(["check-core", "--snapshot", str(snapshot_file), "--payoffs", str(payoffs),
+                 "--pf", "10", "--prb", "15", "--prs", "5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert err == f"error: {payoffs}:3: the sum of |payoff| could overflow a settlement\n"
+    assert not recwarn.list
 
 
 GOOD_SNAPSHOT = [["a", "100.0", "80.0"], ["b", "50.0", "60.0"], ["c", "50.0", "40.0"]]

@@ -221,6 +221,26 @@ class TestOptimalContracts:
         with pytest.raises(ValueError, match="must be"):
             optimal_contracts(means, std_devs, [P], upper_bound)
 
+    @pytest.mark.parametrize("mean, std_dev", [(1e20, 1.0), (50.0, 1e-320), (1e308, 1e-300)])
+    def test_mean_far_above_the_cap_commits_the_cap(self, capsys, mean, std_dev):
+        # both z-scores round to one value, so the truncation interval is
+        # empty in floats; all the mass sits at the cap
+        assert contract(mean, std_dev, P, upper_bound=5.0) == 5.0
+        code = main(["contract", "--mean", repr(mean), "--std", repr(std_dev), "--cap", "5",
+                     "--pf", "10", "--prb", "15", "--prs", "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "optimal_contract_mwh: 5.0\n" in captured.out
+        assert captured.err == ""
+
+    def test_empty_interval_below_zero_or_at_cap_0_commits_nothing(self):
+        # a mean far below 0, or any mean under a cap of 0, still commits +0.0
+        means, std_devs = [[-1e20, 1e20, -5.0, 50.0]], [1.0, 1.0, 2.0, 1e-320]
+        block = optimal_contracts(means, std_devs, [P], 0.0)
+        assert block.tobytes() == np.zeros((1, 4)).tobytes()
+        block = optimal_contracts(means, std_devs, [P], 5.0)
+        assert block[0, [0, 1, 3]].tobytes() == np.array([0.0, 5.0, 5.0]).tobytes()
+
 
 def _z_scores(mean, std_dev, upper_bound):
     """The truncation bounds in standard deviations, as ``optimal_contracts``

@@ -240,9 +240,10 @@ class TestCheckCoreCommand:
         ([["p1", "0", "5e305"], ["p2", "0", "5e305"]], ["10", "15", "5"], 3),
         ([["p1", "100", "80"]], ["1e307", "1e307", "-1e307"], 2),
         ([["p1", "0", "0"]], ["10", "1e308", "-1e308"], 2),
+        ([["p1", "1e308", "0"]], ["0", "0", "0"], 2),
     ],
     ids=["contract-1e308", "contract-total", "actual-total", "prices-times-energy",
-         "price-spread"],
+         "price-spread", "zero-prices"],
 )
 def test_snapshot_that_could_overflow_names_the_row(tmp_path, capsys, recwarn, command, rows,
                                                      prices, line):

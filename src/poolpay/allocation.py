@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -203,12 +204,32 @@ def _fair(dev: np.ndarray, margin: np.ndarray) -> bool:
 
 
 #: Largest pool the core audit enumerates (2^20 - 1 coalitions); a larger
-#: pool is bounded, then certified by the bound's LP optimum.
+#: pool is bounded, then certified, and screened with CORE_SAMPLES
+#: coalitions if still undecided.
 EXHAUSTIVE_LIMIT = 20
+#: Coalitions the core audit draws on a larger pool the certificate leaves open.
+CORE_SAMPLES = 100_000
 
 # The enumeration is checked _CHUNK_ROWS coalitions at a time, so each
-# temporary of the check stays cache-sized (128 KB).
+# temporary of the check stays cache-sized (128 KB); a sampled chunk holds
+# at most _CHUNK_CELLS membership cells, whatever the pool size.
 _CHUNK_ROWS = 1 << 14
+_CHUNK_CELLS = 1 << 20
+
+
+def _iter_sampled_masks(n: int, samples: int) -> Iterator[np.ndarray]:
+    """Yield random nonempty coalitions drawn from seed 0 as 0/1 rows, at
+    most ``_CHUNK_CELLS`` cells at a time. An empty draw gets one random
+    member, so every row is a real coalition."""
+    rng = np.random.default_rng(0)
+    step = max(1, _CHUNK_CELLS // n)
+    for start in range(0, samples, step):
+        rows = min(step, samples - start)
+        masks = rng.integers(0, 2, size=(rows, n)).astype(np.float64)
+        empty = masks.sum(axis=1) == 0
+        if np.any(empty):
+            masks[empty, rng.integers(0, n, size=int(empty.sum()))] = 1.0
+        yield masks
 
 
 def _scan(sums: np.ndarray, prices: PriceTriple) -> tuple[bool, float, int]:
@@ -222,6 +243,30 @@ def _scan(sums: np.ndarray, prices: PriceTriple) -> tuple[bool, float, int]:
         return True, worst, col
     allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.maximum(np.abs(value), np.abs(sums[2])))
     return bool(np.all(violation <= allowance)), worst, col
+
+
+def _coalition_blocks(members: np.ndarray):
+    """Yield (sums, coalition): a (3 x m) block of coalition sums of the
+    (3 x n) ``members`` rows, and a function naming column col's members.
+
+    Up to ``EXHAUSTIVE_LIMIT`` producers the blocks cover bitmasks 1 ..
+    2^n - 1 in order, cut from one subset-sum table whose column k is column
+    k - 2^i plus member i, for the top bit i of k: each sum adds its members
+    in increasing index order, from zero. Larger pools are sampled.
+    """
+    n = members.shape[1]
+    if n > EXHAUSTIVE_LIMIT:
+        for masks in _iter_sampled_masks(n, CORE_SAMPLES):
+            yield members @ masks.T, lambda col, masks=masks: tuple(np.flatnonzero(masks[col]).tolist())
+        return
+    table = np.empty((3, 1 << n))
+    table[:, 0] = 0.0
+    for i in range(n):
+        np.add(table[:, : 1 << i], members[:, i : i + 1], out=table[:, 1 << i : 2 << i])
+    for start in range(1, 1 << n, _CHUNK_ROWS):
+        yield table[:, start : start + _CHUNK_ROWS], lambda col, k=start: tuple(
+            i for i in range(n) if (k + col) >> i & 1
+        )
 
 
 # A bound at most this proves the core. Half the allowance: the coalition
@@ -264,53 +309,58 @@ def _lp_optimum(alpha, beta) -> tuple[float, int | None]:
     return float(breaks[first]), int(crossing[first])
 
 
-def _certify(members: np.ndarray, prices: PriceTriple) -> CoreResult:
-    """The core verdict of a pool above ``EXHAUSTIVE_LIMIT``, in O(n) memory.
-    The three-point bound, or else the LP minimum, proves it within
+def _certify(members: np.ndarray, prices: PriceTriple) -> CoreResult | None:
+    """Decide a pool above ``EXHAUSTIVE_LIMIT`` in O(n) memory, or return
+    None. The three-point bound, or else the LP minimum, proves it within
     ``_BOUND_MARGIN``. Otherwise the LP optimum, rounded down and up, is
-    judged on its own sums: a violation proves ``in_core=False``, and none
-    leaves the pool undecided (``in_core=True``, ``exhaustive=False``)."""
+    judged on its own sums, and the first that violates is returned
+    (``in_core=False``); with neither, the pool is left to the screen."""
     bound, alpha, beta = _core_bound(*members, prices)
+    if bound <= _BOUND_MARGIN:
+        return CoreResult(True, float(bound), None, 0, True)
     lam, fractional = _lp_optimum(alpha, beta)
     value = lam * alpha + (1.0 - lam) * beta
-    if bound > _BOUND_MARGIN:  # a bound the three points prove keeps its bits
-        bound = np.maximum(value, 0.0).sum()
+    bound = np.maximum(value, 0.0).sum()
     if bound <= _BOUND_MARGIN:
         return CoreResult(True, float(bound), None, 0, True)
     candidates = [value > 0.0]
     if fractional is not None:
         candidates.append(candidates[0].copy())
         candidates[0][fractional], candidates[1][fractional] = False, True
-    # each sum adds its members in index order, as the table does; a
-    # violating candidate is reported first, else the larger excess
-    scans = [(*_scan(members[:, mask].cumsum(axis=1)[:, -1:], prices)[:2], mask)
-             for mask in candidates if mask.any()]
-    ok, excess, mask = max(scans, key=lambda scan: (not scan[0], scan[1]))
-    return CoreResult(ok, excess, tuple(np.flatnonzero(mask).tolist()), len(scans), False)
+    for checked, mask in enumerate(filter(np.any, candidates), 1):
+        # each sum adds its members in index order, as the table does
+        ok, excess, _ = _scan(members[:, mask].cumsum(axis=1)[:, -1:], prices)
+        if not ok:
+            return CoreResult(False, excess, tuple(np.flatnonzero(mask).tolist()), checked, False)
+    return None
 
 
 def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
     """Can any coalition beat its allocated share ``payoffs`` by seceding?
-    Up to ``EXHAUSTIVE_LIMIT`` producers every coalition is scanned, from a
-    (3 x 2^n) table of sums whose column k adds member i, the top bit of k,
-    to column k - 2^i; the worst comes with its lowest-bitmask coalition."""
+
+    Up to ``EXHAUSTIVE_LIMIT`` producers, all 2^n - 1 nonempty coalitions are
+    enumerated, and the worst violation ``v(T) - allocated(T)`` is reported
+    with its coalition (ties broken toward the lowest subset bitmask). Above
+    it, ``_certify`` proves the pool or finds a violating coalition; failing
+    both, ``CORE_SAMPLES`` coalitions drawn from seed 0 are screened
+    (``exhaustive=False``), which can refute the core but not prove it.
+    """
     n = len(payoffs)
     if n == 0:
         return CoreResult(True, 0.0, None, 0, True)
     members = np.array([contracts, realizations, payoffs])
     if n > EXHAUSTIVE_LIMIT:
-        return _certify(members, prices)
-    table = np.zeros((3, 1 << n))
-    for i in range(n):
-        np.add(table[:, : 1 << i], members[:, i : i + 1], out=table[:, 1 << i : 2 << i])
-    ok_all, worst, witness = True, -math.inf, None
-    for start in range(1, 1 << n, _CHUNK_ROWS):
-        ok, block_worst, col = _scan(table[:, start : start + _CHUNK_ROWS], prices)
+        certified = _certify(members, prices)
+        if certified is not None:
+            return certified
+    ok_all, worst, witness, checked = True, -math.inf, None, 0
+    for sums, coalition in _coalition_blocks(members):
+        ok, block_worst, col = _scan(sums, prices)
         ok_all = ok_all and ok
+        checked += sums.shape[1]
         if block_worst > worst:
-            worst, witness = block_worst, start + col
-    coalition = None if witness is None else tuple(i for i in range(n) if witness >> i & 1)
-    return CoreResult(ok_all, worst, coalition, (1 << n) - 1, True)
+            worst, witness = block_worst, coalition(col)
+    return CoreResult(ok_all, worst, witness, checked, n <= EXHAUSTIVE_LIMIT)
 
 
 def _audit(contracts, realizations, payoffs, standalone, pool, prices) -> PropertyReport:
@@ -412,7 +462,7 @@ def _audit_window(contracts, realizations, payoffs, standalone, pool, prices) ->
 def run_property_checks(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> PropertyReport:
     """Run the five-property audit on one allocation of ``snapshot``, against
     its ``separate_payoffs`` and ``aggregator_payoff``. The core is enumerated
-    up to ``EXHAUSTIVE_LIMIT`` producers, and bounded, then certified, above."""
+    up to ``EXHAUSTIVE_LIMIT`` producers; above it, see ``_core``."""
     if alloc.n != snapshot.n:
         raise ValueError(
             f"allocation covers {alloc.n} producers but snapshot has {snapshot.n}"

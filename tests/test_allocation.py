@@ -42,6 +42,25 @@ def arrays(snapshot, payoffs):
     return snapshot.contracts, snapshot.realizations, payoffs, snapshot.prices
 
 
+def members(snapshot, payoffs):
+    """The (3 x n) rows of contracts, realizations and payoffs ``_certify`` takes."""
+    return np.array([snapshot.contracts, snapshot.realizations, payoffs])
+
+
+def witness_misses():
+    """A balanced 21-producer split outside the core that the certificate
+    leaves open. Producer 0 is 1 MWh long, producer 1 exact, producer 2 1 MWh
+    short, and nine producers are 5 MWh long and nine 5 MWh short; 1.0 of
+    producer 0's payoff moves to producer 1. A coalition with 0, without 1
+    and of zero total deviation, such as {0, 2}, gains 1.0 by seceding. The
+    LP optimum is lam = 1/2, where only producer 0 has an excess, and
+    neither {0} nor {0, k}, for the producer k it names, deviates by 0."""
+    dev = np.array([1.0, 0.0, -1.0] + [5.0] * 9 + [-5.0] * 9)
+    s = snap([10.0] * 21, 10.0 + dev)
+    payoffs = allocate(s).payoffs + np.array([-1.0, 1.0] + [0.0] * 19)
+    return s, PayoffAllocation(payoffs, aggregator_payoff(s))
+
+
 def equal_split(snapshot):
     total = aggregator_payoff(snapshot)
     return PayoffAllocation(np.full(snapshot.n, total / snapshot.n), total)
@@ -219,13 +238,15 @@ class TestCoreMembership:
         assert not run_property_checks(bad, s).in_core
 
     def test_exhaustive_refuses_large_pools(self, monkeypatch):
-        # a pool of EXHAUSTIVE_LIMIT + 1 producers is bounded, then certified,
-        # not refused; this split is in the core, yet open to both
+        # a pool of EXHAUSTIVE_LIMIT + 1 producers is bounded, certified,
+        # then sampled, not refused
         rng = np.random.default_rng(0)
         n = allocation.EXHAUSTIVE_LIMIT + 1
         s, alloc = inside_core(n, rng)
         result = run_property_checks(alloc, s).core
-        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, False, 2)
+        assert result.in_core
+        assert not result.exhaustive
+        assert result.coalitions_checked == allocation.CORE_SAMPLES
         # the bound proves the mechanism's own split, with no coalition checked
         result = run_property_checks(allocate(s), s).core
         assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, True, 0)
@@ -237,21 +258,59 @@ class TestCoreMembership:
             result = run_property_checks(alloc, s).core
             assert result.in_core
             assert result.exhaustive is exhaustive
-            assert result.coalitions_checked == (255 if exhaustive else 2)
+            assert result.coalitions_checked == (255 if exhaustive else allocation.CORE_SAMPLES)
 
-    def test_certificate_leaves_a_split_inside_the_core_open(self):
-        # the LP minimum of this split is about 1.6e-5, above the margin, and
-        # neither rounding of the LP optimum is a violation
+    def test_sampled_mode(self, monkeypatch):
+        monkeypatch.setattr(allocation, "CORE_SAMPLES", 2000)
         rng = np.random.default_rng(1)
         s, alloc = inside_core(22, rng)
+        # the LP minimum of this split is about 1.6e-5, above the margin, and
+        # neither rounding of the LP optimum is a violation
+        assert allocation._certify(members(s, alloc.payoffs), s.prices) is None
         result = run_property_checks(alloc, s).core
-        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, False, 2)
-        excess, _ = coalition_excess(*arrays(s, alloc.payoffs), result.worst_coalition)
-        assert result.worst_violation == excess < 0.0
+        assert result.in_core
+        assert not result.exhaustive
+        assert result.coalitions_checked == 2000
         # the mechanism's split of a random pool is proven instead
         s = random_snapshot(rng, n_min=22, n_max=22)
         result = run_property_checks(allocate(s), s).core
-        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, True, 0)
+        assert result.in_core and result.exhaustive
+        assert result.coalitions_checked == 0
+
+    def test_sampled_mode_finds_planted_violation(self, monkeypatch):
+        monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
+        monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64 * 21)
+        # the certificate leaves this split open; the coalitions with 0,
+        # without 1 and of zero total deviation gain 1.0, and the first
+        # such draw is the witness
+        s, alloc = witness_misses()
+        assert allocation._certify(members(s, alloc.payoffs), s.prices) is None
+        result = run_property_checks(alloc, s).core
+        assert not result.in_core
+        assert not result.exhaustive
+        assert result.coalitions_checked == 500
+        assert result.worst_violation == 1.0
+        masks = np.concatenate(list(allocation._iter_sampled_masks(s.n, 500)))
+        cancel = masks @ (s.realizations - s.contracts) == 0.0
+        first = masks[(masks[:, 0] == 1.0) & (masks[:, 1] == 0.0) & cancel][0]
+        assert result.worst_coalition == tuple(np.flatnonzero(first).tolist())
+        # pools up to EXHAUSTIVE_LIMIT are enumerated, even with more
+        # coalitions (511 for 9 producers) than CORE_SAMPLES; the 5-producer
+        # pool ties (0, 1) with (0, 1, 2), and the lowest bitmask wins
+        tied = snap([100, 50, 20, 30, 40], [100, 50, 20, 30, 40])
+        cases = [
+            (snap([100, 0], [100, 0]), None),
+            (snap([100] + [0] * 8, [100] + [0] * 8), None),
+            (tied, PayoffAllocation(np.array([900.0, 400.0, 200.0, 350.0, 450.0]), 2300.0)),
+        ]
+        for s, alloc in cases:
+            alloc = alloc or equal_split(s)
+            result = run_property_checks(alloc, s).core
+            assert not result.in_core
+            assert result.exhaustive
+            assert result.coalitions_checked == 2**s.n - 1
+        assert result.worst_coalition == (0, 1)
+        assert result.worst_violation == 200.0
 
     def test_certificate_finds_planted_violation(self):
         # only producer 0 delivers, and producer 1 is paid 200 of its 1000:
@@ -276,27 +335,26 @@ class TestCoreMembership:
         result = run_property_checks(PayoffAllocation(payoffs, aggregator_payoff(s)), s).core
         assert (result.in_core, result.worst_coalition, result.coalitions_checked) == (False, (0, 2), 2)
         assert result.worst_violation == coalition_value(s, [0, 2]) - payoffs[[0, 2]].sum() == 1.0
-        # pools up to EXHAUSTIVE_LIMIT are enumerated; the 5-producer pool
-        # ties (0, 1) with (0, 1, 2), and the lowest bitmask wins
-        tied = snap([100, 50, 20, 30, 40], [100, 50, 20, 30, 40])
-        cases = [
-            (snap([100, 0], [100, 0]), None),
-            (snap([100] + [0] * 8, [100] + [0] * 8), None),
-            (tied, PayoffAllocation(np.array([900.0, 400.0, 200.0, 350.0, 450.0]), 2300.0)),
-        ]
-        for s, alloc in cases:
-            alloc = alloc or equal_split(s)
-            result = run_property_checks(alloc, s).core
-            assert not result.in_core
-            assert result.exhaustive
-            assert result.coalitions_checked == 2**s.n - 1
-        assert result.worst_coalition == (0, 1)
-        assert result.worst_violation == 200.0
 
-    def test_certificate_memory_grows_linearly(self):
-        # the certificate holds a few n-vectors, never a coalition block, so
-        # its peak is linear in the pool: 4 times the producers, about 4
-        # times the peak
+    def test_sampled_mode_scans_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
+        monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64)
+        s, alloc = witness_misses()
+        result = run_property_checks(alloc, s).core
+        assert not result.in_core
+        assert result.coalitions_checked == 500
+        coalition = list(result.worst_coalition)
+        assert result.worst_violation == coalition_value(s, coalition) - alloc.payoffs[coalition].sum()
+        # a one-producer pool draws the empty coalition half the time; each
+        # chunk repairs its own empty rows
+        chunks = list(allocation._iter_sampled_masks(1, 500))
+        assert [len(m) for m in chunks] == [64] * 7 + [52]
+        assert all(m.sum(axis=1).min() == 1.0 for m in chunks)
+
+    def test_sampled_memory_is_bounded_by_cells(self, monkeypatch):
+        # the sampled screen's peak must not grow with the pool: a chunk
+        # holds _CHUNK_CELLS membership cells, not a fixed number of rows
+        monkeypatch.setattr(allocation, "CORE_SAMPLES", 4000)
         peaks = []
         for n in (500, 2000):
             s, alloc = inside_core(n, np.random.default_rng(n))
@@ -306,11 +364,32 @@ class TestCoreMembership:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, False, 2)
-            assert peaks[-1] < 40 * 8 * n
-            # the mechanism's split is proven without a coalition
+            assert result.in_core
+            assert result.coalitions_checked == 4000
+            # the mechanism's split is proven without a sample
             proven = run_property_checks(allocate(s), s).core
             assert proven.in_core and proven.coalitions_checked == 0
+        # a float64 chunk, the int64 draw it is cast from, and the previous
+        # chunk, which its witness lookup keeps alive
+        assert max(peaks) < 4 * 8 * allocation._CHUNK_CELLS
+        assert peaks[1] < 1.25 * peaks[0]
+
+    def test_certificate_memory_grows_linearly(self):
+        # the certificate holds a few n-vectors, never a coalition block, so
+        # its peak is linear in the pool: 4 times the producers, about 4
+        # times the peak
+        peaks = []
+        for n in (500, 2000):
+            s, alloc = inside_core(n, np.random.default_rng(n))
+            rows = members(s, alloc.payoffs)
+            tracemalloc.start()
+            try:
+                result = allocation._certify(rows, s.prices)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result is None
+            assert peaks[-1] < 40 * 8 * n
         assert 3.0 * peaks[0] < peaks[1] < 5.0 * peaks[0]
 
 
@@ -413,22 +492,25 @@ def test_bound_proves_only_pools_in_the_core(case):
 
 
 def check_certificate(s, payoffs):
-    """The certificate's verdict on ``payoffs``, with ``EXHAUSTIVE_LIMIT`` at
-    0, against the loop oracle: a proof means no coalition violates, and a
-    witness violates beyond its own allowance."""
-    with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", 0):
+    """The core verdict on ``payoffs``, with ``EXHAUSTIVE_LIMIT`` at 0 and 16
+    samples, against the loop oracle: a proof means no coalition violates, a
+    witness of the certificate violates beyond its own allowance, and the
+    screen refutes only a split the oracle refutes."""
+    with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", 0), mock.patch.object(
+        allocation, "CORE_SAMPLES", 16
+    ):
         result = allocation._core(*arrays(s, payoffs))
     ok = core_scan(*arrays(s, payoffs))[0]
     if result.exhaustive:  # proven by the bound
         assert ok
         assert (result.in_core, result.worst_coalition, result.coalitions_checked) == (True, None, 0)
-        return
-    excess, allowance = coalition_excess(*arrays(s, payoffs), result.worst_coalition)
-    assert result.worst_violation == excess
-    assert result.coalitions_checked in (1, 2)
-    assert result.in_core is not (excess > allowance)
-    if not result.in_core:
-        assert not ok
+    elif result.coalitions_checked == 16:  # left open by the certificate
+        assert result.in_core or not ok
+    else:
+        excess, allowance = coalition_excess(*arrays(s, payoffs), result.worst_coalition)
+        assert result.worst_violation == excess > allowance
+        assert result.coalitions_checked in (1, 2)
+        assert not (result.in_core or ok)
 
 
 @settings(max_examples=300, deadline=None)

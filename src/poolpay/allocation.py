@@ -339,11 +339,13 @@ def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
     """Can any coalition beat its allocated share ``payoffs`` by seceding?
 
     Up to ``EXHAUSTIVE_LIMIT`` producers, all 2^n - 1 nonempty coalitions are
-    enumerated, and the worst violation ``v(T) - allocated(T)`` is reported
-    with its coalition (ties broken toward the lowest subset bitmask). Above
-    it, ``_certify`` proves the pool or finds a violating coalition; failing
-    both, ``CORE_SAMPLES`` coalitions drawn from seed 0 are screened
-    (``exhaustive=False``), which can refute the core but not prove it.
+    enumerated from one (3 x 2^n) table of coalition sums, and the worst
+    violation ``v(T) - allocated(T)`` is reported with its coalition (ties
+    broken toward the lowest subset bitmask). Above it, ``_certify`` proves
+    the pool or finds a violating coalition. Failing that, ``CORE_SAMPLES``
+    coalitions drawn from seed 0 are screened (``exhaustive=False``), which
+    can only find no violation. Table chunks of ``_CHUNK_ROWS`` coalitions,
+    and sampled ones of at most ``_CHUNK_CELLS`` cells, keep memory bounded.
     """
     n = len(payoffs)
     if n == 0:

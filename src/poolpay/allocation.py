@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -114,7 +113,7 @@ class IndividualRationalityResult:
 @dataclass(frozen=True)
 class CoreResult:
     in_core: bool
-    worst_violation: float  # max scanned v(T) - allocated(T); with none scanned, the bound
+    worst_violation: float  # v(T) - allocated(T) of worst_coalition; with none, the bound
     worst_coalition: tuple[int, ...] | None
     coalitions_checked: int
     exhaustive: bool  # the verdict covers every coalition, enumerated or bounded
@@ -203,70 +202,59 @@ def _fair(dev: np.ndarray, margin: np.ndarray) -> bool:
     return True
 
 
-#: Largest pool the core audit enumerates (2^20 - 1 coalitions); a larger
-#: pool is bounded, then certified, and screened with CORE_SAMPLES
-#: coalitions if still undecided.
+#: Largest pool the core audit enumerates (2^20 - 1 coalitions). A larger
+#: pool is bounded, then searched over the 2^20 coalitions that take any
+#: subset of its EXHAUSTIVE_LIMIT producers nearest to the LP optimum's
+#: zero, with the rest fixed by the optimum's sign.
 EXHAUSTIVE_LIMIT = 20
-#: Coalitions the core audit draws on a larger pool the certificate leaves open.
-CORE_SAMPLES = 100_000
 
-# The enumeration is checked _CHUNK_ROWS coalitions at a time, so each
-# temporary of the check stays cache-sized (128 KB); a sampled chunk holds
-# at most _CHUNK_CELLS membership cells, whatever the pool size.
+# The subset-sum table stores at most _CHUNK_ROWS coalitions, so each
+# temporary of a check stays cache-sized (128 KB) and the audit holds about
+# 1.5 MB at any pool size.
 _CHUNK_ROWS = 1 << 14
-_CHUNK_CELLS = 1 << 20
 
 
-def _iter_sampled_masks(n: int, samples: int) -> Iterator[np.ndarray]:
-    """Yield random nonempty coalitions drawn from seed 0 as 0/1 rows, at
-    most ``_CHUNK_CELLS`` cells at a time. An empty draw gets one random
-    member, so every row is a real coalition."""
-    rng = np.random.default_rng(0)
-    step = max(1, _CHUNK_CELLS // n)
-    for start in range(0, samples, step):
-        rows = min(step, samples - start)
-        masks = rng.integers(0, 2, size=(rows, n)).astype(np.float64)
-        empty = masks.sum(axis=1) == 0
-        if np.any(empty):
-            masks[empty, rng.integers(0, n, size=int(empty.sum()))] = 1.0
-        yield masks
-
-
-def _scan(sums: np.ndarray, prices: PriceTriple) -> tuple[bool, float, int]:
+def _scan(sums: np.ndarray, prices: PriceTriple):
     """Check a (3 x m) block of coalition sums (contracts, realizations,
-    payoffs); return (all ok, max violation, argmax column)."""
+    payoffs); return the max violation, its column, and (violation, column)
+    of the worst column beyond its own allowance, or None if none is."""
     value = settle(sums[0], sums[1], prices)
     violation = value - sums[2]
     col = int(np.argmax(violation))
     worst = float(violation[col])
     if worst <= DEFAULT_TOLERANCE:  # within the smallest allowance, so all ok
-        return True, worst, col
+        return worst, col, None
     allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.maximum(np.abs(value), np.abs(sums[2])))
-    return bool(np.all(violation <= allowance)), worst, col
+    over = np.where(violation <= allowance, -np.inf, violation)
+    bad = int(np.argmax(over))
+    return worst, col, (None if over[bad] == -np.inf else (float(over[bad]), bad))
 
 
-def _coalition_blocks(members: np.ndarray):
+def _coalition_blocks(members: np.ndarray, base=None):
     """Yield (sums, coalition): a (3 x m) block of coalition sums of the
-    (3 x n) ``members`` rows, and a function naming column col's members.
+    (3 x k) ``members`` rows, and a function naming column col's members.
 
-    Up to ``EXHAUSTIVE_LIMIT`` producers the blocks cover bitmasks 1 ..
-    2^n - 1 in order, cut from one subset-sum table whose column k is column
-    k - 2^i plus member i, for the top bit i of k: each sum adds its members
-    in increasing index order, from zero. Larger pools are sampled.
+    The blocks cover columns 1 .. 2^k - 1 of a subset-sum table in order,
+    and column 0 too when it holds a ``base``, the sums of producers in
+    every coalition. Column j is column j - 2^i plus member i, for the top
+    bit i of j, and column 0 is zero or the base. Only the columns below
+    ``_CHUNK_ROWS`` are stored; each block adds its higher members to them
+    in increasing order, as the table would. With no base, each sum adds
+    its members in increasing index order, from zero.
     """
-    n = members.shape[1]
-    if n > EXHAUSTIVE_LIMIT:
-        for masks in _iter_sampled_masks(n, CORE_SAMPLES):
-            yield members @ masks.T, lambda col, masks=masks: tuple(np.flatnonzero(masks[col]).tolist())
-        return
-    table = np.empty((3, 1 << n))
-    table[:, 0] = 0.0
-    for i in range(n):
+    k = members.shape[1]
+    low = min(k, max(1, _CHUNK_ROWS.bit_length() - 1))  # members whose sums are stored
+    table = np.empty((3, 1 << low))
+    table[:, 0] = 0.0 if base is None else base
+    for i in range(low):
         np.add(table[:, : 1 << i], members[:, i : i + 1], out=table[:, 1 << i : 2 << i])
-    for start in range(1, 1 << n, _CHUNK_ROWS):
-        yield table[:, start : start + _CHUNK_ROWS], lambda col, k=start: tuple(
-            i for i in range(n) if (k + col) >> i & 1
-        )
+    for top in range(0, 1 << k, 1 << low):
+        start = 1 if top == 0 and base is None else 0
+        sums = table[:, start:]
+        for i in range(low, k):
+            if top >> i & 1:
+                sums = sums + members[:, i : i + 1]
+        yield sums, lambda col, j=top + start: tuple(i for i in range(k) if (j + col) >> i & 1)
 
 
 # A bound at most this proves the core. Half the allowance: the coalition
@@ -289,80 +277,80 @@ def _core_bound(contracts, realizations, payoffs, prices):
     return bound, alpha, beta
 
 
-def _lp_optimum(alpha, beta) -> tuple[float, int | None]:
-    """The lam in [0, 1] minimizing U, and the producer whose breakpoint
-    beta_i / (beta_i - alpha_i) it is, if any. U's slope right of 0, the sum
-    of alpha_i - beta_i where beta_i > 0, rises by |alpha_i - beta_i| at each
-    breakpoint. min U is the LP max over t in [0, 1]^n of min(alpha . t,
-    beta . t); that producer is the LP optimum's one fractional member."""
+def _lp_optimum(alpha, beta) -> float:
+    """The lam in [0, 1] minimizing U. U's slope right of 0, the sum of
+    alpha_i - beta_i where beta_i > 0, rises by |alpha_i - beta_i| at each
+    breakpoint beta_i / (beta_i - alpha_i). min U is the LP max over t in
+    [0, 1]^n of min(alpha . t, beta . t)."""
     d = alpha - beta
     slope = float(d[beta > 0.0].sum())
     if slope >= 0.0:
-        return 0.0, None
+        return 0.0
     crossing = np.flatnonzero((alpha > 0.0) != (beta > 0.0))
     breaks = beta[crossing] / (beta[crossing] - alpha[crossing])
     order = np.argsort(breaks, kind="stable")
     turned = np.flatnonzero(slope + np.cumsum(np.abs(d[crossing[order]])) >= 0.0)
-    if turned.size == 0:
-        return 1.0, None
-    first = int(order[turned[0]])
-    return float(breaks[first]), int(crossing[first])
-
-
-def _certify(members: np.ndarray, prices: PriceTriple) -> CoreResult | None:
-    """Decide a pool above ``EXHAUSTIVE_LIMIT`` in O(n) memory, or return
-    None. The three-point bound, or else the LP minimum, proves it within
-    ``_BOUND_MARGIN``. Otherwise the LP optimum, rounded down and up, is
-    judged on its own sums, and the first that violates is returned
-    (``in_core=False``); with neither, the pool is left to the screen."""
-    bound, alpha, beta = _core_bound(*members, prices)
-    if bound <= _BOUND_MARGIN:
-        return CoreResult(True, float(bound), None, 0, True)
-    lam, fractional = _lp_optimum(alpha, beta)
-    value = lam * alpha + (1.0 - lam) * beta
-    bound = np.maximum(value, 0.0).sum()
-    if bound <= _BOUND_MARGIN:
-        return CoreResult(True, float(bound), None, 0, True)
-    candidates = [value > 0.0]
-    if fractional is not None:
-        candidates.append(candidates[0].copy())
-        candidates[0][fractional], candidates[1][fractional] = False, True
-    for checked, mask in enumerate(filter(np.any, candidates), 1):
-        # each sum adds its members in index order, as the table does
-        ok, excess, _ = _scan(members[:, mask].cumsum(axis=1)[:, -1:], prices)
-        if not ok:
-            return CoreResult(False, excess, tuple(np.flatnonzero(mask).tolist()), checked, False)
-    return None
+    return float(breaks[order[turned[0]]]) if turned.size else 1.0
 
 
 def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
     """Can any coalition beat its allocated share ``payoffs`` by seceding?
 
     Up to ``EXHAUSTIVE_LIMIT`` producers, all 2^n - 1 nonempty coalitions are
-    enumerated from one (3 x 2^n) table of coalition sums, and the worst
+    enumerated from one table of coalition sums, and the worst
     violation ``v(T) - allocated(T)`` is reported with its coalition (ties
-    broken toward the lowest subset bitmask). Above it, ``_certify`` proves
-    the pool or finds a violating coalition. Failing that, ``CORE_SAMPLES``
-    coalitions drawn from seed 0 are screened (``exhaustive=False``), which
-    can only find no violation. Table chunks of ``_CHUNK_ROWS`` coalitions,
-    and sampled ones of at most ``_CHUNK_CELLS`` cells, keep memory bounded.
+    broken toward the lowest subset bitmask).
+
+    Above it, the three-point bound of ``_core_bound``, or else the LP
+    minimum of U, proves the pool within ``_BOUND_MARGIN``. Otherwise the
+    ``EXHAUSTIVE_LIMIT`` producers whose value lam* alpha_i + (1 - lam*)
+    beta_i at the LP optimum is nearest 0 are free, every other producer
+    whose value is positive beyond the rounding of its terms is fixed in,
+    and the 2^limit coalitions so formed are searched with the same table.
+    Its sums add the fixed members first, so the coalition reported (the
+    worst beyond its allowance, else the worst) is judged again on its own
+    index-order sums, and only a violation there refutes the pool. The
+    search cannot prove one: ``exhaustive=False``.
     """
     n = len(payoffs)
     if n == 0:
         return CoreResult(True, 0.0, None, 0, True)
     members = np.array([contracts, realizations, payoffs])
-    if n > EXHAUSTIVE_LIMIT:
-        certified = _certify(members, prices)
-        if certified is not None:
-            return certified
-    ok_all, worst, witness, checked = True, -math.inf, None, 0
-    for sums, coalition in _coalition_blocks(members):
-        ok, block_worst, col = _scan(sums, prices)
-        ok_all = ok_all and ok
+    if n <= EXHAUSTIVE_LIMIT:
+        blocks = _coalition_blocks(members)
+    else:
+        bound, alpha, beta = _core_bound(*members, prices)
+        if bound > _BOUND_MARGIN:
+            lam = _lp_optimum(alpha, beta)
+            value = lam * alpha + (1.0 - lam) * beta
+            bound = np.maximum(value, 0.0).sum()
+        if bound <= _BOUND_MARGIN:
+            return CoreResult(True, float(bound), None, 0, True)
+        free = np.sort(np.argsort(np.abs(value), kind="stable")[:EXHAUSTIVE_LIMIT])
+        # the rounding a value can carry: 16 eps times the sizes of its terms
+        rounding = 16 * np.finfo(float).eps * (
+            np.abs(payoffs) + np.abs(prices.day_ahead * contracts)
+            + (abs(prices.rt_buy) + abs(prices.rt_sell)) * np.abs(realizations - contracts)
+        )
+        fixed = np.setdiff1d(np.flatnonzero(value > rounding), free).tolist()
+        base = members[:, fixed].sum(axis=1) if fixed else None
+        blocks = _coalition_blocks(members[:, free], base)
+    worst, witness, bad, checked = -math.inf, None, None, 0
+    for sums, coalition in blocks:
+        block_worst, col, block_bad = _scan(sums, prices)
         checked += sums.shape[1]
         if block_worst > worst:
             worst, witness = block_worst, coalition(col)
-    return CoreResult(ok_all, worst, witness, checked, n <= EXHAUSTIVE_LIMIT)
+        if block_bad is not None and (bad is None or block_bad[0] > bad[0]):
+            bad = block_bad[0], coalition(block_bad[1])
+    if n <= EXHAUSTIVE_LIMIT:
+        return CoreResult(bad is None, worst, witness, checked, True)
+    chosen = witness if bad is None else bad[1]  # positions in free
+    named = tuple(sorted(fixed + free[list(chosen)].tolist()))
+    # added in index order from zero, as the table adds a coalition up to the limit
+    own = np.hstack([np.zeros((3, 1)), members[:, list(named)]]).cumsum(axis=1)[:, -1:]
+    excess, _, refuted = _scan(own, prices)
+    return CoreResult(refuted is None, excess, named, checked, False)
 
 
 def _audit(contracts, realizations, payoffs, standalone, pool, prices) -> PropertyReport:

@@ -514,7 +514,8 @@ def run_simulation(
     error spread.
 
     Contracts and realizations must be finite and >= 0 in every cell of the
-    window. The whole (hours x producers) block is settled at once, each
+    window, and each hour's energy totals, priced, inside ``_check_money``'s
+    range. The whole (hours x producers) block is settled at once, each
     hour's marginal price from its totals, and the payoffs and pooling gain
     equal the one-shot functions' bit for bit. The window is then audited
     at once (see ``SimulationReport``); each hour's verdicts equal
@@ -544,8 +545,15 @@ def run_simulation(
 
     pf, rb, rs = np.array([(p.day_ahead, p.rt_buy, p.rt_sell) for p in window]).T[..., None]
     columns = SimpleNamespace(day_ahead=pf, rt_buy=rb, rt_sell=rs)  # (hours x 1) each
-    total_c = contracts.sum(axis=1, keepdims=True)
-    total_x = realizations.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an hour that overflows is rejected, not warned about
+        total_c = contracts.sum(axis=1, keepdims=True)
+        total_x = realizations.sum(axis=1, keepdims=True)
+        price = np.maximum(1.0, np.abs(np.hstack([pf, rb, rs])).max(axis=1, keepdims=True))
+        money = 16.0 * price * np.maximum(1.0, np.maximum(total_c, total_x))
+    bad = _first_cell(~np.isfinite(money), hours, data.producer_ids)  # _check_money's rule
+    if bad is not None:
+        raise ValueError(f"energy totals of hour {_format_hour(bad[0])} at its prices could "
+                         "overflow a settlement")
     pooled = _pam(contracts, realizations, pf, _marginal_array(total_c, total_x, rb, rs))
     separate = settle(contracts, realizations, columns)
     pool = settle(total_c, total_x, columns).ravel()

@@ -45,8 +45,8 @@ def snapshots(draw, max_n=8, max_energy=300.0):
 
 def inside_core(n, rng):
     """A split of ``n >= 3`` producers that lies in the core with room to
-    spare, yet beyond what the bound proves and what either rounding of its
-    LP optimum refutes: the core audit leaves it open above
+    spare, yet beyond what the bound and the LP minimum prove: the core
+    audit searches it, finds no violation, and leaves it open above
     ``EXHAUSTIVE_LIMIT``. The pool is balanced: producer
     0's surplus of 40 offsets producer 1's shortfall, and the others deviate
     in +/- pairs of less than 20 / n each. On the mechanism's split a

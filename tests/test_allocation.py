@@ -42,19 +42,15 @@ def arrays(snapshot, payoffs):
     return snapshot.contracts, snapshot.realizations, payoffs, snapshot.prices
 
 
-def members(snapshot, payoffs):
-    """The (3 x n) rows of contracts, realizations and payoffs ``_certify`` takes."""
-    return np.array([snapshot.contracts, snapshot.realizations, payoffs])
-
-
 def witness_misses():
-    """A balanced 21-producer split outside the core that the certificate
-    leaves open. Producer 0 is 1 MWh long, producer 1 exact, producer 2 1 MWh
-    short, and nine producers are 5 MWh long and nine 5 MWh short; 1.0 of
-    producer 0's payoff moves to producer 1. A coalition with 0, without 1
-    and of zero total deviation, such as {0, 2}, gains 1.0 by seceding. The
-    LP optimum is lam = 1/2, where only producer 0 has an excess, and
-    neither {0} nor {0, k}, for the producer k it names, deviates by 0."""
+    """A balanced 21-producer split outside the core that neither rounding of
+    its LP optimum refutes. Producer 0 is 1 MWh long, producer 1 exact,
+    producer 2 1 MWh short, and nine producers are 5 MWh long and nine 5 MWh
+    short; 1.0 of producer 0's payoff moves to producer 1. A coalition with
+    0, without 1 and of zero total deviation, such as {0, 2}, gains 1.0 by
+    seceding. The LP optimum is lam = 1/2, where only producer 0 has an
+    excess, and neither {0} nor {0, k}, for the producer k it names,
+    deviates by 0."""
     dev = np.array([1.0, 0.0, -1.0] + [5.0] * 9 + [-5.0] * 9)
     s = snap([10.0] * 21, 10.0 + dev)
     payoffs = allocate(s).payoffs + np.array([-1.0, 1.0] + [0.0] * 19)
@@ -73,7 +69,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
         "allocation": (
             "PamConfig", "ConfigurationError", "resolve_balance_price", "check_budget_balance",
             "check_individual_rationality", "check_fairness", "check_no_exploitation",
-            "check_core_membership",
+            "check_core_membership", "_iter_sampled_masks", "CORE_SAMPLES", "_CHUNK_CELLS",
+            "_certify",
         ),
         "market": ("SurplusPartition", "partition_surplus_shortfall"),
         "equilibrium": ("ProductionFunction", "Redistribution"),
@@ -238,65 +235,67 @@ class TestCoreMembership:
         assert not run_property_checks(bad, s).in_core
 
     def test_exhaustive_refuses_large_pools(self, monkeypatch):
-        # a pool of EXHAUSTIVE_LIMIT + 1 producers is bounded, certified,
-        # then sampled, not refused
+        # a pool of EXHAUSTIVE_LIMIT + 1 producers is bounded, then searched,
+        # not refused
         rng = np.random.default_rng(0)
         n = allocation.EXHAUSTIVE_LIMIT + 1
         s, alloc = inside_core(n, rng)
         result = run_property_checks(alloc, s).core
         assert result.in_core
         assert not result.exhaustive
-        assert result.coalitions_checked == allocation.CORE_SAMPLES
+        assert result.coalitions_checked == 2**allocation.EXHAUSTIVE_LIMIT
         # the bound proves the mechanism's own split, with no coalition checked
         result = run_property_checks(allocate(s), s).core
         assert (result.in_core, result.exhaustive, result.coalitions_checked) == (True, True, 0)
         assert result.worst_coalition is None
         # a pool of exactly EXHAUSTIVE_LIMIT producers is still enumerated
         monkeypatch.setattr(allocation, "EXHAUSTIVE_LIMIT", 8)
-        for n, exhaustive in ((8, True), (9, False)):
+        for n, checked in ((8, 255), (9, 256)):
             s, alloc = inside_core(n, rng)
             result = run_property_checks(alloc, s).core
             assert result.in_core
-            assert result.exhaustive is exhaustive
-            assert result.coalitions_checked == (255 if exhaustive else allocation.CORE_SAMPLES)
+            assert result.exhaustive is (n == 8)
+            assert result.coalitions_checked == checked
 
-    def test_sampled_mode(self, monkeypatch):
-        monkeypatch.setattr(allocation, "CORE_SAMPLES", 2000)
+    def test_open_pool_is_searched_not_proven(self):
         rng = np.random.default_rng(1)
         s, alloc = inside_core(22, rng)
         # the LP minimum of this split is about 1.6e-5, above the margin, and
-        # neither rounding of the LP optimum is a violation
-        assert allocation._certify(members(s, alloc.payoffs), s.prices) is None
+        # no coalition of the search violates: the pool stays open
         result = run_property_checks(alloc, s).core
-        assert result.in_core
-        assert not result.exhaustive
-        assert result.coalitions_checked == 2000
+        assert (result.in_core, result.exhaustive) == (True, False)
+        assert result.coalitions_checked == 2**20
+        # the coalition named is the search's worst, judged on its own sums
+        excess, allowance = coalition_excess(*arrays(s, alloc.payoffs), result.worst_coalition)
+        assert result.worst_violation == excess <= allowance
         # the mechanism's split of a random pool is proven instead
         s = random_snapshot(rng, n_min=22, n_max=22)
         result = run_property_checks(allocate(s), s).core
         assert result.in_core and result.exhaustive
         assert result.coalitions_checked == 0
 
-    def test_sampled_mode_finds_planted_violation(self, monkeypatch):
-        monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
-        monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64 * 21)
-        # the certificate leaves this split open; the coalitions with 0,
-        # without 1 and of zero total deviation gain 1.0, and the first
-        # such draw is the witness
+    def test_search_finds_what_the_roundings_miss(self):
+        # the coalitions with 0, without 1 and of zero total deviation gain
+        # 1.0; producer 1 is not free, producer 0 is, and the lowest column
+        # of the search that gains 1.0 is {0, 2}
         s, alloc = witness_misses()
-        assert allocation._certify(members(s, alloc.payoffs), s.prices) is None
         result = run_property_checks(alloc, s).core
-        assert not result.in_core
-        assert not result.exhaustive
-        assert result.coalitions_checked == 500
-        assert result.worst_violation == 1.0
-        masks = np.concatenate(list(allocation._iter_sampled_masks(s.n, 500)))
-        cancel = masks @ (s.realizations - s.contracts) == 0.0
-        first = masks[(masks[:, 0] == 1.0) & (masks[:, 1] == 0.0) & cancel][0]
-        assert result.worst_coalition == tuple(np.flatnonzero(first).tolist())
-        # pools up to EXHAUSTIVE_LIMIT are enumerated, even with more
-        # coalitions (511 for 9 producers) than CORE_SAMPLES; the 5-producer
-        # pool ties (0, 1) with (0, 1, 2), and the lowest bitmask wins
+        assert (result.in_core, result.exhaustive) == (False, False)
+        assert result.coalitions_checked == 2**20 - 1
+        assert (result.worst_coalition, result.worst_violation) == ((0, 2), 1.0)
+        coalition = list(result.worst_coalition)
+        assert 0 in coalition and 1 not in coalition
+        assert s.realizations[coalition].sum() == s.contracts[coalition].sum()
+        # a short pool where the idle producer 0 is paid -2e-9 and producers 1
+        # and 2 give up 1e-8 each: {0, 1, 2} has the largest excess, 2.2e-8,
+        # within its allowance of 1.7e-6, and only {0} exceeds its own, 1e-9.
+        # The search names the violation, not the largest excess
+        s = snap([0.0] + [100.0] * 20, [0.0] + [90.0] * 20)
+        payoffs = allocate(s).payoffs + np.array([-2e-9, -1e-8, -1e-8] + [0.0] * 17 + [1.0])
+        result = allocation._core(*arrays(s, payoffs))
+        assert (result.in_core, result.worst_coalition, result.worst_violation) == (False, (0,), 2e-9)
+        # pools up to EXHAUSTIVE_LIMIT are enumerated; the 5-producer pool
+        # ties (0, 1) with (0, 1, 2), and the lowest bitmask wins
         tied = snap([100, 50, 20, 30, 40], [100, 50, 20, 30, 40])
         cases = [
             (snap([100, 0], [100, 0]), None),
@@ -314,83 +313,66 @@ class TestCoreMembership:
 
     def test_certificate_finds_planted_violation(self):
         # only producer 0 delivers, and producer 1 is paid 200 of its 1000:
-        # every coalition with 0 and without 1 falls short by 200. The LP
-        # optimum takes producer 0 alone, the one producer with an excess
+        # every coalition with 0 and without 1 falls short by 200. Producer 0
+        # is free, as is every idle producer, and {0} is the lowest column
         s = snap([100] + [0] * 20, [100] + [0] * 20)
         alloc = PayoffAllocation(np.array([800.0, 200.0] + [0.0] * 19), 1000.0)
         result = run_property_checks(alloc, s).core
-        assert (result.in_core, result.exhaustive, result.coalitions_checked) == (False, False, 1)
+        assert (result.in_core, result.exhaustive) == (False, False)
+        assert result.coalitions_checked == 2**20 - 1
         assert (result.worst_coalition, result.worst_violation) == ((0,), 200.0)
         # equal shares of a 21-producer pool where one producer delivers
-        # all: producer 0, on its own, earns 2000 more than its share
+        # all: producer 0, fixed in, earns 2000 more than its share on its own
         s = snap([210] + [0] * 20, [210] + [0] * 20)
         alloc = equal_split(s)
         result = run_property_checks(alloc, s).core
         assert (result.in_core, result.worst_coalition, result.worst_violation) == (False, (0,), 2000.0)
+        assert result.coalitions_checked == 2**20
         # a balanced pool where producer 1 takes 1.0 of producer 0's share:
-        # the LP optimum is fractional in producer 2, and only the rounding
-        # that adds it blocks the split, with the coalition {0, 2}
+        # the LP optimum is fractional in producer 2, which is free, and
+        # producer 0 is fixed in: {0, 2} blocks the split
         s = snap([10.0, 10.0, 10.0] + [5.0] * 19, [6.0, 10.0, 14.0] + [5.0] * 19)
         payoffs = allocate(s).payoffs + np.array([-1.0, 1.0] + [0.0] * 20)
         result = run_property_checks(PayoffAllocation(payoffs, aggregator_payoff(s)), s).core
-        assert (result.in_core, result.worst_coalition, result.coalitions_checked) == (False, (0, 2), 2)
+        assert (result.in_core, result.worst_coalition, result.coalitions_checked) == (
+            False, (0, 2), 2**20
+        )
         assert result.worst_violation == coalition_value(s, [0, 2]) - payoffs[[0, 2]].sum() == 1.0
 
-    def test_sampled_mode_scans_in_chunks(self, monkeypatch):
-        monkeypatch.setattr(allocation, "CORE_SAMPLES", 500)
-        monkeypatch.setattr(allocation, "_CHUNK_CELLS", 64)
-        s, alloc = witness_misses()
-        result = run_property_checks(alloc, s).core
-        assert not result.in_core
-        assert result.coalitions_checked == 500
-        coalition = list(result.worst_coalition)
-        assert result.worst_violation == coalition_value(s, coalition) - alloc.payoffs[coalition].sum()
-        # a one-producer pool draws the empty coalition half the time; each
-        # chunk repairs its own empty rows
-        chunks = list(allocation._iter_sampled_masks(1, 500))
-        assert [len(m) for m in chunks] == [64] * 7 + [52]
-        assert all(m.sum(axis=1).min() == 1.0 for m in chunks)
-
-    def test_sampled_memory_is_bounded_by_cells(self, monkeypatch):
-        # the sampled screen's peak must not grow with the pool: a chunk
-        # holds _CHUNK_CELLS membership cells, not a fixed number of rows
-        monkeypatch.setattr(allocation, "CORE_SAMPLES", 4000)
-        peaks = []
-        for n in (500, 2000):
-            s, alloc = inside_core(n, np.random.default_rng(n))
-            tracemalloc.start()
-            try:
-                result = allocation._core(s.contracts, s.realizations, alloc.payoffs, s.prices)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert result.in_core
-            assert result.coalitions_checked == 4000
-            # the mechanism's split is proven without a sample
-            proven = run_property_checks(allocate(s), s).core
-            assert proven.in_core and proven.coalitions_checked == 0
-        # a float64 chunk, the int64 draw it is cast from, and the previous
-        # chunk, which its witness lookup keeps alive
-        assert max(peaks) < 4 * 8 * allocation._CHUNK_CELLS
-        assert peaks[1] < 1.25 * peaks[0]
+    def test_search_is_deterministic_across_chunks(self, monkeypatch):
+        # the search draws nothing: two calls, and any chunk size, give the
+        # same result, ties going to the lowest column of the table
+        open_pool = inside_core(21, np.random.default_rng(2))
+        results = []
+        for chunk_rows in (1 << 14, 1 << 14, 1 << 9, 1 << 20):
+            monkeypatch.setattr(allocation, "_CHUNK_ROWS", chunk_rows)
+            results.append([run_property_checks(alloc, s).core
+                            for s, alloc in (witness_misses(), open_pool)])
+        assert all(r == results[0] for r in results[1:])
+        assert results[0][0].worst_coalition == (0, 2)
+        assert results[0][1].in_core and not results[0][1].exhaustive
 
     def test_certificate_memory_grows_linearly(self):
-        # the certificate holds a few n-vectors, never a coalition block, so
-        # its peak is linear in the pool: 4 times the producers, about 4
-        # times the peak
+        # the search stores _CHUNK_ROWS columns of its table, fills one block
+        # of that size at a time, and keeps a few n-vectors besides: its peak
+        # is a fixed number of blocks plus a part linear in the pool
+        blocks = 16 * 8 * allocation._CHUNK_ROWS
         peaks = []
         for n in (500, 2000):
             s, alloc = inside_core(n, np.random.default_rng(n))
-            rows = members(s, alloc.payoffs)
             tracemalloc.start()
             try:
-                result = allocation._certify(rows, s.prices)
+                result = allocation._core(*arrays(s, alloc.payoffs))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert result is None
-            assert peaks[-1] < 40 * 8 * n
-        assert 3.0 * peaks[0] < peaks[1] < 5.0 * peaks[0]
+            assert result.in_core and not result.exhaustive
+            assert result.coalitions_checked == 2**allocation.EXHAUSTIVE_LIMIT
+            assert peaks[-1] < blocks + 40 * 8 * n
+            # the mechanism's split is proven without a search
+            proven = run_property_checks(allocate(s), s).core
+            assert proven.in_core and proven.coalitions_checked == 0
+        assert peaks[0] < peaks[1] < peaks[0] + 40 * 8 * 1500
 
 
 # Small whole numbers make exact ties between coalitions, and exact
@@ -483,7 +465,7 @@ EDGE_PAYOFFS = allocate(EDGE).payoffs + np.array([0.0, 0.0, 1e-9, -1e-9])
 @example((EDGE, EDGE_PAYOFFS, "moved"))
 def test_bound_proves_only_pools_in_the_core(case):
     s, payoffs, style = case
-    check_certificate(s, payoffs)
+    check_search(s, payoffs, 1)
     # the mechanism's short and long splits are proven with a bound of exactly 0
     if style == "mechanism" and not allocation.marginal_price(s)[1]:
         with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", 0):
@@ -491,33 +473,33 @@ def test_bound_proves_only_pools_in_the_core(case):
         assert result.coalitions_checked == 0 and result.worst_violation == 0.0
 
 
-def check_certificate(s, payoffs):
-    """The core verdict on ``payoffs``, with ``EXHAUSTIVE_LIMIT`` at 0 and 16
-    samples, against the loop oracle: a proof means no coalition violates, a
-    witness of the certificate violates beyond its own allowance, and the
-    screen refutes only a split the oracle refutes."""
-    with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", 0), mock.patch.object(
-        allocation, "CORE_SAMPLES", 16
-    ):
+def check_search(s, payoffs, limit):
+    """The core verdict on ``payoffs``, with ``EXHAUSTIVE_LIMIT`` at ``limit``,
+    against the loop oracle. A pool above the limit is proven only if no
+    coalition violates. Otherwise the search names a coalition whose excess
+    equals ``coalition_excess`` bit for bit, and refutes the pool exactly
+    when that excess exceeds its own allowance, which the oracle confirms."""
+    with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", limit):
         result = allocation._core(*arrays(s, payoffs))
     ok = core_scan(*arrays(s, payoffs))[0]
-    if result.exhaustive:  # proven by the bound
+    if s.n <= limit:  # enumerated, as test_core_scan_matches_loop_oracle_bit_for_bit checks
+        assert result.exhaustive and result.in_core is ok
+    elif result.exhaustive:  # proven by the bound or the LP minimum
         assert ok
         assert (result.in_core, result.worst_coalition, result.coalitions_checked) == (True, None, 0)
-    elif result.coalitions_checked == 16:  # left open by the certificate
-        assert result.in_core or not ok
     else:
         excess, allowance = coalition_excess(*arrays(s, payoffs), result.worst_coalition)
-        assert result.worst_violation == excess > allowance
-        assert result.coalitions_checked in (1, 2)
-        assert not (result.in_core or ok)
+        assert np.float64(result.worst_violation).tobytes() == np.float64(excess).tobytes()
+        assert result.in_core is (excess <= allowance)
+        assert result.coalitions_checked in (2**limit - 1, 2**limit)
+        assert result.in_core or not ok
 
 
 @settings(max_examples=300, deadline=None)
-@given(core_cases())
-def test_certificate_is_sound(case):
+@given(core_cases(), st.integers(2, 4))
+def test_certificate_is_sound(case, limit):
     s, alloc = case
-    check_certificate(s, alloc.payoffs)
+    check_search(s, alloc.payoffs, limit)
 
 
 _EXCESS = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
@@ -527,14 +509,15 @@ _EXCESS = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
 @given(st.lists(st.tuples(_EXCESS, _EXCESS), min_size=1, max_size=30))
 def test_lp_optimum_attains_the_minimum_of_u(pairs):
     alpha, beta = (np.array(v) for v in zip(*pairs))
-    lam, fractional = allocation._lp_optimum(alpha, beta)
+    lam = allocation._lp_optimum(alpha, beta)
     u = float(np.maximum(lam * alpha + (1.0 - lam) * beta, 0.0).sum())
     scale = float(np.abs(alpha).sum() + np.abs(beta).sum())
     assert 0.0 <= lam <= 1.0
     assert abs(u - lp_minimum(alpha, beta)) <= 1e-13 * max(1.0, scale)
-    if fractional is not None:  # the producer crosses 0 at lam
-        a, b = alpha[fractional], beta[fractional]
-        assert (a > 0.0) != (b > 0.0) and lam == b / (b - a)
+    # lam is an end or a producer's breakpoint, where it crosses 0
+    crossing = (alpha > 0.0) != (beta > 0.0)
+    breaks = beta[crossing] / (beta[crossing] - alpha[crossing])
+    assert lam in (0.0, 1.0) or lam in breaks.tolist()
 
 
 @pytest.mark.parametrize("n", [21, 500, 2000])

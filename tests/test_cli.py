@@ -202,9 +202,9 @@ class TestCheckCoreCommand:
             assert "in_core               : True (worst violation 0.0, coalition None)\n" in out
 
     def test_open_pool_is_reported_not_proven(self, tmp_path, capsys):
-        # in the core with room to spare, but neither the bound nor a
-        # rounding of the LP optimum decides it, and the sampled screen
-        # finds no violation: in_core stays True, exit 0
+        # in the core with room to spare, but the bound does not prove it
+        # and the search around the LP optimum finds no violation: in_core
+        # stays True, exit 0
         s, alloc = inside_core(21, np.random.default_rng(0))
         snapshot = write_csv(tmp_path / "snap.csv", ["producer_id", "contract_mwh", "actual_mwh"],
                              zip(s.producer_ids, s.contracts.tolist(), s.realizations.tolist()))
@@ -518,6 +518,28 @@ class TestSimulateCommand:
                      "--train", "0:4", "--sim", "4:10", "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT_ERROR
         assert f"{gen}:4322: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hour_2", [["1e308", "45"], ["5e305", "5e305"]],
+                             ids=["contract-1e308", "contract-total"])
+    def test_window_that_could_overflow_names_the_hour(self, tmp_path, capsys, recwarn, hour_2):
+        # the one-shot domain rule, per hour of the window: hour 2's contract
+        # total at 15 / MWh leaves the float range once multiplied by 16, so
+        # the run stops before settling, with no numpy warning
+        rows = [[h, p, 50, 48 + h + k] for h in range(3) for k, p in enumerate(("w1", "w2"))]
+        gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
+                        rows)
+        contracts = write_csv(tmp_path / "contracts.csv", ["hour", "producer_id", "contract_mwh"],
+                              [[1, "w1", 50], [1, "w2", 50], [2, "w1", hour_2[0]],
+                               [2, "w2", hour_2[1]]])
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
+                     "--contracts", str(contracts), "--train", "0:1", "--sim", "1:3",
+                     "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert err == "error: energy totals of hour 2 at its prices could overflow a settlement\n"
+        assert not recwarn.list
+        assert not out_dir.exists()
 
     def test_quantile_one_sizing_names_the_hour(self, generation_file, tmp_path, capsys):
         prices = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"],

@@ -541,7 +541,7 @@ def test_window_audit_falls_back_to_the_one_pool_kernels(monkeypatch, limit):
       on its own than it is paid, though every producer gets more than it
       earns alone.
 
-    With ``EXHAUSTIVE_LIMIT`` at 2 the open hours are certified instead."""
+    With ``EXHAUSTIVE_LIMIT`` at 2 the open hours are searched instead."""
     if limit is not None:
         monkeypatch.setattr(allocation, "EXHAUSTIVE_LIMIT", limit)
     actuals = np.array(

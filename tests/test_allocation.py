@@ -352,10 +352,10 @@ class TestCoreMembership:
         assert results[0][0].worst_coalition == (0, 2)
         assert results[0][1].in_core and not results[0][1].exhaustive
 
-    def test_certificate_memory_grows_linearly(self):
-        # the search stores _CHUNK_ROWS columns of its table, fills one block
-        # of that size at a time, and keeps a few n-vectors besides: its peak
-        # is a fixed number of blocks plus a part linear in the pool
+    def test_sampled_memory_is_bounded_by_cells(self):
+        # the above-limit path's peak must not grow with the pool beyond
+        # O(n): the search stores _CHUNK_ROWS columns of its table, fills one
+        # block of that size at a time, and keeps a few n-vectors besides
         blocks = 16 * 8 * allocation._CHUNK_ROWS
         peaks = []
         for n in (500, 2000):
@@ -373,6 +373,26 @@ class TestCoreMembership:
             proven = run_property_checks(allocate(s), s).core
             assert proven.in_core and proven.coalitions_checked == 0
         assert peaks[0] < peaks[1] < peaks[0] + 40 * 8 * 1500
+
+    def test_certificate_memory_grows_linearly(self):
+        # the certificate, the three-point bound and the LP minimum of U,
+        # holds a few n-vectors, never a coalition block, so its peak is
+        # linear in the pool: 4 times the producers, about 4 times the peak
+        peaks = []
+        for n in (500, 2000):
+            s, alloc = inside_core(n, np.random.default_rng(n))
+            tracemalloc.start()
+            try:
+                bound, alpha, beta = allocation._core_bound(*arrays(s, alloc.payoffs))
+                lam = allocation._lp_optimum(alpha, beta)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            # the split is beyond what the certificate proves
+            assert bound > allocation._BOUND_MARGIN
+            assert np.maximum(lam * alpha + (1.0 - lam) * beta, 0.0).sum() > allocation._BOUND_MARGIN
+            assert peaks[-1] < 40 * 8 * n
+        assert 3.0 * peaks[0] < peaks[1] < 5.0 * peaks[0]
 
 
 # Small whole numbers make exact ties between coalitions, and exact

@@ -8,7 +8,9 @@ whole pipeline, including the emitted files, is byte-for-byte reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -85,37 +87,127 @@ def _parse_float(text: str, column: str) -> float:
     return value
 
 
+CHUNK_ROWS = 1024
+"""Rows the column path parses per pass: enough to amortise each column
+operation, few enough that no whole-file list of rows is ever alive."""
+
+
+class _Rejected(Exception):
+    """The column path's screen found a row that breaks a rule; the per-row
+    rules then read the file again, only to name that row."""
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _data_rows(fh, path: Path, headers) -> tuple:
+    """A csv.reader over ``fh`` positioned after its header, and the header's
+    width. The header must equal one of ``headers``."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TimeseriesFormatError(f"{path}:1: empty file") from None
+    if [h.strip() for h in header] not in headers:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        raise TimeseriesFormatError(
+            f"{path}:1: expected header {expected}, got {','.join(header)!r}"
+        )
+    return reader, len(header)
+
+
 def _read_rows(path, *headers: list[str]):
     """Yield (line_number, row) for each data row, after checking the header.
 
     The header must equal one of ``headers``; every data row must then have
-    as many fields as the header it matched. Blank lines are skipped. The
-    row parsers below raise without a location; each loader re-raises with
-    ``path:line`` in front, so that string is built only for a bad row.
+    as many fields as the header it matched. Blank lines are skipped. A row
+    is numbered by the line it starts on, which a quoted field holding a
+    line break pushes past the count of rows. The row parsers below raise
+    without a location; each loader re-raises with ``path:line`` in front,
+    so that string is built only for a bad row.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise TimeseriesFormatError(f"{path}:1: empty file") from None
-            if [h.strip() for h in header] not in headers:
-                expected = " or ".join(repr(",".join(h)) for h in headers)
-                raise TimeseriesFormatError(
-                    f"{path}:1: expected header {expected}, got {','.join(header)!r}"
-                )
-            for line_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
+            reader, width = _data_rows(fh, path, headers)
+            end = reader.line_num
+            for row in reader:
+                line_no, end = end + 1, reader.line_num
+                if _is_blank(row):
                     continue
-                if len(row) != len(header):
+                if len(row) != width:
                     raise TimeseriesFormatError(
-                        f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                        f"{path}:{line_no}: expected {width} fields, got {len(row)}"
                     )
                 yield line_no, row
     except UnicodeDecodeError as exc:
         raise TimeseriesFormatError(_undecodable(path, exc)) from None
+
+
+def _read_columns(path: Path, header: list[str]):
+    """Yield the data rows of ``path`` as a tuple of columns, ``CHUNK_ROWS``
+    rows at a time, after checking the header as ``_read_rows`` does.
+
+    Blank lines are skipped. A row with another number of fields, or a byte
+    that is not UTF-8, raises ``_Rejected``: the per-row rules then name the
+    first bad row, which may come before it.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader, width = _data_rows(fh, path, (header,))
+            while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+                if set(map(len, chunk)) != {width}:
+                    if not all(len(row) == width or _is_blank(row) for row in chunk):
+                        raise _Rejected
+                    chunk = [row for row in chunk if len(row) == width]
+                if chunk:
+                    yield tuple(zip(*chunk))
+    except UnicodeDecodeError:
+        raise _Rejected from None
+
+
+def _codes(texts: tuple, codes: dict, parse) -> np.ndarray:
+    """The code of each text of a column, from ``codes`` (text: code). Each
+    text not yet in ``codes`` is parsed once, by ``parse``; a text it rejects
+    (ValueError, or KeyError for a name it does not know) raises ``_Rejected``."""
+    found = list(map(codes.get, texts))
+    if None in found:
+        for text in dict.fromkeys(texts):
+            if text not in codes:
+                try:
+                    codes[text] = parse(text)
+                except (ValueError, KeyError):
+                    raise _Rejected from None
+        found = list(map(codes.__getitem__, texts))
+    return np.array(found, dtype=np.intp)
+
+
+def _amounts(texts: tuple) -> np.ndarray:
+    """A column of energies: each text through ``float``, as ``_parse_float``
+    reads it, and every value finite and >= 0, or ``_Rejected``."""
+    try:
+        values = np.array(list(map(float, texts)))
+    except ValueError:
+        raise _Rejected from None
+    if not (values.min() >= 0.0 and values.max() < math.inf):  # NaN fails both
+        raise _Rejected
+    return values
+
+
+def _first_bad_row(path: Path, header: list[str], check) -> TimeseriesFormatError:
+    """The error, with ``path:line``, of the first row of ``path`` that breaks
+    one of the per-row rules ``check`` applies (each row in file order).
+
+    Run only after the column path rejected the file, so some row breaks a
+    rule; a file where none does is an internal error, never a pass.
+    """
+    for line_no, row in _read_rows(path, header):
+        try:
+            check(row)
+        except TimeseriesFormatError as exc:
+            return TimeseriesFormatError(f"{path}:{line_no}: {exc}")
+    raise RuntimeError(f"{path}: the column screen rejected the file, but no row breaks a rule")
 
 
 def _undecodable(path: Path, exc: UnicodeDecodeError) -> str:
@@ -178,61 +270,110 @@ def _first_cell(mask: np.ndarray, hours, producer_ids):
     return (hours[cells[0, 0]], producer_ids[cells[0, 1]]) if cells.size else None
 
 
+def _generation_rules():
+    """The per-row rules of a generation file, as a check that raises on the
+    first rule a row breaks; the check remembers the rows it has passed."""
+    seen: set[tuple] = set()
+    first_kind = None
+
+    def check(row):
+        nonlocal first_kind
+        hour = _parse_hour(row[0])
+        kind = _hour_kind(hour)
+        first_kind = first_kind or kind
+        if kind != first_kind:
+            raise TimeseriesFormatError(
+                f"{kind} hour mixes with {first_kind} hours used earlier in the file"
+            )
+        producer = _parse_producer(row[1], ())
+        forecast = _parse_float(row[2], "forecast_mwh")
+        actual = _parse_float(row[3], "actual_mwh")
+        if forecast < 0.0 or actual < 0.0:
+            raise TimeseriesFormatError("negative generation")
+        key = (hour, producer)
+        if key in seen:
+            raise TimeseriesFormatError(
+                f"duplicate (hour, producer) key ({_format_hour(hour)}, {producer!r})"
+            )
+        seen.add(key)
+
+    return check
+
+
+def _in_sorted_order(codes: dict) -> tuple:
+    """The values of ``codes`` (value: code) sorted, and the position of
+    each code's value in that order, as an array indexed by code."""
+    values = tuple(sorted(codes))
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[[codes[value] for value in values]] = np.arange(len(values))
+    return values, ranks
+
+
 def load_timeseries(path) -> GenerationSeries:
     """Load the generation CSV (hour, producer_id, forecast_mwh, actual_mwh).
 
     Missing (hour, producer) combinations, duplicates, negative energy, and
     malformed rows are all errors; nothing is imputed.
+
+    The file is parsed a column at a time, ``CHUNK_ROWS`` rows per pass:
+    each distinct hour and producer text once, and the numbers, their range
+    and the (hour, producer) cells as arrays. When that screen rejects the
+    file, ``_generation_rules`` read it again to name the first bad row.
     """
     path = Path(path)
-    hour_col, producer_col, forecast_col, actual_col = [], [], [], []
-    seen: set[tuple] = set()
-    first_kind = None
-    for line_no, row in _read_rows(path, GENERATION_HEADER):
-        try:
-            hour = _parse_hour(row[0])
-            kind = _hour_kind(hour)
-            first_kind = first_kind or kind
-            if kind != first_kind:
-                raise TimeseriesFormatError(
-                    f"{kind} hour mixes with {first_kind} hours used earlier in the file"
-                )
-            producer = _parse_producer(row[1], ())
-            forecast = _parse_float(row[2], "forecast_mwh")
-            actual = _parse_float(row[3], "actual_mwh")
-            if forecast < 0.0 or actual < 0.0:
-                raise TimeseriesFormatError("negative generation")
-            key = (hour, producer)
-            if key in seen:
-                raise TimeseriesFormatError(
-                    f"duplicate (hour, producer) key ({_format_hour(hour)}, {producer!r})"
-                )
-            seen.add(key)
-            hour_col.append(hour)
-            producer_col.append(producer)
-            forecast_col.append(forecast)
-            actual_col.append(actual)
-        except TimeseriesFormatError as exc:
-            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
-    if not seen:
+    try:
+        return _generation_columns(path)
+    except _Rejected:
+        pass
+    raise _first_bad_row(path, GENERATION_HEADER, _generation_rules())
+
+
+def _generation_columns(path: Path) -> GenerationSeries:
+    hour_codes: dict = {}  # hour: code, in the order first read
+    producer_codes: dict[str, int] = {}
+    kinds: set[str] = set()
+
+    def hour_code(text):
+        hour = _parse_hour(text)
+        kinds.add(_hour_kind(hour))
+        return hour_codes.setdefault(hour, len(hour_codes))
+
+    def producer_code(text):
+        return producer_codes.setdefault(_parse_producer(text, ()), len(producer_codes))
+
+    hour_texts: dict = {}  # text: code, so each distinct text is parsed once
+    producer_texts: dict = {}
+    hour_parts, producer_parts, forecast_parts, actual_parts = [], [], [], []
+    for hour_col, producer_col, forecast_col, actual_col in _read_columns(path, GENERATION_HEADER):
+        hour_parts.append(_codes(hour_col, hour_texts, hour_code))
+        producer_parts.append(_codes(producer_col, producer_texts, producer_code))
+        forecast_parts.append(_amounts(forecast_col))
+        actual_parts.append(_amounts(actual_col))
+        if len(kinds) > 1:
+            raise _Rejected
+    if not hour_parts:
         raise TimeseriesFormatError(f"{path}: no data rows")
 
-    hours = tuple(sorted(set(hour_col)))
-    producers = tuple(sorted(set(producer_col)))
-    hour_index = {hour: i for i, hour in enumerate(hours)}
-    producer_index = {producer: i for i, producer in enumerate(producers)}
-    cells = [hour_index[h] for h in hour_col], [producer_index[p] for p in producer_col]
-    forecasts = np.full((len(hours), len(producers)), np.nan)
-    actuals = forecasts.copy()
-    forecasts[cells] = forecast_col
-    actuals[cells] = actual_col
-    gap = _first_cell(np.isnan(forecasts), hours, producers)
+    hours, hour_ranks = _in_sorted_order(hour_codes)
+    producers, producer_ranks = _in_sorted_order(producer_codes)
+    cells = hour_ranks[np.concatenate(hour_parts)]
+    cells *= len(producers)
+    cells += producer_ranks[np.concatenate(producer_parts)]
+    blocks = []
+    for parts in (forecast_parts, actual_parts):
+        block = np.full((len(hours), len(producers)), np.nan)
+        block.reshape(-1)[cells] = np.concatenate(parts)
+        blocks.append(block)
+    named = ~np.isnan(blocks[0])  # every value is finite, so NaN marks a cell no row names
+    if np.count_nonzero(named) < len(cells):  # two rows named one cell
+        raise _Rejected
+    gap = _first_cell(~named, hours, producers)
     if gap is not None:
         raise TimeseriesFormatError(
             f"{path}: missing hour {_format_hour(gap[0])} for producer {gap[1]!r}; "
             "the series must be dense"
         )
-    return GenerationSeries(producers, hours, forecasts, actuals)
+    return GenerationSeries(producers, hours, *blocks)
 
 
 def load_prices(path, series: GenerationSeries) -> tuple:
@@ -258,36 +399,65 @@ def load_prices(path, series: GenerationSeries) -> tuple:
     return tuple(prices)
 
 
+def _schedule_rules(series: GenerationSeries):
+    """The per-row rules of a contract schedule for ``series``, as
+    ``_generation_rules`` gives those of a generation file."""
+    hour_rows = {hour: i for i, hour in enumerate(series.hours)}
+    producer_index = {producer: i for i, producer in enumerate(series.producer_ids)}
+    seen: set[tuple] = set()
+
+    def check(row):
+        hour, hour_row = _series_row(row[0], hour_rows)
+        producer = _parse_producer(row[1], ())
+        if producer not in producer_index:
+            raise TimeseriesFormatError(f"producer {producer!r} is not in the generation series")
+        contract = _parse_float(row[2], "contract_mwh")
+        if contract < 0.0:
+            raise TimeseriesFormatError("negative contract")
+        cell = hour_row, producer_index[producer]
+        if cell in seen:
+            raise TimeseriesFormatError(
+                f"duplicate (hour, producer) key ({_format_hour(hour)}, {producer!r})"
+            )
+        seen.add(cell)
+
+    return check
+
+
 def load_contract_schedule(path, series: GenerationSeries) -> np.ndarray:
     """Load a per-hour contract CSV (hour, producer_id, contract_mwh).
 
     Every row must name one of the hours and one of the producers of
     ``series``, the generation series the schedule is for. The result is an
     (hours x producers) block aligned with ``series``, NaN in each cell no row names.
+    The file is parsed as ``load_timeseries`` parses its own.
     """
     path = Path(path)
+    try:
+        return _schedule_columns(path, series)
+    except _Rejected:
+        pass
+    raise _first_bad_row(path, CONTRACT_HEADER, _schedule_rules(series))
+
+
+def _schedule_columns(path: Path, series: GenerationSeries) -> np.ndarray:
     hour_rows = {hour: i for i, hour in enumerate(series.hours)}
     producer_index = {producer: i for i, producer in enumerate(series.producer_ids)}
     schedule = np.full((series.n_hours, series.n_producers), np.nan)
-    for line_no, row in _read_rows(path, CONTRACT_HEADER):
-        try:
-            hour, hour_row = _series_row(row[0], hour_rows)
-            producer = _parse_producer(row[1], ())
-            if producer not in producer_index:
-                raise TimeseriesFormatError(
-                    f"producer {producer!r} is not in the generation series"
-                )
-            contract = _parse_float(row[2], "contract_mwh")
-            if contract < 0.0:
-                raise TimeseriesFormatError("negative contract")
-            cell = hour_row, producer_index[producer]
-            if not math.isnan(schedule[cell]):
-                raise TimeseriesFormatError(
-                    f"duplicate (hour, producer) key ({_format_hour(hour)}, {producer!r})"
-                )
-            schedule[cell] = contract
-        except TimeseriesFormatError as exc:
-            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
+    cells_of = schedule.reshape(-1)  # a view: one flat index per (hour, producer) cell
+    hour_texts: dict = {}
+    producer_texts: dict = {}
+    rows = 0
+    for hour_col, producer_col, contract_col in _read_columns(path, CONTRACT_HEADER):
+        cells = _codes(hour_col, hour_texts, lambda text: hour_rows[_parse_hour(text)])
+        cells *= series.n_producers
+        cells += _codes(
+            producer_col, producer_texts, lambda text: producer_index[_parse_producer(text, ())]
+        )
+        cells_of[cells] = _amounts(contract_col)
+        rows += len(cells)
+    if np.count_nonzero(~np.isnan(schedule)) < rows:  # two rows named one cell
+        raise _Rejected
     return schedule
 
 
@@ -595,10 +765,21 @@ def _repr_rows(block: np.ndarray) -> list[list[str]]:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    """Write ``header`` and ``rows`` to ``path``, over any file already there.
+
+    The file is opened without O_TRUNC, written from its start and then
+    truncated to its new length: the bytes are those of a fresh file, and a
+    rerun into a used directory skips the cost of truncating every file to
+    zero before its blocks are written again. Nothing is synced or replaced
+    atomically: a killed run can leave a file partly rewritten.
+    """
+    # O_BINARY, where it exists, keeps Windows from writing "\r\n" for "\n"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        fh.truncate()
 
 
 def emit_report(report: SimulationReport, out_dir) -> list[Path]:

@@ -6,12 +6,31 @@ against the distribution's pdf, so the closed-form contract formula is
 checked against something it cannot share a bug with; the core, fairness
 and no-exploitation audits are checked against plain loops over every
 coalition, pair or producer, and the exchange market's one greedy sweep
-against a loop per pool side.
+against a loop per pool side. The two simulate loaders are checked against
+their row-by-row forms, which parse and check one row at a time through the
+field parsers that define the file formats.
 """
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, stats
+
+from poolpay.simulator import (
+    CONTRACT_HEADER,
+    GENERATION_HEADER,
+    GenerationSeries,
+    TimeseriesFormatError,
+    _first_cell,
+    _format_hour,
+    _hour_kind,
+    _parse_float,
+    _parse_hour,
+    _parse_producer,
+    _series_row,
+    _undecodable,
+)
 
 
 def mc_payoff_curve(sample, contracts, prices):
@@ -202,3 +221,115 @@ def greedy_reallocation(c, x):
             z[i] = x[i] - give
             need -= give
     return z
+
+
+def _read_rows(path, *headers):
+    """Yield (line_number, row) for each data row, after checking the header;
+    a row is numbered by the line it starts on."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise TimeseriesFormatError(f"{path}:1: empty file") from None
+            if [h.strip() for h in header] not in headers:
+                expected = " or ".join(repr(",".join(h)) for h in headers)
+                raise TimeseriesFormatError(
+                    f"{path}:1: expected header {expected}, got {','.join(header)!r}"
+                )
+            end = reader.line_num
+            for row in reader:
+                line_no, end = end + 1, reader.line_num
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise TimeseriesFormatError(
+                        f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield line_no, row
+    except UnicodeDecodeError as exc:
+        raise TimeseriesFormatError(_undecodable(path, exc)) from None
+
+
+def load_timeseries(path):
+    """The generation loader one row at a time: every rule checked on each
+    row in file order, the result gathered in lists of Python objects."""
+    path = Path(path)
+    hour_col, producer_col, forecast_col, actual_col = [], [], [], []
+    seen = set()
+    first_kind = None
+    for line_no, row in _read_rows(path, GENERATION_HEADER):
+        try:
+            hour = _parse_hour(row[0])
+            kind = _hour_kind(hour)
+            first_kind = first_kind or kind
+            if kind != first_kind:
+                raise TimeseriesFormatError(
+                    f"{kind} hour mixes with {first_kind} hours used earlier in the file"
+                )
+            producer = _parse_producer(row[1], ())
+            forecast = _parse_float(row[2], "forecast_mwh")
+            actual = _parse_float(row[3], "actual_mwh")
+            if forecast < 0.0 or actual < 0.0:
+                raise TimeseriesFormatError("negative generation")
+            key = (hour, producer)
+            if key in seen:
+                raise TimeseriesFormatError(
+                    f"duplicate (hour, producer) key ({_format_hour(hour)}, {producer!r})"
+                )
+            seen.add(key)
+            hour_col.append(hour)
+            producer_col.append(producer)
+            forecast_col.append(forecast)
+            actual_col.append(actual)
+        except TimeseriesFormatError as exc:
+            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
+    if not seen:
+        raise TimeseriesFormatError(f"{path}: no data rows")
+
+    hours = tuple(sorted(set(hour_col)))
+    producers = tuple(sorted(set(producer_col)))
+    hour_index = {hour: i for i, hour in enumerate(hours)}
+    producer_index = {producer: i for i, producer in enumerate(producers)}
+    cells = [hour_index[h] for h in hour_col], [producer_index[p] for p in producer_col]
+    forecasts = np.full((len(hours), len(producers)), np.nan)
+    actuals = forecasts.copy()
+    forecasts[cells] = forecast_col
+    actuals[cells] = actual_col
+    gap = _first_cell(np.isnan(forecasts), hours, producers)
+    if gap is not None:
+        raise TimeseriesFormatError(
+            f"{path}: missing hour {_format_hour(gap[0])} for producer {gap[1]!r}; "
+            "the series must be dense"
+        )
+    return GenerationSeries(producers, hours, forecasts, actuals)
+
+
+def load_contract_schedule(path, series):
+    """The contract schedule loader one row at a time, as ``load_timeseries``."""
+    path = Path(path)
+    hour_rows = {hour: i for i, hour in enumerate(series.hours)}
+    producer_index = {producer: i for i, producer in enumerate(series.producer_ids)}
+    schedule = np.full((series.n_hours, series.n_producers), np.nan)
+    for line_no, row in _read_rows(path, CONTRACT_HEADER):
+        try:
+            hour, hour_row = _series_row(row[0], hour_rows)
+            producer = _parse_producer(row[1], ())
+            if producer not in producer_index:
+                raise TimeseriesFormatError(
+                    f"producer {producer!r} is not in the generation series"
+                )
+            contract = _parse_float(row[2], "contract_mwh")
+            if contract < 0.0:
+                raise TimeseriesFormatError("negative contract")
+            cell = hour_row, producer_index[producer]
+            if not math.isnan(schedule[cell]):
+                raise TimeseriesFormatError(
+                    f"duplicate (hour, producer) key ({_format_hour(hour)}, {producer!r})"
+                )
+            schedule[cell] = contract
+        except TimeseriesFormatError as exc:
+            raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
+    return schedule

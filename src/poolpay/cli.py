@@ -21,6 +21,7 @@ from .equilibrium import solve_competitive_equilibrium
 from .market import PriceTriple, approx_equal
 from .simulator import (
     TimeseriesFormatError,
+    csv_field,
     emit_report,
     load_contract_schedule,
     load_payoffs,
@@ -97,7 +98,7 @@ def _cmd_allocate(args) -> int:
     alloc = allocate(snapshot)
     print("producer_id,payoff")
     for producer, payoff in zip(snapshot.producer_ids, alloc.payoffs):
-        print(f"{producer},{float(payoff)!r}")
+        print(f"{csv_field(producer)},{float(payoff)!r}")
     print(f"# aggregator_total={float(alloc.aggregator_total)!r}")
     print(f"# marginal_price_used={float(alloc.marginal_price_used)!r}")
     return EXIT_OK
@@ -125,7 +126,7 @@ def _cmd_equilibrium(args) -> int:
     print(f"clearing_price: {float(ce.price)!r}")
     print("producer_id,holding_mwh,payoff")
     for k, producer in enumerate(snapshot.producer_ids):
-        print(f"{producer},{float(ce.holdings[k])!r},{float(ce.payoffs[k])!r}")
+        print(f"{csv_field(producer)},{float(ce.holdings[k])!r},{float(ce.payoffs[k])!r}")
     matches = all(
         approx_equal(a, b) for a, b in zip(ce.payoffs, pam.payoffs)
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -759,16 +760,45 @@ def trace_file_names(producer_ids) -> list[str]:
     return names
 
 
-def _repr_rows(block: np.ndarray) -> list[list[str]]:
-    """Each row of a 2-D float block as shortest round-trip strings."""
-    return [list(map(repr, row)) for row in block.tolist()]
+EMIT_CELLS = 1 << 16
+"""Hours x producers cells ``emit_report`` turns into text per pass: enough
+that a window of a few hundred producers is written in one pass, few enough
+that no whole-window set of strings is ever alive."""
+
+WRITE_CHARS = 1 << 16
+"""Characters of ``hourly.csv`` gathered, in whole hours, before a write."""
+
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+_APPEND = os.O_WRONLY | os.O_APPEND | getattr(os, "O_BINARY", 0)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def csv_field(text: str) -> str:
+    """``text`` as one field of a CSV file that poolpay writes: quoted, with
+    its quotes doubled, when it holds a comma, a quote, LF or CR."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_text(rows) -> str:
+    """Rows of ready fields as CSV text, each line ending in LF. Every row
+    has at least two fields, so an empty text means no rows."""
+    text = "\n".join(map(",".join, rows))
+    return text + "\n" if text else text
+
+
+def _write_all(fd: int, text: str) -> None:
+    data = memoryview(text.encode("utf-8"))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _write_file(path: Path, text: str, flags: int) -> None:
+    fd = os.open(path, flags, 0o666)
+    try:
+        _write_all(fd, text)
+    finally:
+        os.close(fd)
 
 
 def emit_report(report: SimulationReport, out_dir) -> list[Path]:
@@ -776,52 +806,67 @@ def emit_report(report: SimulationReport, out_dir) -> list[Path]:
 
     Floats are written with their shortest exact representation, so a
     reload reproduces every payoff bit for bit and two runs with the same
-    inputs produce byte-identical files. Two producers whose ids map to the
-    same trace file name are an error, raised before any file is written.
+    inputs produce byte-identical files. Ids and hour labels follow
+    ``csv_field``. Two producers whose ids map to the same trace file name
+    are an error, raised before any file is written.
+
+    Each file is truncated on open. The window is turned into text
+    ``EMIT_CELLS`` cells at a time: the first pass creates each trace file
+    with its header, and later passes append to it.
     """
     trace_names = trace_file_names(report.producer_ids)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    hourly_path, summary_path = out_dir / "hourly.csv", out_dir / "summary.csv"
+    trace_paths = [out_dir / name for name in trace_names]
 
-    labels = [_format_hour(hour) for hour in report.hours]
-    pooled = _repr_rows(report.payoffs_pooled.T)  # one list per producer
-    separate = _repr_rows(report.payoffs_separate.T)
-
-    hourly_path = out_dir / "hourly.csv"
-    hourly_rows = (
-        [label, producer, c, x, pp, ps, aggregator, excess, passed]
-        for label, c_row, x_row, pp_row, ps_row, aggregator, excess, passed in zip(
-            labels,
-            _repr_rows(report.contracts),
-            _repr_rows(report.realizations),
-            zip(*pooled),
-            zip(*separate),
-            map(repr, report.aggregator_payoff.tolist()),
-            map(repr, report.excess_profit.tolist()),
-            map(str, report.all_pass.tolist()),
-        )
-        for producer, c, x, pp, ps in zip(report.producer_ids, c_row, x_row, pp_row, ps_row)
-    )
-    _write_csv(hourly_path, HOURLY_HEADER, hourly_rows)
-    written.append(hourly_path)
-
-    summary_path = out_dir / "summary.csv"
-    summary_rows = [
-        [producer, repr(total_pooled), repr(total_separate)]
-        for producer, total_pooled, total_separate in zip(
-            report.producer_ids, report.totals_pooled.tolist(), report.totals_separate.tolist()
+    ids = list(map(csv_field, report.producer_ids))
+    labels = [csv_field(_format_hour(hour)) for hour in report.hours]
+    tails = [
+        f"{aggregator!r},{excess!r},{passed}"
+        for aggregator, excess, passed in zip(
+            report.aggregator_payoff.tolist(), report.excess_profit.tolist(),
+            report.all_pass.tolist(),
         )
     ]
-    if report.producer_ids:
-        grand_totals = [report.grand_total_pooled, report.grand_total_separate]
-        summary_rows.append(["TOTAL", *map(repr, grand_totals)])
-    _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
-    written.append(summary_path)
+    step = max(1, EMIT_CELLS // max(1, len(ids)))
+    fd = os.open(hourly_path, _CREATE, 0o666)
+    try:
+        pending, size = [_csv_text([HOURLY_HEADER])], 0
+        for start in range(0, max(1, len(labels)), step):
+            window = slice(start, start + step)
+            # each pooled and separate payoff is repr-ed once, for both files;
+            # every block is turned into Python floats an hour at a time
+            pooled = [list(map(repr, row.tolist())) for row in report.payoffs_pooled[window]]
+            separate = [list(map(repr, row.tolist())) for row in report.payoffs_separate[window]]
+            for label, c_row, x_row, pp_row, ps_row, tail in zip(
+                labels[window], report.contracts[window], report.realizations[window],
+                pooled, separate, tails[window],
+            ):
+                hour = _csv_text(zip(
+                    itertools.repeat(label), ids, map(repr, c_row.tolist()),
+                    map(repr, x_row.tolist()), pp_row, ps_row, itertools.repeat(tail),
+                ))
+                pending.append(hour)
+                size += len(hour)
+                if size >= WRITE_CHARS:
+                    _write_all(fd, "".join(pending))
+                    pending, size = [], 0
+            head, flags = (_csv_text([TRACE_HEADER]), _CREATE) if start == 0 else ("", _APPEND)
+            # with no hours, each trace file gets its header alone
+            columns = zip(zip(*pooled), zip(*separate)) if pooled else itertools.repeat(((), ()))
+            for path, (pp_column, ps_column) in zip(trace_paths, columns):
+                text = head + _csv_text(zip(labels[window], pp_column, ps_column))
+                _write_file(path, text, flags)
+            del pooled, separate, columns  # before the next chunk's strings are made
+        _write_all(fd, "".join(pending))
+    finally:
+        os.close(fd)
 
-    for name, pp_column, ps_column in zip(trace_names, pooled, separate):
-        trace_path = out_dir / name
-        _write_csv(trace_path, TRACE_HEADER, zip(labels, pp_column, ps_column))
-        written.append(trace_path)
-
-    return written
+    pooled, separate = report.totals_pooled, report.totals_separate  # each added up once
+    summary = [[producer, repr(p), repr(s)]
+               for producer, p, s in zip(ids, pooled.tolist(), separate.tolist())]
+    if ids:  # the grand totals, as SimulationReport's
+        summary.append(["TOTAL", repr(float(pooled.sum())), repr(float(separate.sum()))])
+    _write_file(summary_path, _csv_text([SUMMARY_HEADER, *summary]), _CREATE)
+    return [hourly_path, summary_path, *trace_paths]

@@ -8,7 +8,9 @@ and no-exploitation audits are checked against plain loops over every
 coalition, pair or producer, and the exchange market's one greedy sweep
 against a loop per pool side. The two simulate loaders are checked against
 their row-by-row forms, which parse and check one row at a time through the
-field parsers that define the file formats.
+field parsers that define the file formats. The report writer is checked
+against its earlier form, which wrote every file through ``csv.writer``
+with the whole window's strings alive at once.
 """
 import csv
 import math
@@ -20,7 +22,11 @@ from scipy import integrate, stats
 from poolpay.simulator import (
     CONTRACT_HEADER,
     GENERATION_HEADER,
+    HOURLY_HEADER,
+    SUMMARY_HEADER,
+    TRACE_HEADER,
     GenerationSeries,
+    SimulationReport,
     TimeseriesFormatError,
     _first_cell,
     _format_hour,
@@ -30,6 +36,7 @@ from poolpay.simulator import (
     _parse_producer,
     _series_row,
     _undecodable,
+    trace_file_names,
 )
 
 
@@ -333,3 +340,71 @@ def load_contract_schedule(path, series):
         except TimeseriesFormatError as exc:
             raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     return schedule
+
+
+def _repr_rows(block: np.ndarray) -> list[list[str]]:
+    """Each row of a 2-D float block as shortest round-trip strings."""
+    return [list(map(repr, row)) for row in block.tolist()]
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def emit_report(report: SimulationReport, out_dir) -> list[Path]:
+    """Write hourly.csv, summary.csv, and one trace file per producer.
+
+    Floats are written with their shortest exact representation, so a
+    reload reproduces every payoff bit for bit and two runs with the same
+    inputs produce byte-identical files. Two producers whose ids map to the
+    same trace file name are an error, raised before any file is written.
+    """
+    trace_names = trace_file_names(report.producer_ids)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+
+    labels = [_format_hour(hour) for hour in report.hours]
+    pooled = _repr_rows(report.payoffs_pooled.T)  # one list per producer
+    separate = _repr_rows(report.payoffs_separate.T)
+
+    hourly_path = out_dir / "hourly.csv"
+    hourly_rows = (
+        [label, producer, c, x, pp, ps, aggregator, excess, passed]
+        for label, c_row, x_row, pp_row, ps_row, aggregator, excess, passed in zip(
+            labels,
+            _repr_rows(report.contracts),
+            _repr_rows(report.realizations),
+            zip(*pooled),
+            zip(*separate),
+            map(repr, report.aggregator_payoff.tolist()),
+            map(repr, report.excess_profit.tolist()),
+            map(str, report.all_pass.tolist()),
+        )
+        for producer, c, x, pp, ps in zip(report.producer_ids, c_row, x_row, pp_row, ps_row)
+    )
+    _write_csv(hourly_path, HOURLY_HEADER, hourly_rows)
+    written.append(hourly_path)
+
+    summary_path = out_dir / "summary.csv"
+    summary_rows = [
+        [producer, repr(total_pooled), repr(total_separate)]
+        for producer, total_pooled, total_separate in zip(
+            report.producer_ids, report.totals_pooled.tolist(), report.totals_separate.tolist()
+        )
+    ]
+    if report.producer_ids:
+        grand_totals = [report.grand_total_pooled, report.grand_total_separate]
+        summary_rows.append(["TOTAL", *map(repr, grand_totals)])
+    _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
+    written.append(summary_path)
+
+    for name, pp_column, ps_column in zip(trace_names, pooled, separate):
+        trace_path = out_dir / name
+        _write_csv(trace_path, TRACE_HEADER, zip(labels, pp_column, ps_column))
+        written.append(trace_path)
+
+    return written

@@ -369,6 +369,38 @@ class TestEquilibriumCommand:
         assert "unrecognized arguments: --pstar midpoint" in capsys.readouterr().err
 
 
+_QUOTED_IDS = ["p,1", 'q"2', "r\n3", "s\r4", "t"]
+
+
+def test_one_shot_outputs_quote_ids_and_read_back(tmp_path, capsys):
+    """``allocate`` and ``equilibrium`` print each id as one CSV field, so
+    ``allocate``'s rows, without its comment lines, are a payoffs file that
+    ``check-core`` accepts."""
+    snapshot = tmp_path / "snap.csv"
+    with snapshot.open("w", newline="", encoding="utf-8") as fh:
+        # every field quoted: before Python 3.13 csv.writer leaves a CR unquoted
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["producer_id", "contract_mwh", "actual_mwh"])
+        writer.writerows([producer, 50.0, 40.0 + 5 * i] for i, producer in enumerate(_QUOTED_IDS))
+    prices = ["--pf", "10", "--prb", "15", "--prs", "5"]
+    assert main(["allocate", "--snapshot", str(snapshot), *prices]) == EXIT_OK
+    out = capsys.readouterr().out
+    payoffs = tmp_path / "pam.csv"
+    payoffs.write_text("".join(line for line in out.splitlines(keepends=True)
+                               if not line.startswith("#")), newline="")
+    with payoffs.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == _QUOTED_IDS
+    assert main(["check-core", "--snapshot", str(snapshot), "--payoffs", str(payoffs),
+                 *prices]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["equilibrium", "--snapshot", str(snapshot), *prices]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    rows = list(csv.reader(line for line in lines[1:] if not line.startswith("#")))
+    assert {len(row) for row in rows} == {3}
+    assert [row[0] for row in rows[1:]] == _QUOTED_IDS
+
+
 class TestSimulateCommand:
     def test_end_to_end(self, generation_file, tmp_path, capsys):
         out_dir = tmp_path / "out"

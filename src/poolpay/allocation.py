@@ -83,7 +83,7 @@ class PayoffAllocation:
         payoffs = np.array(self.payoffs, dtype=float)
         if payoffs.ndim != 1:
             raise ValueError("payoffs must be one-dimensional")
-        if not np.all(np.isfinite(payoffs)):
+        if not np.isfinite(payoffs).all():
             raise ValueError("payoffs contains non-finite values")
         payoffs.setflags(write=False)
         object.__setattr__(self, "payoffs", payoffs)
@@ -293,48 +293,10 @@ def _lp_optimum(alpha, beta) -> float:
     return float(breaks[order[turned[0]]]) if turned.size else 1.0
 
 
-def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
-    """Can any coalition beat its allocated share ``payoffs`` by seceding?
-
-    Up to ``EXHAUSTIVE_LIMIT`` producers, all 2^n - 1 nonempty coalitions are
-    enumerated from one table of coalition sums, and the worst
-    violation ``v(T) - allocated(T)`` is reported with its coalition (ties
-    broken toward the lowest subset bitmask).
-
-    Above it, the three-point bound of ``_core_bound``, or else the LP
-    minimum of U, proves the pool within ``_BOUND_MARGIN``. Otherwise the
-    ``EXHAUSTIVE_LIMIT`` producers whose value lam* alpha_i + (1 - lam*)
-    beta_i at the LP optimum is nearest 0 are free, every other producer
-    whose value is positive beyond the rounding of its terms is fixed in,
-    and the 2^limit coalitions so formed are searched with the same table.
-    Its sums add the fixed members first, so the coalition reported (the
-    worst beyond its allowance, else the worst) is judged again on its own
-    index-order sums, and only a violation there refutes the pool. The
-    search cannot prove one: ``exhaustive=False``.
-    """
-    n = len(payoffs)
-    if n == 0:
-        return CoreResult(True, 0.0, None, 0, True)
-    members = np.array([contracts, realizations, payoffs])
-    if n <= EXHAUSTIVE_LIMIT:
-        blocks = _coalition_blocks(members)
-    else:
-        bound, alpha, beta = _core_bound(*members, prices)
-        if bound > _BOUND_MARGIN:
-            lam = _lp_optimum(alpha, beta)
-            value = lam * alpha + (1.0 - lam) * beta
-            bound = np.maximum(value, 0.0).sum()
-        if bound <= _BOUND_MARGIN:
-            return CoreResult(True, float(bound), None, 0, True)
-        free = np.sort(np.argsort(np.abs(value), kind="stable")[:EXHAUSTIVE_LIMIT])
-        # the rounding a value can carry: 16 eps times the sizes of its terms
-        rounding = 16 * np.finfo(float).eps * (
-            np.abs(payoffs) + np.abs(prices.day_ahead * contracts)
-            + (abs(prices.rt_buy) + abs(prices.rt_sell)) * np.abs(realizations - contracts)
-        )
-        fixed = np.setdiff1d(np.flatnonzero(value > rounding), free).tolist()
-        base = members[:, fixed].sum(axis=1) if fixed else None
-        blocks = _coalition_blocks(members[:, free], base)
+def _worst(blocks, prices):
+    """Scan every block of ``_coalition_blocks``: (excess, coalition, refuted,
+    count). The coalition is the worst beyond its own allowance when one is
+    (``refuted``), else the worst; ties go to the lowest column."""
     worst, witness, bad, checked = -math.inf, None, None, 0
     for sums, coalition in blocks:
         block_worst, col, block_bad = _scan(sums, prices)
@@ -343,10 +305,59 @@ def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
             worst, witness = block_worst, coalition(col)
         if block_bad is not None and (bad is None or block_bad[0] > bad[0]):
             bad = block_bad[0], coalition(block_bad[1])
-    if n <= EXHAUSTIVE_LIMIT:
-        return CoreResult(bad is None, worst, witness, checked, True)
-    chosen = witness if bad is None else bad[1]  # positions in free
-    named = tuple(sorted(fixed + free[list(chosen)].tolist()))
+    return (worst, witness, False, checked) if bad is None else (*bad, True, checked)
+
+
+def _enumerate(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
+    """The exact tier: all 2^n - 1 nonempty coalitions, from one table of
+    coalition sums. A refuted pool names the worst coalition beyond its own
+    allowance, any other the worst ``v(T) - allocated(T)``; ties go to the
+    lowest subset bitmask."""
+    members = np.array([contracts, realizations, payoffs])
+    excess, coalition, refuted, checked = _worst(_coalition_blocks(members), prices)
+    return CoreResult(not refuted, excess, coalition, checked, True)
+
+
+def _core(contracts, realizations, payoffs, prices: PriceTriple) -> CoreResult:
+    """Can any coalition beat its allocated share ``payoffs`` by seceding?
+
+    One decision for a single pool and for each hour of a window. First the
+    three-point bound of ``_core_bound``: at most ``_BOUND_MARGIN`` proves
+    the pool, reported as ``CoreResult(True, bound, None, 0, True)``.
+
+    An open pool of up to ``EXHAUSTIVE_LIMIT`` producers is enumerated (see
+    ``_enumerate``). Above it, the LP minimum of U proves the pool within
+    ``_BOUND_MARGIN``. Otherwise the ``EXHAUSTIVE_LIMIT`` producers whose
+    value lam* alpha_i + (1 - lam*) beta_i at the LP optimum is nearest 0
+    are free, every other producer whose value is positive beyond the
+    rounding of its terms is fixed in, and the 2^limit coalitions so formed
+    are searched with the same table. Its sums add the fixed members first,
+    so the coalition reported (the worst beyond its allowance, else the
+    worst) is judged again on its own index-order sums, and only a
+    violation there refutes the pool. The search cannot prove one:
+    ``exhaustive=False``.
+    """
+    bound, alpha, beta = _core_bound(contracts, realizations, payoffs, prices)
+    if bound <= _BOUND_MARGIN:
+        return CoreResult(True, float(bound), None, 0, True)
+    if len(payoffs) <= EXHAUSTIVE_LIMIT:
+        return _enumerate(contracts, realizations, payoffs, prices)
+    lam = _lp_optimum(alpha, beta)
+    value = lam * alpha + (1.0 - lam) * beta
+    bound = np.maximum(value, 0.0).sum()
+    if bound <= _BOUND_MARGIN:
+        return CoreResult(True, float(bound), None, 0, True)
+    members = np.array([contracts, realizations, payoffs])
+    free = np.sort(np.argsort(np.abs(value), kind="stable")[:EXHAUSTIVE_LIMIT])
+    # the rounding a value can carry: 16 eps times the sizes of its terms
+    rounding = 16 * np.finfo(float).eps * (
+        np.abs(payoffs) + np.abs(prices.day_ahead * contracts)
+        + (abs(prices.rt_buy) + abs(prices.rt_sell)) * np.abs(realizations - contracts)
+    )
+    fixed = np.setdiff1d(np.flatnonzero(value > rounding), free).tolist()
+    base = members[:, fixed].sum(axis=1) if fixed else None
+    _, chosen, _, checked = _worst(_coalition_blocks(members[:, free], base), prices)
+    named = tuple(sorted(fixed + free[list(chosen)].tolist()))  # chosen: positions in free
     # added in index order from zero, as the table adds a coalition up to the limit
     own = np.hstack([np.zeros((3, 1)), members[:, list(named)]]).cumsum(axis=1)[:, -1:]
     excess, _, refuted = _scan(own, prices)
@@ -367,7 +378,7 @@ def _audit(contracts, realizations, payoffs, standalone, pool, prices) -> Proper
         allowance = DEFAULT_TOLERANCE * np.maximum(1.0, np.abs(standalone))
         worst = int(np.argmin(margins))
         ir = IndividualRationalityResult(
-            bool(np.all(margins >= -allowance)), float(margins[worst]), worst
+            bool((margins >= -allowance).all()), float(margins[worst]), worst
         )
     day_ahead = prices.day_ahead
     # a producer that delivers its contract exactly gets exactly the forward revenue
@@ -451,8 +462,10 @@ def _audit_window(contracts, realizations, payoffs, standalone, pool, prices) ->
 
 def run_property_checks(alloc: PayoffAllocation, snapshot: ScenarioSnapshot) -> PropertyReport:
     """Run the five-property audit on one allocation of ``snapshot``, against
-    its ``separate_payoffs`` and ``aggregator_payoff``. The core is enumerated
-    up to ``EXHAUSTIVE_LIMIT`` producers; above it, see ``_core``."""
+    its ``separate_payoffs`` and ``aggregator_payoff``. The core is decided as
+    each hour of ``run_simulation`` decides it: the three-point bound first,
+    then enumeration up to ``EXHAUSTIVE_LIMIT`` producers, or the LP minimum
+    and a search above it (see ``_core``)."""
     if alloc.n != snapshot.n:
         raise ValueError(
             f"allocation covers {alloc.n} producers but snapshot has {snapshot.n}"

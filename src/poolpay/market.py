@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -76,7 +77,8 @@ class ScenarioSnapshot:
     """Per-producer contracts and realized generation for one hour.
 
     Arrays are validated, copied, and frozen on construction, so a snapshot
-    can be shared freely across threads.
+    can be shared freely across threads. ``total_contract`` and
+    ``total_realization`` are the arrays' ``sum()``, taken once and kept.
     """
 
     producer_ids: tuple[str, ...]
@@ -95,9 +97,9 @@ class ScenarioSnapshot:
                 raise ValueError(f"{name} must be one-dimensional")
             if arr.shape[0] != len(ids):
                 raise ValueError(f"{name} length {arr.shape[0]} != {len(ids)} producers")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
-            if np.any(arr < 0.0):
+            if (arr < 0.0).any():
                 raise ValueError(f"{name} contains negative energy quantities")
         contracts.setflags(write=False)
         realizations.setflags(write=False)
@@ -122,11 +124,11 @@ class ScenarioSnapshot:
     def n(self) -> int:
         return len(self.producer_ids)
 
-    @property
+    @cached_property
     def total_contract(self) -> float:
         return float(self.contracts.sum())
 
-    @property
+    @cached_property
     def total_realization(self) -> float:
         return float(self.realizations.sum())
 

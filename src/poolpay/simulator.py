@@ -14,6 +14,7 @@ import os
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -541,10 +542,12 @@ def load_payoffs(path, snapshot: ScenarioSnapshot) -> PayoffAllocation:
 def _in_order(rows: np.ndarray) -> np.ndarray:
     """The sum of ``rows``, added one row at a time, in order, from zeros.
     Never ``sum(axis=0)``: that sums a lone producer's column pairwise, and
-    a total started from the first row would keep its ``-0.0``."""
+    a total started from the first row would keep its ``-0.0``. Read-only,
+    since a report keeps it."""
     total = np.zeros(rows.shape[1:])
     for row in rows:
         total += row
+    total.setflags(write=False)
     return total
 
 
@@ -561,10 +564,11 @@ class SimulationReport:
     named after: ``budget_ok`` and ``budget_residual``; ``ir_ok``,
     ``ir_worst_margin`` and ``ir_worst_index`` (-1 with no producers);
     ``fair``; ``no_exploitation``; and ``in_core``. ``core_coalition`` and
-    ``core_worst`` are ``_core``'s in the hours the three-point bound leaves
-    open; elsewhere they are None and the bound. The totals and
-    ``violation_counts`` are derived from these on each access; totals add
-    the hours in order, starting from zero.
+    ``core_worst`` are the ``CoreResult``'s ``worst_coalition`` and
+    ``worst_violation``: None and the bound in the hours the three-point
+    bound proves. The totals are added up on
+    first access and kept, and ``violation_counts`` is derived on each
+    access; totals add the hours in order, starting from zero.
     """
 
     producer_ids: tuple[str, ...]
@@ -590,11 +594,11 @@ class SimulationReport:
     def n_hours(self) -> int:
         return len(self.hours)
 
-    @property
+    @cached_property
     def totals_pooled(self) -> np.ndarray:
         return _in_order(self.payoffs_pooled)
 
-    @property
+    @cached_property
     def totals_separate(self) -> np.ndarray:
         return _in_order(self.payoffs_separate)
 
@@ -606,7 +610,7 @@ class SimulationReport:
     def grand_total_separate(self) -> float:
         return float(self.totals_separate.sum())
 
-    @property
+    @cached_property
     def total_excess_profit(self) -> float:
         return float(_in_order(self.excess_profit))
 
@@ -690,7 +694,8 @@ def run_simulation(
     hour's marginal price from its totals, and the payoffs and pooling gain
     equal the one-shot functions' bit for bit. The window is then audited
     at once (see ``SimulationReport``); each hour's verdicts equal
-    ``run_property_checks``'s.
+    ``run_property_checks``'s. A window whose payoffs or pooling gains add
+    up past the float range is an error, found before any file is written.
     """
     _check_ranges(train_range, sim_range, data.n_hours)
     if len(prices) != data.n_hours:
@@ -728,7 +733,7 @@ def run_simulation(
     pooled = _pam(contracts, realizations, pf, _marginal_array(total_c, total_x, rb, rs))
     separate = settle(contracts, realizations, columns)
     pool = settle(total_c, total_x, columns).ravel()
-    return SimulationReport(
+    report = SimulationReport(
         producer_ids=data.producer_ids,
         hours=hours,
         contracts=contracts,
@@ -741,6 +746,15 @@ def run_simulation(
         ),
         **_audit_window(contracts, realizations, pooled, separate, pool, columns),
     )
+    # The totals are added once here, under errstate, and kept, so a window
+    # that overflows is rejected before emit_report or the CLI reads them,
+    # and no numpy warning is printed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = report.grand_total_pooled, report.grand_total_separate, report.total_excess_profit
+    if not all(map(math.isfinite, totals)):
+        raise ValueError(f"window of hours {_format_hour(hours[0])} to "
+                         f"{_format_hour(hours[-1])}: its payoffs add up past the float range")
+    return report
 
 
 def _safe_filename(producer_id: str) -> str:

@@ -150,18 +150,21 @@ def core_scan(contracts, realizations, payoffs, prices):
     each coalition judged by ``coalition_excess``.
 
     Returns (no violation, worst ``v(T) - allocated(T)``, its coalition),
-    the worst being the first, lowest-bitmask coalition to reach it.
+    the worst being the first, lowest-bitmask coalition to reach it. With a
+    violation, the worst is taken over the coalitions beyond their own
+    allowance only.
     """
     n = len(contracts)
-    ok, worst, witness = True, -math.inf, None
+    worst, witness = -math.inf, None
+    bad, named = -math.inf, None
     for mask in range(1, 1 << n):
         members = tuple(i for i in range(n) if mask >> i & 1)
         violation, allowance = coalition_excess(contracts, realizations, payoffs, prices, members)
-        if violation > allowance:
-            ok = False
+        if violation > allowance and violation > bad:
+            bad, named = violation, members
         if violation > worst:
             worst, witness = violation, members
-    return ok, worst, witness
+    return (True, worst, witness) if named is None else (False, bad, named)
 
 
 def lp_minimum(alpha, beta):

@@ -218,7 +218,7 @@ class TestCoreMembership:
         s = snap([100, 50, 50], [80, 60, 40])
         result = run_property_checks(allocate(s), s).core
         assert result.in_core
-        assert result.coalitions_checked == 7
+        assert result.coalitions_checked == 0  # the bound proves it
 
     def test_equal_split_blocked_by_strong_producer(self):
         s = snap([100, 0], [100, 0])
@@ -294,6 +294,12 @@ class TestCoreMembership:
         payoffs = allocate(s).payoffs + np.array([-2e-9, -1e-8, -1e-8] + [0.0] * 17 + [1.0])
         result = allocation._core(*arrays(s, payoffs))
         assert (result.in_core, result.worst_coalition, result.worst_violation) == (False, (0,), 2e-9)
+        # the same split of three producers: the enumeration names {0} too
+        s = snap([0.0, 100.0, 100.0], [0.0, 90.0, 90.0])
+        payoffs = allocate(s).payoffs + np.array([-2e-9, -1e-8, -1e-8])
+        result = run_property_checks(PayoffAllocation(payoffs, aggregator_payoff(s)), s).core
+        assert (result.in_core, result.worst_coalition, result.worst_violation) == (False, (0,), 2e-9)
+        assert result.coalitions_checked == 7
         # pools up to EXHAUSTIVE_LIMIT are enumerated; the 5-producer pool
         # ties (0, 1) with (0, 1, 2), and the lowest bitmask wins
         tied = snap([100, 50, 20, 30, 40], [100, 50, 20, 30, 40])
@@ -429,15 +435,22 @@ MIXED = snap([3, 2, 0, 4], [1, 2, 0, 5])
 @example((TIED, TIED_PAYOFFS), 1)
 @example((MIXED, allocate(MIXED)), 3)
 def test_core_scan_matches_loop_oracle_bit_for_bit(case, chunk_rows):
+    """The enumeration tier, called directly on every pool, even one the
+    bound proves, equals the loop oracle bit for bit; the audit's verdict
+    equals it wherever the bound leaves the pool open."""
     s, alloc = case
+    args = arrays(s, alloc.payoffs)
     with mock.patch.object(allocation, "_CHUNK_ROWS", chunk_rows):
-        result = run_property_checks(alloc, s).core
-    ok, worst, witness = core_scan(s.contracts, s.realizations, alloc.payoffs, s.prices)
+        result = allocation._enumerate(*args)
+        audit = run_property_checks(alloc, s).core
+    ok, worst, witness = core_scan(*args)
     assert result.exhaustive
     assert result.coalitions_checked == 2**s.n - 1
     assert result.in_core is ok
     assert np.float64(result.worst_violation).tobytes() == np.float64(worst).tobytes()
     assert result.worst_coalition == witness
+    if allocation._core_bound(*args)[0] > allocation._BOUND_MARGIN:
+        assert audit.in_core is ok
 
 
 @st.composite
@@ -502,7 +515,7 @@ def check_search(s, payoffs, limit):
     with mock.patch.object(allocation, "EXHAUSTIVE_LIMIT", limit):
         result = allocation._core(*arrays(s, payoffs))
     ok = core_scan(*arrays(s, payoffs))[0]
-    if s.n <= limit:  # enumerated, as test_core_scan_matches_loop_oracle_bit_for_bit checks
+    if s.n <= limit:  # proven by the bound, or enumerated as the oracle test checks
         assert result.exhaustive and result.in_core is ok
     elif result.exhaustive:  # proven by the bound or the LP minimum
         assert ok
@@ -702,10 +715,14 @@ def test_report_holds_what_each_check_returns():
         args = (s.contracts, s.realizations, alloc.payoffs, s.prices)
         assert report.fairness is fairness_scan(*args)
         assert report.no_exploitation is no_exploitation_scan(*args)
-        assert (report.core.in_core, report.core.worst_violation, report.core.worst_coalition) == (
-            core_scan(*args)
-        )
-        assert report.core.coalitions_checked == 2**s.n - 1 and report.core.exhaustive
+        bound = allocation._core_bound(*args)[0]
+        if bound <= allocation._BOUND_MARGIN:  # proven by the bound, as the oracle confirms
+            assert report.core == allocation.CoreResult(True, bound, None, 0, True)
+            assert core_scan(*args)[0]
+        else:
+            assert (report.core.in_core, report.core.worst_violation,
+                    report.core.worst_coalition) == core_scan(*args)
+            assert report.core.coalitions_checked == 2**s.n - 1 and report.core.exhaustive
         assert report.in_core == report.core.in_core
         four = report.budget.ok and report.ir.ok and report.fairness and report.no_exploitation
         assert report.all_pass == (four and report.core.in_core)

@@ -573,6 +573,36 @@ class TestSimulateCommand:
         assert not recwarn.list
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("hours, code", [(399, EXIT_INPUT_ERROR), (99, 0)])
+    def test_window_whose_totals_overflow_is_rejected(self, tmp_path, capsys, recwarn, hours,
+                                                      code):
+        # every hour is inside the one-shot domain: w1 is 1e305 MWh short and
+        # w2 1e305 MWh long. Over 399 hours w2's pooled payoff, 1e306 an hour,
+        # and both separate totals add up past the float range; the run stops
+        # before any file is written, with no numpy warning. 99 hours add up
+        # to 9.9e307 and are written
+        gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
+                        [[h, p, 1e305, x] for h in range(hours + 1)
+                         for p, x in (("w1", 0.0), ("w2", 1e305))])
+        contracts = write_csv(tmp_path / "contracts.csv", ["hour", "producer_id", "contract_mwh"],
+                              [[h, p, c] for h in range(1, hours + 1)
+                               for p, c in (("w1", 1e305), ("w2", 0.0))])
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
+                     "--contracts", str(contracts), "--train", "0:1", "--sim", f"1:{hours + 1}",
+                     "--out", str(out_dir)]) == code
+        err = capsys.readouterr().err
+        assert not recwarn.list
+        if code:
+            assert err == (f"error: window of hours 1 to {hours}: its payoffs add up past the "
+                           "float range\n")
+            assert not out_dir.exists()
+        else:
+            assert err == ""
+            assert (out_dir / "summary.csv").read_text().splitlines()[-1] == (
+                "TOTAL,9.900000000000005e+307,0.0"
+            )
+
     def test_quantile_one_sizing_names_the_hour(self, generation_file, tmp_path, capsys):
         prices = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"],
                            [[h, 20.0 if h in (6, 8) else 10.0, 15.0, 5.0] for h in range(10)])

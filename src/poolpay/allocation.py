@@ -427,13 +427,19 @@ def _audit_window(contracts, realizations, payoffs, standalone, pool, prices) ->
     del sorted_dev
     sorted_margin = np.take_along_axis(payoffs - prices.day_ahead * contracts, order, axis=1)
     # Equal deviations lie in one run of equal sorted neighbours (see _fair),
-    # so an hour whose every such run holds one margin is fair.
-    tied &= sorted_margin[:, :-1] != sorted_margin[:, 1:]
-    del sorted_margin, order
+    # so an hour whose every such run holds one margin is fair, and the
+    # producers outside every run take part in no pair _fair judges.
+    open_hours = np.flatnonzero((tied & (sorted_margin[:, :-1] != sorted_margin[:, 1:])).any(axis=1))
+    del sorted_margin
     fair = np.ones(hours, dtype=bool)
-    for h in np.flatnonzero(tied.any(axis=1)).tolist():
-        c, x = contracts[h], realizations[h]
-        fair[h] = _fair(c - x, payoffs[h] - prices.day_ahead[h] * c)
+    for h in open_hours.tolist():
+        in_run = np.zeros(n, dtype=bool)
+        in_run[:-1] = tied[h]
+        in_run[1:] |= tied[h]
+        run = order[h, in_run]
+        c = contracts[h, run]
+        fair[h] = _fair(c - realizations[h, run], payoffs[h, run] - prices.day_ahead[h] * c)
+    del tied, order
     # a producer that delivers its contract exactly gets exactly the forward revenue
     exploited = _approx_equal_array(realizations, contracts)
     exploited &= ~_approx_equal_array(payoffs, prices.day_ahead * contracts)

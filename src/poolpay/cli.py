@@ -82,9 +82,10 @@ def _cmd_simulate(args) -> int:
     report = run_simulation(data, prices, args.train, args.sim, contracts=contracts)
     files = emit_report(report, args.out)
     print(f"simulated {report.n_hours} hours x {len(report.producer_ids)} producers")
-    print(f"total pooled payoff   : {report.grand_total_pooled:.6f}")
-    print(f"total separate payoff : {report.grand_total_separate:.6f}")
-    print(f"total pooling gain    : {report.total_excess_profit:.6f}")
+    # repr, as summary.csv writes the totals: short and exact at any size
+    print(f"total pooled payoff   : {report.grand_total_pooled!r}")
+    print(f"total separate payoff : {report.grand_total_separate!r}")
+    print(f"total pooling gain    : {report.total_excess_profit!r}")
     violations = sum(report.violation_counts.values())
     for name, count in report.violation_counts.items():
         print(f"violations[{name}]: {count}")
@@ -150,14 +151,7 @@ def _cmd_contract(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="poolpay",
-        description="Pooled settlement, payoff allocation, and audits for "
-                    "renewable producers in a two-settlement market.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_simulate(sub) -> None:
     sim = sub.add_parser("simulate", help="hourly simulation over a CSV series")
     sim.add_argument("--data", required=True, help="generation CSV (hour,producer_id,forecast_mwh,actual_mwh)")
     sim.add_argument("--prices", default=None,
@@ -175,23 +169,31 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory")
     sim.set_defaults(func=_cmd_simulate)
 
+
+def _add_allocate(sub) -> None:
     alloc = sub.add_parser("allocate", help="split one snapshot's pool payoff")
     alloc.add_argument("--snapshot", required=True,
                        help="CSV producer_id,contract_mwh,actual_mwh[,p_f,p_rb,p_rs]")
     _add_price_flags(alloc)
     alloc.set_defaults(func=_cmd_allocate)
 
+
+def _add_check_core(sub) -> None:
     core = sub.add_parser("check-core", help="audit an external payoff vector")
     core.add_argument("--snapshot", required=True)
     core.add_argument("--payoffs", required=True, help="CSV producer_id,payoff")
     _add_price_flags(core)
     core.set_defaults(func=_cmd_check_core)
 
+
+def _add_equilibrium(sub) -> None:
     eq = sub.add_parser("equilibrium", help="clearing price and payoffs for one snapshot")
     eq.add_argument("--snapshot", required=True)
     _add_price_flags(eq)
     eq.set_defaults(func=_cmd_equilibrium)
 
+
+def _add_contract(sub) -> None:
     contract = sub.add_parser("contract", help="news-vendor contract for one producer")
     contract.add_argument("--mean", type=float, required=True)
     contract.add_argument("--std", type=float, required=True)
@@ -200,11 +202,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_price_flags(contract, required=True)
     contract.set_defaults(func=_cmd_contract)
 
+
+_COMMANDS = {
+    "simulate": _add_simulate,
+    "allocate": _add_allocate,
+    "check-core": _add_check_core,
+    "equilibrium": _add_equilibrium,
+    "contract": _add_contract,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``poolpay`` parser. Given one of the sub-command names, only that
+    sub-command is built, which is all that parsing its arguments needs;
+    otherwise all of them. Either parser prints the same help, usage and
+    error texts for the arguments it is built for: the one-command parser
+    names the sub-commands in its usage line as the full parser does."""
+    parser = argparse.ArgumentParser(
+        prog="poolpay",
+        description="Pooled settlement, payoff allocation, and audits for "
+                    "renewable producers in a two-settlement market.",
+    )
+    if command in _COMMANDS:
+        # Not set on the full parser: there the metavar would also replace
+        # "command" in its "invalid choice" and "required" errors.
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        _COMMANDS[command](parser.add_subparsers(dest="command", required=True, metavar=metavar))
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _COMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,7 +11,6 @@ import csv
 import itertools
 import math
 import os
-import re
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -102,10 +101,22 @@ def _is_blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
+def _unmarked(fh):
+    """The lines of ``fh``, a text file opened as UTF-8, with a byte-order
+    mark at its very start dropped, as the ``utf-8-sig`` codec drops it; a
+    U+FEFF anywhere else is data. The codec itself is not used: it is not
+    loaded at start-up, and its import would cost each run more than the
+    file. An empty or mark-only file yields no line."""
+    first = fh.readline()
+    if first.startswith("\ufeff"):
+        first = first[1:]
+    return itertools.chain((first,), fh) if first else fh
+
+
 def _data_rows(fh, path: Path, headers) -> tuple:
     """A csv.reader over ``fh`` positioned after its header, and the header's
     width. The header must equal one of ``headers``."""
-    reader = csv.reader(fh)
+    reader = csv.reader(_unmarked(fh))
     try:
         header = next(reader)
     except StopIteration:
@@ -130,7 +141,7 @@ def _read_rows(path, *headers: list[str]):
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
+        with path.open(newline="", encoding="utf-8") as fh:
             reader, width = _data_rows(fh, path, headers)
             end = reader.line_num
             for row in reader:
@@ -155,7 +166,7 @@ def _read_columns(path: Path, header: list[str]):
     first bad row, which may come before it.
     """
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader, width = _data_rows(fh, path, (header,))
             while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
                 if set(map(len, chunk)) != {width}:
@@ -757,8 +768,15 @@ def run_simulation(
     return report
 
 
+_FILENAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-")
+
+
 def _safe_filename(producer_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", producer_id)
+    """``producer_id`` with each character outside ASCII letters, digits,
+    ``.``, ``_`` and ``-`` replaced by ``_``."""
+    if _FILENAME_CHARS.issuperset(producer_id):
+        return producer_id
+    return "".join(c if c in _FILENAME_CHARS else "_" for c in producer_id)
 
 
 def trace_file_names(producer_ids) -> list[str]:

@@ -10,10 +10,12 @@ against a loop per pool side. The two simulate loaders are checked against
 their row-by-row forms, which parse and check one row at a time through the
 field parsers that define the file formats. The report writer is checked
 against its earlier form, which wrote every file through ``csv.writer``
-with the whole window's strings alive at once.
+with the whole window's strings alive at once, and its trace file names
+against the regular expression that first defined them.
 """
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +345,12 @@ def load_contract_schedule(path, series):
         except TimeseriesFormatError as exc:
             raise TimeseriesFormatError(f"{path}:{line_no}: {exc}") from None
     return schedule
+
+
+def safe_filename(producer_id: str) -> str:
+    """A producer id as its trace file name holds it: every character but
+    ASCII letters, digits, ``.``, ``_`` and ``-`` replaced by ``_``."""
+    return re.sub(r"[^A-Za-z0-9._-]", "_", producer_id)
 
 
 def _repr_rows(block: np.ndarray) -> list[list[str]]:

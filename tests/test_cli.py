@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import poolpay
+from poolpay import cli
 from poolpay.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 
 from conftest import inside_core
@@ -106,6 +107,50 @@ def test_import_leaves_scipy_stats_out():
     run = fresh_python("-c", "import sys, poolpay, poolpay.cli; "
                              "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+_COMMANDS = ["simulate", "allocate", "check-core", "equilibrium", "contract"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], *([command, "--help"] for command in _COMMANDS), ["simulate"],
+    ["allocate", "--pstar", "1"], ["allocate", "--snapshot", "snap.csv", "extra"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_texts_match_the_parser_of_every_command(argv, monkeypatch, capsys):
+    """``main`` builds only the sub-command ``argv`` names, or all of them
+    when it names none; every help, usage and error text, and the exit code,
+    must be those of the parser with all five."""
+    monkeypatch.setenv("COLUMNS", "80")
+    build = cli.build_parser
+    built = []
+
+    def counting(command=None):
+        parser = build(command)
+        built.append(len(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    texts = main(argv), *capsys.readouterr()
+    assert built == [1 if argv and argv[0] in _COMMANDS else 5]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert (main(argv), *capsys.readouterr()) == texts
+
+
+def test_simulate_reads_a_marked_file_without_the_bom_codec(tmp_path):
+    """A byte-order mark is dropped without the ``utf-8-sig`` codec, which a
+    fresh interpreter would import for each run."""
+    bom = "\ufeff".encode()
+    gen = tmp_path / "gen.csv"
+    gen.write_bytes(bom + b"hour,producer_id,forecast_mwh,actual_mwh\n0,w1,50,48\n1,w1,50,53\n")
+    contracts = tmp_path / "contracts.csv"
+    contracts.write_bytes(bom + b"hour,producer_id,contract_mwh\n1,w1,50\n")
+    script = ("import sys; from poolpay.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'encodings.utf_8_sig' in sys.modules)")
+    run = fresh_python("-c", script, "simulate", "--data", str(gen), "--contracts", str(contracts),
+                       "--pf", "10", "--prb", "15", "--prs", "5", "--train", "0:1", "--sim", "1:2",
+                       "--out", str(tmp_path / "out"))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.endswith("\n0 False\n")
 
 
 @pytest.mark.parametrize("mean, std_dev, printed", [
@@ -573,24 +618,29 @@ class TestSimulateCommand:
         assert not recwarn.list
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("hours, code", [(399, EXIT_INPUT_ERROR), (99, 0)])
-    def test_window_whose_totals_overflow_is_rejected(self, tmp_path, capsys, recwarn, hours,
-                                                      code):
-        # every hour is inside the one-shot domain: w1 is 1e305 MWh short and
-        # w2 1e305 MWh long. Over 399 hours w2's pooled payoff, 1e306 an hour,
-        # and both separate totals add up past the float range; the run stops
-        # before any file is written, with no numpy warning. 99 hours add up
-        # to 9.9e307 and are written
+    @staticmethod
+    def far_window(tmp_path, hours):
+        """``simulate`` argv of ``hours`` settled hours, each inside the
+        one-shot domain: w1 is 1e305 MWh short and w2 1e305 MWh long."""
         gen = write_csv(tmp_path / "gen.csv", ["hour", "producer_id", "forecast_mwh", "actual_mwh"],
                         [[h, p, 1e305, x] for h in range(hours + 1)
                          for p, x in (("w1", 0.0), ("w2", 1e305))])
         contracts = write_csv(tmp_path / "contracts.csv", ["hour", "producer_id", "contract_mwh"],
                               [[h, p, c] for h in range(1, hours + 1)
                                for p, c in (("w1", 1e305), ("w2", 0.0))])
+        return ["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
+                "--contracts", str(contracts), "--train", "0:1", "--sim", f"1:{hours + 1}",
+                "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("hours, code", [(399, EXIT_INPUT_ERROR), (99, 0)])
+    def test_window_whose_totals_overflow_is_rejected(self, tmp_path, capsys, recwarn, hours,
+                                                      code):
+        # over 399 hours w2's pooled payoff, 1e306 an hour, and both separate
+        # totals add up past the float range; the run stops before any file
+        # is written, with no numpy warning. 99 hours add up to 9.9e307 and
+        # are written
         out_dir = tmp_path / "out"
-        assert main(["simulate", "--data", str(gen), "--pf", "10", "--prb", "15", "--prs", "5",
-                     "--contracts", str(contracts), "--train", "0:1", "--sim", f"1:{hours + 1}",
-                     "--out", str(out_dir)]) == code
+        assert main(self.far_window(tmp_path, hours)) == code
         err = capsys.readouterr().err
         assert not recwarn.list
         if code:
@@ -602,6 +652,30 @@ class TestSimulateCommand:
             assert (out_dir / "summary.csv").read_text().splitlines()[-1] == (
                 "TOTAL,9.900000000000005e+307,0.0"
             )
+
+    def test_totals_print_as_summary_writes_them(self, tmp_path, capsys):
+        # 99 hours near the float range: each total prints short, as its repr
+        assert main(self.far_window(tmp_path, 99)) == EXIT_OK
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("total "):
+                name, value = line.split(" : ")
+                assert len(value) <= 24, line
+                printed[name.strip()] = value
+        with (tmp_path / "out" / "summary.csv").open(newline="", encoding="utf-8") as fh:
+            total = list(csv.reader(fh))[-1]
+        with (tmp_path / "out" / "hourly.csv").open(newline="", encoding="utf-8") as fh:
+            gains = {row["hour"]: float(row["excess_profit"]) for row in csv.DictReader(fh)}
+        gain = 0.0
+        for value in gains.values():  # the hours in order, from zero, as the report adds them
+            gain += value
+        assert total[0] == "TOTAL"
+        assert printed == {
+            "total pooled payoff": total[1],
+            "total separate payoff": total[2],
+            "total pooling gain": repr(gain),
+        }
+        assert float(printed["total pooled payoff"]) == 9.900000000000005e307
 
     def test_quantile_one_sizing_names_the_hour(self, generation_file, tmp_path, capsys):
         prices = write_csv(tmp_path / "prices.csv", ["hour", "p_f", "p_rb", "p_rs"],

@@ -57,7 +57,7 @@ BALANCED_SNAPSHOT = [("x", 10.0, 15.0), ("y", 20.0, 15.0)]
 SKEWED_PAYOFFS = [("a", 640.0), ("b", 659.0), ("c", 0.0), ("d", 310.0), ("e", 230.0)]
 
 EXPECTED = {
-    "simulate.stdout": "ef3dadbd6ef0fa9769d5b7612f20a02c2db08e7600450d1f2becb2ca06e604bf",
+    "simulate.stdout": "1970c358fa987916930088a29f2a2dd11136a4162f82e636e7d60ef36b5b0424",
     "hourly.csv": "8919ae78373d2c2452be635cf87dc0f7810e88cf77cc7ce546a7adf49ba7c4e2",
     "summary.csv": "cb511caad7d7c3f9d12a595cfa1166175f68c6fcba223d78a72b176769976640",
     "trace_a.csv": "c2cd64888e98088a6d08d764d7e927c3f6665c453fa70a5b91064ff62aa124a1",

@@ -6,6 +6,7 @@ import math
 import operator
 import re
 import tracemalloc
+import types
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -36,6 +37,7 @@ from poolpay.simulator import (
     CONTRACT_HEADER,
     GENERATION_HEADER,
     load_contract_schedule,
+    load_payoffs,
     load_snapshot,
     trace_file_names,
 )
@@ -151,10 +153,91 @@ class TestLoadTimeseries:
         snapshot = load_snapshot(snap)
         assert snapshot.producer_ids == ("a",)
         assert snapshot.prices == P
+        prices = tmp_path / "prices.csv"
+        prices.write_bytes(bom + b"hour,p_f,p_rb,p_rs\n1,10,15,5\n0,10,15,5\n")
+        assert load_prices(prices, data) == (P, P)
+        schedule = tmp_path / "contracts.csv"
+        schedule.write_bytes(bom + b"hour,producer_id,contract_mwh\n0,w1,10\n1,w1,11\n")
+        assert load_contract_schedule(schedule, data).tolist() == [[10.0], [11.0]]
+        payoffs = tmp_path / "payoffs.csv"
+        payoffs.write_bytes(bom + b"producer_id,payoff\na,700\n")
+        assert load_payoffs(payoffs, snapshot).payoffs.tolist() == [700.0]
         # a bad byte after the mark is still named by its line
         gen.write_bytes(bom + b"hour,producer_id,forecast_mwh,actual_mwh\n0,w1,10,12\n1,\xffw1,11,9\n")
         with pytest.raises(TimeseriesFormatError, match=r"gen.csv:3: byte 0xff is not valid UTF-8"):
             load_timeseries(gen)
+
+
+# Each loader's header and two data rows. The second row's first field is
+# where a U+FEFF after line 1 is put: it stays data.
+_MARKED = {
+    "generation": ("hour,producer_id,forecast_mwh,actual_mwh", "0,w1,10,12", "1,w1,11,9"),
+    "prices": ("hour,p_f,p_rb,p_rs", "0,10,15,5", "1,10,15,5"),
+    "schedule": ("hour,producer_id,contract_mwh", "0,w1,10", "1,w1,11"),
+    "snapshot": ("producer_id,contract_mwh,actual_mwh,p_f,p_rb,p_rs",
+                 "a,100,80,10,15,5", "w1,50,60,10,15,5"),
+    "payoffs": ("producer_id,payoff", "a,700", "w1,650"),
+}
+
+
+def _load_marked(tmp_path, kind: str, text: str):
+    """Load ``text``, written as UTF-8, with the loader of ``kind``; the
+    result as plain values. Prices, schedule and payoffs are read for the
+    clean generation and snapshot files of ``_MARKED``."""
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(text.encode())
+    if kind == "snapshot":
+        snapshot = load_snapshot(path)
+        return snapshot.producer_ids, snapshot.contracts.tolist(), snapshot.prices
+    if kind == "payoffs":
+        snapshot = tmp_path / "clean_snapshot.csv"
+        snapshot.write_text("\n".join(_MARKED["snapshot"]) + "\n")
+        return load_payoffs(path, load_snapshot(snapshot)).payoffs.tolist()
+    if kind == "generation":
+        data = load_timeseries(path)
+        return data.producer_ids, data.hours, data.actuals.tolist()
+    gen = tmp_path / "clean_gen.csv"
+    gen.write_text("\n".join(_MARKED["generation"]) + "\n")
+    data = load_timeseries(gen)
+    if kind == "prices":
+        return load_prices(path, data)
+    return load_contract_schedule(path, data).tolist()
+
+
+@pytest.mark.parametrize("kind", list(_MARKED))
+class TestByteOrderMark:
+    """A byte-order mark is dropped only at the very start of a file, as the
+    ``utf-8-sig`` codec drops it (``tests/oracles.py`` reads with that codec)."""
+
+    def test_mark_only_file_is_empty(self, tmp_path, kind):
+        with pytest.raises(TimeseriesFormatError, match=rf"{kind}\.csv:1: empty file$"):
+            _load_marked(tmp_path, kind, "\ufeff")
+
+    def test_mark_before_a_quoted_header_field(self, tmp_path, kind):
+        header, *rows = _MARKED[kind]
+        first, rest = header.split(",", 1)
+        plain = _load_marked(tmp_path, kind, "\n".join(_MARKED[kind]) + "\n")
+        quoted = "\ufeff" + "\n".join([f'"{first}",{rest}', *rows]) + "\n"
+        assert _load_marked(tmp_path, kind, quoted) == plain
+
+    def test_second_mark_is_part_of_the_header(self, tmp_path, kind):
+        header, *rows = _MARKED[kind]
+        text = "\ufeff\ufeff" + "\n".join(_MARKED[kind]) + "\n"
+        with pytest.raises(TimeseriesFormatError, match=rf"{kind}\.csv:1: expected header"):
+            _load_marked(tmp_path, kind, text)
+
+    def test_mark_after_line_1_is_data(self, tmp_path, kind):
+        header, first, second = _MARKED[kind]
+        text = "\n".join([header, first, "\ufeff" + second]) + "\n"
+        if kind == "snapshot":  # an id may hold any character but a blank edge
+            assert _load_marked(tmp_path, kind, text)[0] == ("a", "\ufeffw1")
+            return
+        if kind == "payoffs":
+            message = "producer %r is not in the snapshot" % "\ufeffw1"
+        else:
+            message = "hour %r is neither an integer index nor ISO-8601" % "\ufeff1"
+        with pytest.raises(TimeseriesFormatError, match=rf"{kind}\.csv:3: {re.escape(message)}$"):
+            _load_marked(tmp_path, kind, text)
 
 
 class TestLoadPrices:
@@ -649,6 +732,54 @@ def test_window_matches_one_shot_path_bit_for_bit(window):
         assert report.core_coalition[row] == audit.core.worst_coalition
 
 
+@st.composite
+def tied_windows(draw):
+    """(contracts, realizations, payoffs, day-ahead prices) of 1-4 hours of
+    2-10 producers. Deviations lie on a coarse grid, some a few ulps off it,
+    so many hours hold runs of equal deviations. Each hour's margins over
+    forward revenue mostly follow the deviation, as a fair split's do, and
+    are moved by a few ulps or by about the tolerance, so the block screen
+    flags most hours and ``_fair`` decides either way."""
+    n, hours = draw(st.integers(2, 10)), draw(st.integers(1, 4))
+    day_ahead = np.array([[draw(st.sampled_from([0.0, 10.0]))] for _ in range(hours)])
+    grid, bases = [-1.0, -0.5, 0.0, 0.5, 1.0], st.sampled_from([0.0, 1.0, 250.0])
+    contracts, realizations, payoffs = (np.empty((hours, n)) for _ in range(3))
+    for h in range(hours):
+        base_of = {dev: draw(bases) for dev in grid}
+        for p in range(n):
+            c = draw(st.sampled_from([10.0, 20.0, 1e6]))
+            dev = draw(st.sampled_from(grid))
+            contracts[h, p] = c
+            realizations[h, p] = _ulps(c - dev, draw(st.integers(-2, 2)))
+            base = draw(bases) if draw(st.integers(0, 7)) == 0 else base_of[dev]
+            payoff = float(day_ahead[h, 0] * c) + base
+            if draw(st.integers(0, 3)):
+                payoffs[h, p] = _ulps(payoff, draw(st.integers(-3, 3)))
+            else:
+                shift = draw(st.sampled_from([0.5, 1.0, 2.0])) * 1e-9 * max(1.0, abs(payoff))
+                payoffs[h, p] = payoff + draw(st.sampled_from([-1.0, 1.0])) * shift
+    return contracts, realizations, payoffs, day_ahead
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_windows())
+def test_window_fairness_equals_the_whole_row(window):
+    """The window hands ``_fair`` only the producers in runs of equal sorted
+    deviations; its verdict must be ``_fair``'s on the hour's whole row."""
+    contracts, realizations, payoffs, day_ahead = window
+    rt = np.full_like(day_ahead, 15.0), np.full_like(day_ahead, 5.0)
+    prices = types.SimpleNamespace(day_ahead=day_ahead, rt_buy=rt[0], rt_sell=rt[1])
+    audit = allocation._audit_window(
+        contracts, realizations, payoffs, payoffs, payoffs.sum(axis=1), prices
+    )
+    for h, fair in enumerate(audit["fair"].tolist()):
+        c = contracts[h]
+        whole_row = allocation._fair(c - realizations[h], payoffs[h] - day_ahead[h] * c)
+        assert fair == whole_row
+        triple = PriceTriple(float(day_ahead[h, 0]), 15.0, 5.0)
+        assert fair == oracles.fairness_scan(c, realizations[h], payoffs[h], triple)
+
+
 def _ulps(value, count):
     """``value`` moved ``count`` ulps up, or down for a negative count."""
     for _ in range(abs(count)):
@@ -1140,6 +1271,16 @@ def test_emit_memory_is_set_by_the_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 300 * simulator.EMIT_CELLS
+
+
+@given(st.text())
+def test_safe_filename_keeps_the_regex_rule(text):
+    assert simulator._safe_filename(text) == oracles.safe_filename(text)
+
+
+def test_safe_filename_keeps_the_regex_rule_on_every_code_point():
+    text = "".join(map(chr, range(0x110000)))
+    assert simulator._safe_filename(text) == oracles.safe_filename(text)
 
 
 def test_trace_file_names_must_differ_in_more_than_letter_case():
